@@ -1,6 +1,7 @@
 """Command-line interface: counting, sequence tables, verification, rendering.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(including a verify run whose bounds leave no checks).
 """
 from __future__ import annotations
 
@@ -86,25 +87,38 @@ def cmd_count(args) -> int:
     return 0
 
 
-def cmd_seq(args) -> int:
+def _family(name: str, first: int, method: str = "iter") -> sequences.Family | None:
+    """Catalog family ``name`` if it serves ``method`` from index ``first``, else None.
+
+    The reason for a None goes to stderr.
+    """
     fams = sequences.catalog()
-    family = fams.get(args.family)
+    family = fams.get(name)
     if family is None:
-        print(f"error: unknown family {args.family!r}; known: {' '.join(fams)}", file=sys.stderr)
-        return 2
-    if args.method == "closed" and family.closed is None:
-        print(f"error: family {args.family} has no closed form", file=sys.stderr)
-        return 2
-    if args.start < family.start:
-        print(
-            f"error: family {args.family} starts at index {family.start}", file=sys.stderr
-        )
+        error = f"unknown family {name!r}; known: {' '.join(fams)}"
+    elif method == "closed" and family.closed is None:
+        error = f"family {name} has no closed form"
+    elif first < family.start:
+        error = f"family {name} starts at index {family.start}"
+    else:
+        return family
+    print(f"error: {error}", file=sys.stderr)
+    return None
+
+
+def cmd_seq(args) -> int:
+    family = _family(args.family, args.start, args.method)
+    if family is None:
         return 2
     if args.end < args.start:
         print("error: empty range", file=sys.stderr)
         return 2
-    for n in range(args.start, args.end + 1):
-        value = family.eval(n, args.method)
+    indices = range(args.start, args.end + 1)
+    if args.method == "iter":
+        values = sequences.rec_values(family.recurrence, args.start, args.end)
+    else:
+        values = (family.eval(n, args.method) for n in indices)
+    for n, value in zip(indices, values):
         if args.json:
             print(_json_line({"family": family.name, "n": n, "value": str(value)}))
         else:
@@ -130,6 +144,9 @@ def cmd_verify(args) -> int:
             report = identities.SUITES[args.suite](**bounds)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not report.checks:
+        print(f"error: suite {args.suite} has no checks within these bounds", file=sys.stderr)
         return 2
     if args.json:
         for record in report.records():
@@ -165,15 +182,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_bfile(args) -> int:
-    fams = sequences.catalog()
-    family = fams.get(args.family)
+    family = _family(args.family, args.to)
     if family is None:
-        print(f"error: unknown family {args.family!r}; known: {' '.join(fams)}", file=sys.stderr)
-        return 2
-    if args.to < family.start:
-        print(
-            f"error: family {args.family} starts at index {family.start}", file=sys.stderr
-        )
         return 2
     for n, value in zip(
         range(family.start, args.to + 1),

@@ -5,18 +5,24 @@ Two independent counting routes are provided on purpose:
 * ``count_tilings`` — broken-profile dynamic programming, feasible for any
   region whose narrow dimension is at most 32 cells;
 * ``count_tilings_bruteforce`` — direct backtracking over placements, the
-  oracle the DP is validated against on small regions.
+  oracle the DP is validated against on small regions. Its search,
+  ``perfect_matchings``, also drives ``enumerate_tilings`` and the 3D
+  oracle in ``solid3d``.
 
 All counts are exact Python integers; nothing here touches floating point.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
+from operator import add
 
 from .regions2d import Cell, Region2D, transpose
 
 MAX_PROFILE_WIDTH = 32
 MAX_ORACLE_CELLS = 30
+STEPS_2D = ((0, 1), (1, 0))  # right, then down: horizontal before vertical
 
 
 class RegionTooWideError(ValueError):
@@ -100,15 +106,29 @@ def count_tilings(region: Region2D) -> int:
     return states.get(0, 0)
 
 
-def _first_free(remaining: frozenset[Cell]) -> Cell:
-    return min(remaining)
+def perfect_matchings(cells: frozenset, steps) -> Iterator[tuple]:
+    """Yield each perfect matching of ``cells`` as a tuple of cell pairs.
+
+    Backtracking on the first free cell in sorted order, which is paired
+    with its neighbour at each of ``steps`` in turn (a step is added to the
+    cell coordinate-wise), so the matchings come in a fixed order.
+    """
+    if not cells:
+        yield ()
+        return
+    first = min(cells)
+    for step in steps:
+        other = tuple(map(add, first, step))
+        if other in cells:
+            for rest in perfect_matchings(cells - {first, other}, steps):
+                yield ((first, other), *rest)
 
 
 def count_tilings_bruteforce(region: Region2D) -> int:
     """Oracle counter: backtracking on the first uncovered cell.
 
-    At each step the lexicographically first free cell is paired with its
-    right neighbour, then its lower neighbour. Limited to
+    Counts the matchings ``perfect_matchings`` yields, pairing each first
+    free cell with its right neighbour, then its lower one. Limited to
     ``MAX_ORACLE_CELLS`` cells to keep the exponential search in check.
     """
     if len(region.cells) > MAX_ORACLE_CELLS:
@@ -117,18 +137,7 @@ def count_tilings_bruteforce(region: Region2D) -> int:
         )
     if len(region.cells) % 2:
         return 0
-
-    def count(remaining: frozenset[Cell]) -> int:
-        if not remaining:
-            return 1
-        r, c = _first_free(remaining)
-        total = 0
-        for other in ((r, c + 1), (r + 1, c)):
-            if other in remaining:
-                total += count(remaining - {(r, c), other})
-        return total
-
-    return count(region.cells)
+    return sum(1 for _ in perfect_matchings(region.cells, STEPS_2D))
 
 
 def enumerate_tilings(region: Region2D, limit: int) -> list[Tiling]:
@@ -143,27 +152,10 @@ def enumerate_tilings(region: Region2D, limit: int) -> list[Tiling]:
         raise RegionTooLargeError(
             f"{len(region.cells)} cells exceed the {MAX_ORACLE_CELLS}-cell enumeration budget"
         )
-
-    out: list[Tiling] = []
-
-    def walk(remaining: frozenset[Cell], placed: list[Domino]) -> bool:
-        if not remaining:
-            out.append(Tiling(frozenset(placed)))
-            return len(out) >= limit
-        first = _first_free(remaining)
-        r, c = first
-        for other in ((r, c + 1), (r + 1, c)):
-            if other in remaining:
-                placed.append((first, other))
-                done = walk(remaining - {first, other}, placed)
-                placed.pop()
-                if done:
-                    return True
-        return False
-
-    if len(region.cells) % 2 == 0:
-        walk(region.cells, [])
-    return out
+    if len(region.cells) % 2:
+        return []
+    matchings = islice(perfect_matchings(region.cells, STEPS_2D), limit)
+    return [Tiling(frozenset(dominoes)) for dominoes in matchings]
 
 
 def render_tiling_ascii(tiling: Tiling) -> str:

@@ -183,35 +183,29 @@ class LinearRecurrence:
         return len(self.coeffs)
 
 
-def rec_eval_iter(rec: LinearRecurrence, n: int) -> int:
-    """nth term by straight iteration: O(n * order) big-int additions."""
-    if n < rec.start:
-        raise ValueError(f"index {n} below starting index {rec.start}")
-    idx = n - rec.start
-    if idx < rec.order:
-        return rec.initial[idx]
-    window = list(rec.initial)  # window[-1] is the newest term
-    for _ in range(idx - rec.order + 1):
-        nxt = sum(c * window[-i] for i, c in enumerate(rec.coeffs, start=1))
-        window.pop(0)
-        window.append(nxt)
-    return window[-1]
-
-
 def rec_values(rec: LinearRecurrence, lo: int, hi: int) -> list[int]:
-    """Terms a(lo), ..., a(hi) in one forward pass."""
+    """Terms a(lo), ..., a(hi) in one forward pass: O(hi * order) big-int additions.
+
+    Below ``lo`` only the last ``order`` terms are held.
+    """
     if lo < rec.start:
         raise ValueError(f"index {lo} below starting index {rec.start}")
     if hi < lo:
         return []
-    window = list(rec.initial)
-    values = list(rec.initial)
-    while len(values) < hi - rec.start + 1:
+    values = list(rec.initial[lo - rec.start : hi - rec.start + 1])
+    window = list(rec.initial)  # window[-1] is the newest term
+    for n in range(rec.start + rec.order, hi + 1):
         nxt = sum(c * window[-i] for i, c in enumerate(rec.coeffs, start=1))
         window.pop(0)
         window.append(nxt)
-        values.append(nxt)
-    return values[lo - rec.start : hi - rec.start + 1]
+        if n >= lo:
+            values.append(nxt)
+    return values
+
+
+def rec_eval_iter(rec: LinearRecurrence, n: int) -> int:
+    """nth term by straight iteration."""
+    return rec_values(rec, n, n)[0]
 
 
 def _mat_mul(x, y):
@@ -355,13 +349,22 @@ def catalog() -> dict[str, Family]:
     return {f.name: f for f in families}
 
 
+def _terms(name: str, *indices: int) -> list[int]:
+    """Terms of family ``name`` at ``indices``, from one forward pass.
+
+    Index -1 gives 0: the backward extension F(-1) = B(-1) = 0 of F and B.
+    """
+    rec = catalog()[name].recurrence
+    lo = max(min(indices), rec.start)
+    values = rec_values(rec, lo, max(indices))
+    return [0 if i == -1 else values[i - lo] for i in indices]
+
+
 def fibonacci(n: int) -> int:
     """Shifted Fibonacci: F(0) = F(1) = 1, extended backward with F(-1) = 0."""
     if n < -1:
         raise ValueError(f"fibonacci defined for n >= -1, got {n}")
-    if n == -1:
-        return 0
-    return rec_eval_iter(catalog()["F"].recurrence, n)
+    return _terms("F", n)[0]
 
 
 def l2(n: int, k: int) -> int:
@@ -372,7 +375,8 @@ def l2(n: int, k: int) -> int:
     """
     if n < 1 or k < 0:
         raise ValueError(f"l2 needs n >= 1 and k >= 0, got ({n}, {k})")
-    return fibonacci(n) * fibonacci(k - 1) + fibonacci(n - 1) * fibonacci(k)
+    f_n, f_k1, f_n1, f_k = _terms("F", n, k - 1, n - 1, k)
+    return f_n * f_k1 + f_n1 * f_k
 
 
 def l3(n: int, k: int) -> int:
@@ -383,16 +387,7 @@ def l3(n: int, k: int) -> int:
     """
     if n < 1 or k < 1:
         raise ValueError(f"l3 needs n, k >= 1, got ({n}, {k})")
-    fams = catalog()
-    a_rec = fams["A"].recurrence
-    b_rec = fams["B"].recurrence
-    c_rec = fams["C"].recurrence
-
-    def b_val(m: int) -> int:
-        return 0 if m == -1 else rec_eval_iter(b_rec, m)
-
-    return (
-        rec_eval_iter(a_rec, n) * rec_eval_iter(a_rec, k)
-        + rec_eval_iter(c_rec, n - 1) * b_val(k - 1)
-        + b_val(n - 2) * b_val(k - 1)
-    )
+    a_n, a_k = _terms("A", n, k)
+    (c_n1,) = _terms("C", n - 1)
+    b_k1, b_n2 = _terms("B", k - 1, n - 2)
+    return a_n * a_k + c_n1 * b_k1 + b_n2 * b_k1

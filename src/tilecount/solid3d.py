@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .count2d import count_tilings
+from .count2d import count_tilings, perfect_matchings
 from .regions2d import Cell, Region2D
 
 MAX_CROSS_SECTION = 8
 MAX_BRUTEFORCE_CELLS = 24
 
 Cell3 = tuple[int, int, int]  # (row, col, layer)
+STEPS_3D = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # on (z, row, col): col, row, then layer
 
 
 class CrossSectionTooLargeError(ValueError):
@@ -150,15 +151,4 @@ def count_bricks_bruteforce(prism: Prism3D) -> int:
     )
     if len(cells) % 2:
         return 0
-
-    def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
-        z, r, c = min(remaining)
-        total = 0
-        for other in ((z, r, c + 1), (z, r + 1, c), (z + 1, r, c)):
-            if other in remaining:
-                total += count(remaining - {(z, r, c), other})
-        return total
-
-    return count(cells)
+    return sum(1 for _ in perfect_matchings(cells, STEPS_3D))

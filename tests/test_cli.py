@@ -105,6 +105,15 @@ def test_seq_json(capsys):
     ]
 
 
+def test_seq_methods_print_the_same_table(capsys):
+    outputs = [
+        run(capsys, "seq", "A", "1", "300", "--method", method)
+        for method in ("iter", "matpow", "closed")
+    ]
+    assert outputs[0][0] == 0 and len(outputs[0][1].splitlines()) == 300
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_seq_errors_exit_2(capsys):
     assert run(capsys, "seq", "Z", "1", "5")[0] == 2
     assert run(capsys, "seq", "F", "1", "5", "--method", "closed")[0] == 2
@@ -149,6 +158,18 @@ def test_verify_rejects_bad_bounds(capsys):
     assert run(capsys, "verify", "all", "--max", "3")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "crux", "--max", "0"), ("verify", "thm21", "--max-n", "1", "--max-k", "0")],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_with_no_checks_is_a_usage_error(capsys, argv, json_flag):
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: suite {argv[1]} has no checks within these bounds\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -167,6 +188,13 @@ def test_render_counts_blocks(capsys):
     assert len(blocks) == 3
     code, out, _ = run(capsys, "render", "b:0", "--limit", "5")
     assert out == "^\nv\n"
+
+
+def test_render_order_is_pinned(capsys):
+    # horizontal before vertical on the first free cell, in sorted order
+    code, out, _ = run(capsys, "render", "a:1")
+    assert code == 0
+    assert out == "<>\n<>\n<>\n\n<>\n^^\nvv\n\n^^\nvv\n<>\n"
 
 
 def test_render_respects_limit(capsys):

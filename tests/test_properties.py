@@ -1,0 +1,103 @@
+"""Property tests: the counting invariants on generated regions and prisms.
+
+Hypothesis runs derandomized, so every run draws the same examples.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tilecount.count2d import count_tilings, count_tilings_bruteforce, enumerate_tilings
+from tilecount.regions2d import Region2D, reflect_h, rotate90
+from tilecount.solid3d import Prism3D, count_bricks, count_bricks_bruteforce
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def _neighbours(cell):
+    r, c = cell
+    return [(r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)]
+
+
+def _border(cells):
+    return {n for cell in cells for n in _neighbours(cell)} - cells
+
+
+@st.composite
+def connected_regions(draw, max_cells: int = 20) -> Region2D:
+    """A region grown from one cell by adding edge neighbours one at a time."""
+    size = draw(st.integers(1, max_cells))
+    cells = {(0, 0)}
+    while len(cells) < size:
+        cells.add(draw(st.sampled_from(sorted(_border(cells)))))
+    return Region2D(cells)
+
+
+@st.composite
+def domino_regions(draw, max_dominoes: int = 10) -> Region2D:
+    """A connected region grown one domino at a time, so it has a tiling."""
+    size = draw(st.integers(1, max_dominoes))
+    cells = {(0, 0), (0, 1)}
+    while len(cells) < 2 * size:
+        free = _border(cells)
+        dominoes = sorted((a, b) for a in free for b in _neighbours(a) if b not in cells)
+        cells.update(draw(st.sampled_from(dominoes)))
+    return Region2D(cells)
+
+
+REGIONS = st.one_of(connected_regions(), domino_regions())
+
+
+def square_symmetries(region: Region2D) -> list[Region2D]:
+    """The region's images under the 8 symmetries of the square."""
+    images = []
+    for _ in range(4):
+        images += [region, reflect_h(region)]
+        region = rotate90(region)
+    return images
+
+
+@PROPERTY
+@given(REGIONS)
+def test_dp_equals_oracle_equals_enumeration(region):
+    count = count_tilings(region)
+    assert count == count_tilings_bruteforce(region)
+    assert len(enumerate_tilings(region, 10**6)) == count
+
+
+@PROPERTY
+@given(REGIONS)
+def test_count_is_invariant_under_square_symmetries(region):
+    counts = {count_tilings(image) for image in square_symmetries(region)}
+    assert counts == {count_tilings(region)}
+
+
+@PROPERTY
+@given(domino_regions(max_dominoes=7), domino_regions(max_dominoes=7))
+def test_regions_split_by_an_empty_row_count_as_a_product(top, bottom):
+    gap = top.height + 1  # leaves row top.height empty
+    union = Region2D(top.cells | {(r + gap, c) for r, c in bottom.cells})
+    assert union.cell_count == top.cell_count + bottom.cell_count
+    assert count_tilings(union) == count_tilings(top) * count_tilings(bottom)
+
+
+@st.composite
+def small_prisms(draw) -> Prism3D:
+    """A connected cross-section of up to 6 cells, 1-4 layers, some cells deleted."""
+    cross = draw(connected_regions(max_cells=6)).cells
+    layers = draw(st.integers(1, 4))  # at most 24 cells, the oracle's budget
+    cells = sorted((r, c, z) for r, c in cross for z in range(layers))
+    deleted = draw(st.sets(st.sampled_from(cells), max_size=3))
+    return Prism3D(cross, layers, deleted)
+
+
+@PROPERTY
+@given(small_prisms())
+def test_layer_dp_equals_3d_oracle(prism):
+    assert count_bricks(prism) == count_bricks_bruteforce(prism)
+
+
+@PROPERTY
+@given(st.one_of(connected_regions(max_cells=8), domino_regions(max_dominoes=4)))
+def test_one_layer_prism_counts_as_its_cross_section(region):
+    assert count_bricks(Prism3D(region.cells, 1)) == count_tilings(region)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,28 @@ def test_rec_values_matches_pointwise(name):
         rec_eval_iter(fam.recurrence, n) for n in range(lo, hi + 1)
     ]
     assert rec_values(fam.recurrence, hi, lo) == []
+
+
+@pytest.mark.parametrize("name", list(catalog()))
+def test_rec_values_windows_match_matpow(name):
+    rec = catalog()[name].recurrence
+    for lo in range(rec.start, rec.start + rec.order + 2):
+        for hi in (lo, lo + 1, rec.start + 30):
+            assert rec_values(rec, lo, hi) == [
+                rec_eval_matpow(rec, n) for n in range(lo, hi + 1)
+            ], (lo, hi)
+
+
+def test_rec_values_holds_only_a_window_below_lo():
+    rec = catalog()["L3"].recurrence
+    tracemalloc.start()
+    try:
+        (value,) = rec_values(rec, 20_000, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == rec_eval_matpow(rec, 20_000)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
