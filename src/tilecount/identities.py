@@ -218,8 +218,11 @@ def verify_thm32(max_n: int = 200) -> Report:
 
 
 def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Report:
-    """Width-2 angle: DP against the Fibonacci product formula, plus the
+    """Width-2 angle: 2D count against the Fibonacci product formula, plus the
     diagonal against its alternating closed form."""
+    for name, bound in (("max_n", max_n), ("max_k", max_k), ("diag_max", diag_max)):
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):

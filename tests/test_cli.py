@@ -170,6 +170,21 @@ def test_verify_with_no_checks_is_a_usage_error(capsys, argv, json_flag):
     assert err == f"error: suite {argv[1]} has no checks within these bounds\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("verify", "tauraso", "--max", "0"), "max_n must be at least 1, got 0"),
+        (("verify", "tauraso", "--max", "3", "--max-k", "0"), "max_k must be at least 1, got 0"),
+    ],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_tauraso_rejects_bounds_below_one(capsys, argv, message, json_flag):
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from conftest import random_connected_region, region_corpus_2d
+from tilecount.cli import main
 from tilecount.count2d import (
     RegionTooLargeError,
     RegionTooWideError,
     Tiling,
     count_tilings,
     count_tilings_bruteforce,
+    count_tilings_dp,
     enumerate_tilings,
     parse_tiling_ascii,
     render_tiling_ascii,
@@ -28,15 +30,81 @@ from tilecount.regions2d import (
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]
 
 
+def aztec_diamond(n: int) -> Region2D:
+    """The Aztec diamond of order n: rows of 2, 4, ..., 2n, 2n, ..., 2 cells."""
+    cells = []
+    for r in range(2 * n):
+        half = r + 1 if r < n else 2 * n - r
+        cells.extend((r, c) for c in range(n - half, n + half))
+    return Region2D(cells)
+
+
+def ktf_rectangle(rows: int, cols: int) -> int:
+    """Domino tilings of a rows x cols rectangle by the Kasteleyn-Temperley-Fisher
+    product of 4cos^2(pi j/(rows+1)) + 4cos^2(pi k/(cols+1)), evaluated with
+    mpmath at more than twice the result's digits and rounded."""
+    import mpmath
+
+    def product(dps: int):
+        with mpmath.workdps(dps):
+            p = mpmath.mpf(1)
+            for j in range(1, (rows + 1) // 2 + 1):
+                for k in range(1, (cols + 1) // 2 + 1):
+                    p *= 4 * mpmath.cos(mpmath.pi * j / (rows + 1)) ** 2 + 4 * mpmath.cos(
+                        mpmath.pi * k / (cols + 1)
+                    ) ** 2
+            return p
+
+    digits = int(mpmath.log10(product(30))) + 1
+    with mpmath.workdps(2 * digits + 20):
+        exact = product(2 * digits + 20)
+        nearest = mpmath.nint(exact)
+        assert abs(exact - nearest) < mpmath.mpf("0.01")
+        return int(nearest)
+
+
 def test_empty_region_counts_one():
     assert count_tilings(Region2D()) == 1
+    assert count_tilings_dp(Region2D()) == 1
     assert count_tilings_bruteforce(Region2D()) == 1
 
 
 def test_odd_cell_count_is_zero():
     assert count_tilings(rect(3, 3)) == 0
+    assert count_tilings_dp(rect(3, 3)) == 0
     assert count_tilings_bruteforce(rect(3, 3)) == 0
     assert count_tilings(Region2D([(0, 0)])) == 0
+
+
+def test_even_regions_without_a_tiling_count_zero():
+    # two cells of the same colour: unequal colour classes
+    assert count_tilings(Region2D([(0, 0), (1, 1)])) == 0
+    # one cell of each colour, not adjacent: the elimination finds no pivot
+    assert count_tilings(Region2D([(0, 0), (0, 3)])) == 0
+
+
+def test_ring_around_one_missing_cell():
+    # the 3x3 square minus its centre; column-parity signs alone give 0
+    ring = Region2D((r, c) for r in range(3) for c in range(3) if (r, c) != (1, 1))
+    assert count_tilings(ring) == count_tilings_bruteforce(ring) == 2
+
+
+def test_island_inside_a_hole():
+    # a 7x7 frame around a 5x5 hole that holds one domino: 23 missing cells
+    frame = [(r, c) for r in range(7) for c in range(7) if r in (0, 6) or c in (0, 6)]
+    region = Region2D(frame + [(3, 2), (3, 3)])
+    assert count_tilings(region) == count_tilings_dp(region) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_aztec_diamond_counts_a_power_of_two(n):
+    # order 16 is 32 cells across both ways, the widest the guard admits
+    assert count_tilings(aztec_diamond(n)) == 2 ** (n * (n + 1) // 2)
+
+
+def test_count_rect_24_by_24_matches_the_product_formula(capsys):
+    assert main(["count", "rect:24,24"]) == 0
+    assert capsys.readouterr().out == f"{ktf_rectangle(24, 24)}\n"
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -73,12 +141,15 @@ def test_region_with_hole():
 
 
 def test_wide_region_is_transposed_not_rejected():
-    assert count_tilings(rect(3, 40)) == count_tilings(rect(40, 3))
+    count = count_tilings(rect(3, 40))
+    assert count == count_tilings(rect(40, 3)) == count_tilings_dp(rect(3, 40))
 
 
 def test_width_guard():
     with pytest.raises(RegionTooWideError):
         count_tilings(rect(33, 33))
+    with pytest.raises(RegionTooWideError):
+        count_tilings_dp(rect(33, 33))
 
 
 def test_oracle_size_guard():
@@ -92,11 +163,13 @@ def test_oracle_equivalence_on_corpus():
     corpus = region_corpus_2d()
     assert len(corpus) >= 250
     for region in corpus:
-        assert count_tilings(region) == count_tilings_bruteforce(region), to_fail_msg(region)
+        count = count_tilings(region)
+        assert count == count_tilings_bruteforce(region), to_fail_msg("determinant", region)
+        assert count_tilings_dp(region) == count, to_fail_msg("DP", region)
 
 
-def to_fail_msg(region):
-    return f"DP != brute force on:\n{region}"
+def to_fail_msg(route, region):
+    return f"{route} != brute force on:\n{region}"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -134,6 +134,9 @@ def test_tauraso_passes():
         c.params: c for c in report.checks if c.name == "tauraso.region_vs_formula"
     }
     assert region_checks[(3, 2)].left == 7
+    for bounds in ({"max_n": 0}, {"max_k": 0}, {"diag_max": 0}):
+        with pytest.raises(ValueError):
+            verify_tauraso(**bounds)
 
 
 def test_coupled_recurrences_pass():

@@ -7,7 +7,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecount.count2d import count_tilings, count_tilings_bruteforce, enumerate_tilings
+from tilecount.count2d import (
+    MAX_ORACLE_CELLS,
+    count_tilings,
+    count_tilings_bruteforce,
+    count_tilings_dp,
+    enumerate_tilings,
+)
 from tilecount.regions2d import Region2D, reflect_h, rotate90
 from tilecount.solid3d import Prism3D, count_bricks, count_bricks_bruteforce
 
@@ -48,6 +54,19 @@ def domino_regions(draw, max_dominoes: int = 10) -> Region2D:
 REGIONS = st.one_of(connected_regions(), domino_regions())
 
 
+@st.composite
+def punched_rectangles(draw, max_side: int = 8) -> Region2D:
+    """A rectangle of 3..max_side per side with 1-5 interior cells removed.
+
+    The removed cells form holes of odd and even size, often several per
+    region; these are where the determinant's signs need the cut.
+    """
+    rows, cols = draw(st.integers(3, max_side)), draw(st.integers(3, max_side))
+    interior = [(r, c) for r in range(1, rows - 1) for c in range(1, cols - 1)]
+    removed = draw(st.sets(st.sampled_from(interior), min_size=1, max_size=min(5, len(interior))))
+    return Region2D((r, c) for r in range(rows) for c in range(cols) if (r, c) not in removed)
+
+
 def square_symmetries(region: Region2D) -> list[Region2D]:
     """The region's images under the 8 symmetries of the square."""
     images = []
@@ -62,7 +81,17 @@ def square_symmetries(region: Region2D) -> list[Region2D]:
 def test_dp_equals_oracle_equals_enumeration(region):
     count = count_tilings(region)
     assert count == count_tilings_bruteforce(region)
+    assert count_tilings_dp(region) == count
     assert len(enumerate_tilings(region, 10**6)) == count
+
+
+@PROPERTY
+@given(punched_rectangles())
+def test_determinant_equals_dp_around_holes(region):
+    count = count_tilings(region)
+    assert count == count_tilings_dp(region)
+    if region.cell_count <= MAX_ORACLE_CELLS:
+        assert count == count_tilings_bruteforce(region)
 
 
 @PROPERTY
