@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import sys
@@ -18,6 +19,51 @@ from .solid3d import Prism3D
 
 def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+# Above this many bits, _decimal_str converts by divide and conquer: str(int)
+# is quadratic before CPython 3.12 and falls behind from about 40k bits.
+_SPLIT_BITS = 50_000
+_LEAF_BITS = 1024
+
+
+def _decimal_str(n: int) -> str:
+    """str(n), in subquadratic time for big n.
+
+    n is split in binary and rebuilt as a Decimal, whose multiplication is
+    subquadratic, as CPython 3.12's _pylong does. The context is exact: any
+    rounding or overflow raises instead of printing wrong digits.
+    """
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal_str(-n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(bits: int) -> decimal.Decimal:
+        power = powers.get(bits)
+        if power is None:
+            if bits <= _LEAF_BITS:
+                power = decimal.Decimal(1 << bits)
+            else:
+                power = two_to(bits >> 1) * two_to(bits - (bits >> 1))
+            powers[bits] = power
+        return power
+
+    def build(m: int, bits: int) -> decimal.Decimal:
+        if bits <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        half = bits >> 1
+        hi = m >> half
+        return build(hi, bits - half) * two_to(half) + build(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
+            ctx.traps[signal] = True
+        return str(build(n, n.bit_length()))
 
 
 def parse_region_spec(spec: str) -> Region2D | Prism3D:
@@ -120,9 +166,9 @@ def cmd_seq(args) -> int:
         values = (family.eval(n, args.method) for n in indices)
     for n, value in zip(indices, values):
         if args.json:
-            print(_json_line({"family": family.name, "n": n, "value": str(value)}))
+            print(_json_line({"family": family.name, "n": n, "value": _decimal_str(value)}))
         else:
-            print(f"{n}\t{value}")
+            print(f"{n}\t{_decimal_str(value)}")
     return 0
 
 

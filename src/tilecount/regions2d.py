@@ -168,12 +168,11 @@ def from_ascii(text: str) -> Region2D:
 def to_ascii(region: Region2D) -> str:
     if not region.cells:
         return ""
-    rows = []
-    for r in range(region.height):
-        rows.append(
-            "".join("#" if (r, c) in region.cells else "." for c in range(region.width))
-        )
-    return "\n".join(rows)
+    cells, width = region.cells, region.width  # width is a max over all cells
+    return "\n".join(
+        "".join("#" if (r, c) in cells else "." for c in range(width))
+        for r in range(region.height)
+    )
 
 
 def reflect_h(region: Region2D) -> Region2D:

@@ -1,18 +1,24 @@
 """Linear recurrences, exact quadratic-irrational arithmetic, closed forms.
 
 Every sequence family in the catalog carries an integer linear recurrence,
-and most also carry a closed form whose terms live in Q(sqrt(d)). Closed
-forms are evaluated exactly: powers are taken in the quadratic ring with
-rational coefficients, the irrational parts must cancel, and the rational
-remainder must be a nonnegative integer. A failure of either condition
-raises, since it can only mean a mistranscribed formula.
+and most also carry a closed form whose terms live in Q(sqrt(d)).
+
+A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
+modulo the characteristic polynomial by binary powering, and the remainder's
+coefficients weight the initial terms, so a jump costs O(d^2 log n) big
+multiplies. Closed forms are evaluated exactly in Z[sqrt(d)]: each
+coefficient and base is written once as integers over a common denominator,
+the bases are powered with three big multiplies per squaring, and the terms
+are summed over one denominator. The irrational part must cancel and the
+rational remainder must be a nonnegative integer; a failure of either
+condition raises, since it can only mean a mistranscribed formula.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
+from functools import cached_property, lru_cache
+from math import isqrt, lcm
 
 
 class ClosedFormCancellationError(ArithmeticError):
@@ -140,23 +146,70 @@ class ClosedForm:
     def radicand(self) -> int:
         return self.terms[0][0].d
 
+    @cached_property
+    def _integral(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
+        """The terms as integers: ((cp, cr, p, r), ...), coeff_den, base_den.
+
+        Term i is (cp + cr sqrt d) / coeff_den * ((p + r sqrt d) / base_den)^n.
+        """
+        coeffs, coeff_den = _over_common_denominator([c for c, _ in self.terms])
+        bases, base_den = _over_common_denominator([b for _, b in self.terms])
+        return tuple(c + b for c, b in zip(coeffs, bases)), coeff_den, base_den
+
+
+def _over_common_denominator(values: list[QuadExpr]) -> tuple[list[tuple[int, int]], int]:
+    """Integer pairs (p, r) and one den with values[i] = (p_i + r_i sqrt d) / den."""
+    den = lcm(*(f.denominator for q in values for f in (q.a, q.b)))
+    return [(int(q.a * den), int(q.b * den)) for q in values], den
+
+
+def _quad_pow(p: int, r: int, d: int, n: int) -> tuple[int, int]:
+    """(u, v) with u + v sqrt(d) = (p + r sqrt(d))^n, by left-to-right binary powering.
+
+    A squaring costs three big multiplies; a set bit multiplies by the small
+    base only.
+    """
+    u, v = 1, 0
+    for bit in bin(n)[2:]:
+        uv = u * v
+        u, v = u * u + d * (v * v), uv << 1
+        if bit == "1":
+            u, v = u * p + d * r * v, u * r + v * p
+    return u, v
+
 
 def closed_eval(cf: ClosedForm, n: int) -> int:
-    """Evaluate a closed form at n >= 0, checking exactness on the way out."""
+    """Evaluate a closed form at n >= 0, checking exactness on the way out.
+
+    Each distinct base is powered once in Z[sqrt(d)], and the power of its
+    conjugate is read off the same result. The terms are summed over the
+    common denominator coeff_den * base_den^n.
+    """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
-    total = QuadExpr(0, 0, cf.radicand)
-    for coeff, base in cf.terms:
-        total = total + coeff * base**n
-    if total.b != 0:
+    d = cf.radicand
+    terms, coeff_den, base_den = cf._integral
+    powers: dict[tuple[int, int], tuple[int, int]] = {}
+    num_a = num_b = 0
+    for cp, cr, p, r in terms:
+        if (p, r) not in powers:
+            u, v = _quad_pow(p, r, d, n)
+            powers[p, -r] = (u, -v)
+            powers[p, r] = (u, v)
+        u, v = powers[p, r]
+        num_a += cp * u + d * cr * v
+        num_b += cp * v + cr * u
+    den = coeff_den * base_den**n
+    if num_b:
         raise ClosedFormCancellationError(
-            f"irrational part {total.b}*sqrt({cf.radicand}) left over at n={n}"
+            f"irrational part {Fraction(num_b, den)}*sqrt({d}) left over at n={n}"
         )
-    if total.a.denominator != 1 or total.a < 0:
+    value, remainder = divmod(num_a, den)
+    if remainder or value < 0:
         raise ClosedFormCancellationError(
-            f"closed form produced non-count value {total.a} at n={n}"
+            f"closed form produced non-count value {Fraction(num_a, den)} at n={n}"
         )
-    return int(total.a)
+    return value
 
 
 @dataclass(frozen=True)
@@ -208,41 +261,44 @@ def rec_eval_iter(rec: LinearRecurrence, n: int) -> int:
     return rec_values(rec, n, n)[0]
 
 
-def _mat_mul(x, y):
-    size = len(x)
-    return tuple(
-        tuple(sum(x[i][t] * y[t][j] for t in range(size)) for j in range(size))
-        for i in range(size)
-    )
-
-
-def _mat_pow(m, e: int):
-    size = len(m)
-    result = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    while e:
-        if e & 1:
-            result = _mat_mul(result, m)
-        m = _mat_mul(m, m)
-        e >>= 1
-    return result
+def _reduce(poly: list[int], coeffs: tuple[int, ...]) -> list[int]:
+    """poly modulo the characteristic polynomial, in place: x^d = sum coeffs[i-1] x^(d-i)."""
+    d = len(coeffs)
+    while len(poly) > d:
+        top = poly.pop()
+        if top:
+            k = len(poly)
+            for i, c in enumerate(coeffs, start=1):
+                poly[k - i] += c * top
+    return poly
 
 
 def rec_eval_matpow(rec: LinearRecurrence, n: int) -> int:
-    """nth term via companion-matrix exponentiation: O(d^3 log n) multiplies."""
+    """nth term by Fiduccia's jump: O(d^2 log n) big multiplies.
+
+    x^(n - start) is reduced modulo the characteristic polynomial
+    x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1] by left-to-right binary
+    powering. A bit costs one squaring, d(d+1)/2 big multiplies reduced by the
+    small coefficients, and a set bit a shift by x. The remainder
+    sum r_j x^j gives a(n) = sum r_j a(start + j).
+    """
     if n < rec.start:
         raise ValueError(f"index {n} below starting index {rec.start}")
     idx = n - rec.start
     d = rec.order
     if idx < d:
         return rec.initial[idx]
-    companion = tuple(
-        rec.coeffs if i == 0 else tuple(int(j == i - 1) for j in range(d))
-        for i in range(d)
-    )
-    power = _mat_pow(companion, idx - d + 1)
-    # state vector (a(start+d-1), ..., a(start)); row 0 of the power yields a(n)
-    state = rec.initial[::-1]
-    return sum(power[0][j] * state[j] for j in range(d))
+    rem = [1] + [0] * (d - 1)
+    for bit in bin(idx)[2:]:
+        square = [0] * (2 * d - 1)
+        for i, ri in enumerate(rem):
+            square[2 * i] += ri * ri
+            for j in range(i + 1, d):
+                square[i + j] += (ri * rem[j]) << 1
+        rem = _reduce(square, rec.coeffs)
+        if bit == "1":
+            rem = _reduce([0] + rem, rec.coeffs)
+    return sum(r * a for r, a in zip(rem, rec.initial))
 
 
 @dataclass(frozen=True)
@@ -350,14 +406,12 @@ def catalog() -> dict[str, Family]:
 
 
 def _terms(name: str, *indices: int) -> list[int]:
-    """Terms of family ``name`` at ``indices``, from one forward pass.
+    """Terms of family ``name`` at ``indices``, each by the jump.
 
     Index -1 gives 0: the backward extension F(-1) = B(-1) = 0 of F and B.
     """
     rec = catalog()[name].recurrence
-    lo = max(min(indices), rec.start)
-    values = rec_values(rec, lo, max(indices))
-    return [0 if i == -1 else values[i - lo] for i in indices]
+    return [0 if i == -1 else rec_eval_matpow(rec, i) for i in indices]
 
 
 def fibonacci(n: int) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilecount.cli import _SPLIT_BITS, _decimal_str
 from tilecount.count2d import (
     MAX_ORACLE_CELLS,
     count_tilings,
@@ -15,6 +16,7 @@ from tilecount.count2d import (
     enumerate_tilings,
 )
 from tilecount.regions2d import Region2D, reflect_h, rotate90
+from tilecount.sequences import catalog, rec_eval_matpow, rec_values
 from tilecount.solid3d import Prism3D, count_bricks, count_bricks_bruteforce
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -130,3 +132,34 @@ def test_layer_dp_equals_3d_oracle(prism):
 @given(st.one_of(connected_regions(max_cells=8), domino_regions(max_dominoes=4)))
 def test_one_layer_prism_counts_as_its_cross_section(region):
     assert count_bricks(Prism3D(region.cells, 1)) == count_tilings(region)
+
+
+@st.composite
+def index_windows(draw, max_index: int = 3000):
+    """A catalog family and a window lo..hi of its indices, hi <= max_index."""
+    family = catalog()[draw(st.sampled_from(sorted(catalog())))]
+    lo = draw(st.integers(family.start, max_index))
+    hi = draw(st.integers(lo, min(lo + 12, max_index)))
+    return family.recurrence, lo, hi
+
+
+@PROPERTY
+@given(index_windows())
+def test_jump_equals_forward_pass(window):
+    rec, lo, hi = window
+    assert [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)] == rec_values(rec, lo, hi)
+
+
+@st.composite
+def signed_ints(draw, max_bits: int) -> int:
+    """An integer of uniformly random bit length 1..max_bits and random sign."""
+    rng = draw(st.randoms(use_true_random=True))
+    bits = rng.randint(1, max_bits)
+    value = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+    return -value if draw(st.booleans()) else value
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(signed_ints(3 * _SPLIT_BITS))
+def test_decimal_str_equals_str(value):
+    assert _decimal_str(value) == str(value)

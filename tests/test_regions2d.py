@@ -135,6 +135,25 @@ def test_ascii_round_trip():
         assert from_ascii(to_ascii(region)) == region
 
 
+def test_to_ascii_reads_width_once():
+    # width is a max over every cell; reading it per row made a tall picture
+    # cost O(rows * cells)
+    reads = []
+
+    class CountingRegion(Region2D):
+        @property
+        def width(self) -> int:
+            reads.append(1)
+            return super().width
+
+    for region in (rect(300, 2), from_ascii(".##\n###\n#.."), l3_region(3, 2)):
+        reads.clear()
+        picture = to_ascii(CountingRegion(region.cells))
+        assert picture == to_ascii(region)
+        assert len(reads) <= 1
+    assert to_ascii(CountingRegion()) == ""
+
+
 def test_from_ascii_counts_cells():
     assert from_ascii(".##\n###").cell_count == 5
 

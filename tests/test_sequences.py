@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tilecount.cli import _SPLIT_BITS, _decimal_str, main
 from tilecount.sequences import (
     ClosedForm,
     ClosedFormCancellationError,
@@ -192,8 +193,8 @@ def test_closed_eval_known_values():
 @pytest.mark.parametrize("name", ["A", "B", "C", "T", "L3", "L2D"])
 def test_closed_agrees_with_recurrence(name):
     fam = catalog()[name]
-    for n in range(fam.start, fam.start + 120):
-        assert closed_eval(fam.closed, n) == rec_eval_iter(fam.recurrence, n)
+    values = rec_values(fam.recurrence, fam.start, 2000)
+    assert [closed_eval(fam.closed, n) for n in range(fam.start, 2001)] == values
 
 
 def test_families_without_closed_form():
@@ -214,6 +215,39 @@ def test_cancellation_error_fires_on_bad_formula():
         closed_eval(bad_half, 0)
     with pytest.raises(ValueError):
         closed_eval(catalog()["A"].closed, -1)
+
+
+def test_cancellation_error_fires_on_negative_value():
+    minus_one = ClosedForm(((QuadExpr(-1, 0, 3), QuadExpr(1, 0, 3)),))
+    with pytest.raises(ClosedFormCancellationError, match="non-count value -1 at n=4"):
+        closed_eval(minus_one, 4)
+    # A(n) - 2 B(n) < 0 for all n: the sqrt(3) parts cancel, the sign is wrong
+    fams = catalog()
+    a_minus_2b = ClosedForm(
+        fams["A"].closed.terms
+        + tuple((-2 * coeff, base) for coeff, base in fams["B"].closed.terms)
+    )
+    for n in (0, 5, 300):
+        with pytest.raises(ClosedFormCancellationError, match=f"non-count value -.* at n={n}"):
+            closed_eval(a_minus_2b, n)
+
+
+def test_cancellation_error_fires_on_non_integer_value():
+    # T without its (-1)^n / 3 term: (2+sqrt3)^(n+1)/6 + conjugate, off by a third
+    t_terms = catalog()["T"].closed.terms
+    truncated = ClosedForm(t_terms[:2])
+    for n in (1, 2, 1000):
+        with pytest.raises(ClosedFormCancellationError, match=f"non-count value .*/3 at n={n}"):
+            closed_eval(truncated, n)
+    # a base over a denominator, ((3 + sqrt5) / 2)^n + conjugate, plus 1/2
+    phi2 = QuadExpr(Fraction(3, 2), Fraction(1, 2), 5)
+    one = QuadExpr(1, 0, 5)
+    half = ClosedForm(((one, phi2), (one, phi2.conjugate()), (one / 2, one)))
+    with pytest.raises(ClosedFormCancellationError, match="/2 at n=7"):
+        closed_eval(half, 7)
+    # one term of a conjugate pair alone: the sqrt(5) part is left over
+    with pytest.raises(ClosedFormCancellationError, match=r"\*sqrt\(5\) left over at n=3"):
+        closed_eval(ClosedForm(half.terms[:1]), 3)
 
 
 def test_closed_form_rejects_mixed_radicands():
@@ -276,3 +310,60 @@ def test_l2_diagonal_matches_closed_form():
     fam = catalog()["L2D"]
     for n in range(1, 51):
         assert closed_eval(fam.closed, n) == l2(n, n - 1)
+
+
+# ---------------------------------------------------------------------------
+# Decimal output of big values
+
+
+def test_decimal_str_on_powers_of_ten_and_two():
+    cases = [0, 1, 9, 10]
+    for k in (1, 100, 15_000, 15_060, 40_000):
+        cases += [10**k, 10**k - 1, 10**k + 1]
+    for k in list(range(_SPLIT_BITS - 3, _SPLIT_BITS + 4)) + [3 * _SPLIT_BITS + 1]:
+        cases += [2**k, 2**k - 1, 2**k + 1]
+    for value in cases:
+        assert _decimal_str(value) == str(value)
+    for value in (-1, -(2**_SPLIT_BITS) - 1, -(10**40_000)):
+        assert _decimal_str(value) == str(value)
+
+
+@pytest.mark.parametrize("digits", [15_100, 60_000, 400_000])
+def test_decimal_str_on_random_integers(digits):
+    rng = random.Random(digits)
+    value = rng.randrange(10 ** (digits - 1), 10**digits)
+    assert _decimal_str(value) == str(value)
+
+
+def test_decimal_str_on_the_largest_printed_values():
+    fams = catalog()
+    t = rec_eval_matpow(fams["T"].recurrence, 251005)
+    l3_value = closed_eval(fams["L3"].closed, 100716)
+    assert t.bit_length() > _SPLIT_BITS and l3_value.bit_length() > _SPLIT_BITS
+    assert _decimal_str(t) == str(t)
+    assert _decimal_str(l3_value) == str(l3_value)
+
+
+def _seq_out(capsys, *argv):
+    assert main(["seq", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_seq_methods_print_the_same_bytes(capsys):
+    outputs = {
+        method: _seq_out(capsys, "T", "2500", "2500", "--method", method)
+        for method in ("iter", "matpow", "closed")
+    }
+    expected = f"2500\t{rec_values(catalog()['T'].recurrence, 2500, 2500)[0]}\n"
+    assert outputs == dict.fromkeys(outputs, expected)
+
+
+def test_seq_prints_values_above_the_split_threshold_in_full(capsys):
+    value = rec_eval_matpow(catalog()["T"].recurrence, 120_000)
+    assert value.bit_length() > 3 * _SPLIT_BITS
+    for method in ("matpow", "closed"):
+        argv = ("T", "120000", "120000", "--method", method)
+        assert _seq_out(capsys, *argv) == f"120000\t{value}\n"
+        assert _seq_out(capsys, *argv, "--json") == (
+            f'{{"family":"T","n":120000,"value":"{value}"}}\n'
+        )
