@@ -102,8 +102,9 @@ class Report:
         return "\n".join(lines)
 
 
-def _family_values(name: str, lo: int, hi: int) -> list[int]:
-    return rec_values(catalog()[name].recurrence, lo, hi)
+def _family_values(name: str, lo: int, hi: int) -> dict[int, int]:
+    """Terms lo..hi of family ``name`` from one forward pass, keyed by index."""
+    return dict(zip(range(lo, hi + 1), rec_values(catalog()[name].recurrence, lo, hi)))
 
 
 def verify_table1(max_n: int = 10) -> Report:
@@ -159,6 +160,8 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
     reported separately as an extension rather than folded into the main
     check.
     """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     checks = []
     for n in range(2, max_n + 1):
         for k in range(1, max_k + 1):
@@ -182,13 +185,11 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
 def verify_crux(max_n: int = 200) -> Report:
     """Equal-arm width-3 angle equals the straight grid at doubled index."""
     fam_a = catalog()["A"]
-    a_values = _family_values("A", 1, 2 * max_n)
+    a = _family_values("A", 1, 2 * max_n)
     checks = []
     for n in range(1, max_n + 1):
         diagonal = l3(n, n)
-        checks.append(
-            CheckResult("crux.formula_vs_recurrence", (n,), diagonal, a_values[2 * n - 1])
-        )
+        checks.append(CheckResult("crux.formula_vs_recurrence", (n,), diagonal, a[2 * n]))
         checks.append(
             CheckResult(
                 "crux.formula_vs_closed", (n,), diagonal, closed_eval(fam_a.closed, 2 * n)
@@ -198,22 +199,22 @@ def verify_crux(max_n: int = 200) -> Report:
 
 
 def verify_thm32(max_n: int = 200) -> Report:
-    """Tower counts as squares: T(2n) = A(n)^2 and T(2n+1) = 2 B(n)^2."""
-    t_values = _family_values("T", 1, 2 * max_n + 1)
-    a_values = _family_values("A", 1, max_n)
-    b_values = _family_values("B", 0, max_n)
+    """Tower counts as squares: T(2n) = A(n)^2 and T(2n+1) = 2 B(n)^2.
+
+    The towers counted by the 3D layer DP stop at THM32_DP_MAX layers, and at
+    T(2 max_n + 1), the last term the bound computes.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    t = _family_values("T", 1, 2 * max_n + 1)
+    a = _family_values("A", 1, max_n)
+    b = _family_values("B", 0, max_n)
     checks = []
     for n in range(1, max_n + 1):
-        checks.append(
-            CheckResult("thm32.even", (n,), t_values[2 * n - 1], a_values[n - 1] ** 2)
-        )
-        checks.append(
-            CheckResult("thm32.odd", (n,), t_values[2 * n], 2 * b_values[n] ** 2)
-        )
-    for m in range(1, THM32_DP_MAX + 1):
-        checks.append(
-            CheckResult("thm32.tower_dp", (m,), count_bricks(tower(m)), t_values[m - 1])
-        )
+        checks.append(CheckResult("thm32.even", (n,), t[2 * n], a[n] ** 2))
+        checks.append(CheckResult("thm32.odd", (n,), t[2 * n + 1], 2 * b[n] ** 2))
+    for m in range(1, min(THM32_DP_MAX, 2 * max_n + 1) + 1):
+        checks.append(CheckResult("thm32.tower_dp", (m,), count_bricks(tower(m)), t[m]))
     return Report(checks)
 
 
@@ -246,41 +247,23 @@ def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Repor
 
 def verify_coupled_recurrences(max_n: int = 500) -> Report:
     """The five pairwise identities tying A, B, C and T, M together."""
-    a_values = _family_values("A", 1, max_n)
-    b_values = _family_values("B", 0, max_n)
-    c_values = _family_values("C", 0, max_n)
-    t_values = _family_values("T", 1, max_n)
-    m_values = _family_values("M", 1, max_n)
-
-    def a(n):
-        return a_values[n - 1]
-
-    def b(n):
-        return b_values[n]
-
-    def c(n):
-        return c_values[n]
-
-    def t(n):
-        return t_values[n - 1]
-
-    def m(n):
-        return m_values[n - 1]
-
+    a = _family_values("A", 1, max_n)
+    b = _family_values("B", 0, max_n)
+    c = _family_values("C", 0, max_n)
+    t = _family_values("T", 1, max_n)
+    m = _family_values("M", 1, max_n)
     checks = []
     for n in range(2, max_n + 1):
-        checks.append(CheckResult("recurrences.A", (n,), a(n), a(n - 1) + 2 * b(n - 1)))
+        checks.append(CheckResult("recurrences.A", (n,), a[n], a[n - 1] + 2 * b[n - 1]))
     for n in range(1, max_n + 1):
-        checks.append(CheckResult("recurrences.B", (n,), b(n), a(n) + b(n - 1)))
-        checks.append(CheckResult("recurrences.C", (n,), c(n), a(n) + b(n)))
+        checks.append(CheckResult("recurrences.B", (n,), b[n], a[n] + b[n - 1]))
+        checks.append(CheckResult("recurrences.C", (n,), c[n], a[n] + b[n]))
     for n in range(3, max_n + 1):
         checks.append(
-            CheckResult(
-                "recurrences.T", (n,), t(n), 2 * t(n - 1) + t(n - 2) + 4 * m(n - 1)
-            )
+            CheckResult("recurrences.T", (n,), t[n], 2 * t[n - 1] + t[n - 2] + 4 * m[n - 1])
         )
     for n in range(2, max_n + 1):
-        checks.append(CheckResult("recurrences.M", (n,), m(n), t(n - 1) + m(n - 1)))
+        checks.append(CheckResult("recurrences.M", (n,), m[n], t[n - 1] + m[n - 1]))
     return Report(checks)
 
 

@@ -13,8 +13,6 @@ Cell = tuple[int, int]  # (row, col)
 
 ORIENTATIONS = ("SW", "SE", "NW", "NE")
 
-TRANSFORM_OPS = ("reflect_h", "reflect_v", "rotate90")
-
 
 def _normalize(cells: frozenset[Cell]) -> frozenset[Cell]:
     if not cells:
@@ -57,9 +55,6 @@ class Region2D:
 
     def __str__(self) -> str:
         return to_ascii(self)
-
-
-EMPTY = Region2D()
 
 
 def rect(rows: int, cols: int) -> Region2D:
@@ -196,21 +191,6 @@ def rotate90(region: Region2D) -> Region2D:
 def transpose(region: Region2D) -> Region2D:
     """Swap rows and columns (reflection across the main diagonal)."""
     return Region2D((c, r) for r, c in region.cells)
-
-
-_TRANSFORMS = {
-    "reflect_h": reflect_h,
-    "reflect_v": reflect_v,
-    "rotate90": rotate90,
-}
-
-
-def transform(region: Region2D, op: str) -> Region2D:
-    try:
-        fn = _TRANSFORMS[op]
-    except KeyError:
-        raise ValueError(f"unknown transform {op!r}, expected one of {TRANSFORM_OPS}") from None
-    return fn(region)
 
 
 def remove_cells(region: Region2D, cells) -> Region2D:

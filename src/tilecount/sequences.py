@@ -1,4 +1,4 @@
-"""Linear recurrences, exact quadratic-irrational arithmetic, closed forms.
+"""Linear recurrences and their closed forms in Z[sqrt(d)].
 
 Every sequence family in the catalog carries an integer linear recurrence,
 and most also carry a closed form whose terms live in Q(sqrt(d)).
@@ -6,19 +6,20 @@ and most also carry a closed form whose terms live in Q(sqrt(d)).
 A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
 modulo the characteristic polynomial by binary powering, and the remainder's
 coefficients weight the initial terms, so a jump costs O(d^2 log n) big
-multiplies. Closed forms are evaluated exactly in Z[sqrt(d)]: each
-coefficient and base is written once as integers over a common denominator,
-the bases are powered with three big multiplies per squaring, and the terms
-are summed over one denominator. The irrational part must cancel and the
-rational remainder must be a nonnegative integer; a failure of either
-condition raises, since it can only mean a mistranscribed formula.
+multiplies. A closed form is stored as integer data: each coefficient and
+base is an element of Z[sqrt(d)] over one of two common denominators. It is
+evaluated exactly: the bases are powered with three big multiplies per
+squaring, and the terms are summed over one denominator. The irrational part
+must cancel and the rational remainder must be a nonnegative integer; a
+failure of either condition raises, since it can only mean a mistranscribed
+formula.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import isqrt, lcm
+from functools import lru_cache
+from math import isqrt
 
 
 class ClosedFormCancellationError(ArithmeticError):
@@ -33,134 +34,30 @@ def _check_radicand(d: int) -> None:
             raise ValueError(f"radicand must be square-free, got {d}")
 
 
-_Rational = (int, Fraction)
-
-
-@dataclass(frozen=True)
-class QuadExpr:
-    """Exact element a + b*sqrt(d) of Q(sqrt(d)), d square-free.
-
-    Arithmetic stays in the field: addition, multiplication, integer powers
-    and conjugation are closed and exact. Elements over different radicands
-    do not mix.
-    """
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __init__(self, a, b=0, d: int = 3) -> None:
-        _check_radicand(d)
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", d)
-
-    def _coerce(self, other) -> QuadExpr:
-        if isinstance(other, QuadExpr):
-            if other.d != self.d:
-                raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, _Rational):
-            return QuadExpr(other, 0, self.d)
-        return NotImplemented
-
-    def __add__(self, other) -> QuadExpr:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExpr(self.a + other.a, self.b + other.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadExpr:
-        return QuadExpr(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> QuadExpr:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> QuadExpr:
-        return (-self) + other
-
-    def __mul__(self, other) -> QuadExpr:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadExpr(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> QuadExpr:
-        if not isinstance(other, _Rational):
-            return NotImplemented
-        return QuadExpr(self.a / other, self.b / other, self.d)
-
-    def __pow__(self, exponent: int) -> QuadExpr:
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        result = QuadExpr(1, 0, self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def conjugate(self) -> QuadExpr:
-        return QuadExpr(self.a, -self.b, self.d)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
 @dataclass(frozen=True)
 class ClosedForm:
-    """Sum of coeff * base**n terms over a single quadratic field.
+    """The sum over terms (cp, cr, p, r) of
+    (cp + cr sqrt d) / coeff_den * ((p + r sqrt d) / base_den)^n.
 
-    Alternating components are ordinary terms with base -1, so one
-    evaluation path covers everything.
+    Every number is an integer of Z[sqrt(d)] over one of two common
+    denominators, the form ``closed_eval`` reads. Alternating components are
+    ordinary terms with base -base_den, so one evaluation path covers
+    everything.
     """
 
-    terms: tuple[tuple[QuadExpr, QuadExpr], ...]
+    d: int
+    coeff_den: int
+    base_den: int
+    terms: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
+        _check_radicand(self.d)
+        if self.coeff_den < 1 or self.base_den < 1:
+            raise ValueError(
+                f"denominators must be >= 1, got {self.coeff_den} and {self.base_den}"
+            )
         if not self.terms:
             raise ValueError("closed form needs at least one term")
-        radicands = {q.d for pair in self.terms for q in pair}
-        if len(radicands) != 1:
-            raise ValueError(f"closed form mixes radicands {sorted(radicands)}")
-
-    @property
-    def radicand(self) -> int:
-        return self.terms[0][0].d
-
-    @cached_property
-    def _integral(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
-        """The terms as integers: ((cp, cr, p, r), ...), coeff_den, base_den.
-
-        Term i is (cp + cr sqrt d) / coeff_den * ((p + r sqrt d) / base_den)^n.
-        """
-        coeffs, coeff_den = _over_common_denominator([c for c, _ in self.terms])
-        bases, base_den = _over_common_denominator([b for _, b in self.terms])
-        return tuple(c + b for c, b in zip(coeffs, bases)), coeff_den, base_den
-
-
-def _over_common_denominator(values: list[QuadExpr]) -> tuple[list[tuple[int, int]], int]:
-    """Integer pairs (p, r) and one den with values[i] = (p_i + r_i sqrt d) / den."""
-    den = lcm(*(f.denominator for q in values for f in (q.a, q.b)))
-    return [(int(q.a * den), int(q.b * den)) for q in values], den
 
 
 def _quad_pow(p: int, r: int, d: int, n: int) -> tuple[int, int]:
@@ -187,11 +84,10 @@ def closed_eval(cf: ClosedForm, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
-    d = cf.radicand
-    terms, coeff_den, base_den = cf._integral
+    d, coeff_den, base_den = cf.d, cf.coeff_den, cf.base_den
     powers: dict[tuple[int, int], tuple[int, int]] = {}
     num_a = num_b = 0
-    for cp, cr, p, r in terms:
+    for cp, cr, p, r in cf.terms:
         if (p, r) not in powers:
             u, v = _quad_pow(p, r, d, n)
             powers[p, -r] = (u, -v)
@@ -326,19 +222,9 @@ class Family:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _conjugate_pair(coeff: QuadExpr, base: QuadExpr):
-    return ((coeff, base), (coeff.conjugate(), base.conjugate()))
-
-
 @lru_cache(maxsize=1)
 def catalog() -> dict[str, Family]:
     """All sequence families, keyed by their CLI token."""
-    x = QuadExpr(2, 1, 3)  # 2 + sqrt(3), the growth unit shared by A, B, C, T
-    sqrt3 = QuadExpr(0, 1, 3)
-    minus_one3 = QuadExpr(-1, 0, 3)
-    phi2 = QuadExpr(Fraction(3, 2), Fraction(1, 2), 5)  # (3 + sqrt(5)) / 2
-    minus_one5 = QuadExpr(-1, 0, 5)
-
     families = [
         Family(
             name="F",
@@ -349,34 +235,29 @@ def catalog() -> dict[str, Family]:
             name="A",
             description="domino tilings of a 3 x 2n rectangle",
             recurrence=LinearRecurrence((4, -1), (3, 11), start=1),
-            closed=ClosedForm(_conjugate_pair(QuadExpr(3, 1, 3) / 6, x)),
+            # ((3 + s3)(2 + s3)^n + (3 - s3)(2 - s3)^n) / 6, s3 = sqrt(3)
+            closed=ClosedForm(3, 6, 1, ((3, 1, 2, 1), (3, -1, 2, -1))),
         ),
         Family(
             name="B",
             description="domino tilings of a 3 x (2n+1) rectangle minus one corner cell",
-            # (1/(2 sqrt 3)) [(2+s3)^(n+1) - (2-s3)^(n+1)], the n+1 folded in
             recurrence=LinearRecurrence((4, -1), (1, 4), start=0),
-            closed=ClosedForm(
-                (
-                    (sqrt3 / 6 * x, x),
-                    ((-(sqrt3 / 6)) * x.conjugate(), x.conjugate()),
-                )
-            ),
+            # ((2 + s3)^(n+1) - (2 - s3)^(n+1)) / (2 s3), the n+1 folded into 3 +- 2 s3
+            closed=ClosedForm(3, 6, 1, ((3, 2, 2, 1), (3, -2, 2, -1))),
         ),
         Family(
             name="C",
             description="domino tilings of a 3 x (2n+2) rectangle minus two corner-row cells",
             recurrence=LinearRecurrence((4, -1), (2, 7), start=0),
-            closed=ClosedForm(_conjugate_pair(x / 2, x)),
+            # ((2 + s3)^(n+1) + (2 - s3)^(n+1)) / 2
+            closed=ClosedForm(3, 2, 1, ((2, 1, 2, 1), (2, -1, 2, -1))),
         ),
         Family(
             name="T",
             description="brick tilings of a 2 x 2 x n tower",
             recurrence=LinearRecurrence((3, 3, -1), (2, 9, 32), start=1),
-            closed=ClosedForm(
-                _conjugate_pair(x / 6, x)
-                + ((QuadExpr(Fraction(1, 3), 0, 3), minus_one3),)
-            ),
+            # ((2 + s3)^(n+1) + (2 - s3)^(n+1)) / 6 + (-1)^n / 3
+            closed=ClosedForm(3, 6, 1, ((2, 1, 2, 1), (2, -1, 2, -1), (2, 0, -1, 0))),
         ),
         Family(
             name="M",
@@ -387,19 +268,15 @@ def catalog() -> dict[str, Family]:
             name="L3",
             description="domino tilings of the width-3 right angle with equal arms",
             recurrence=LinearRecurrence((14, -1), (11, 153), start=1),
-            closed=ClosedForm(_conjugate_pair(QuadExpr(3, 1, 3) / 6, QuadExpr(7, 4, 3))),
+            # ((3 + s3)(7 + 4 s3)^n + (3 - s3)(7 - 4 s3)^n) / 6
+            closed=ClosedForm(3, 6, 1, ((3, 1, 7, 4), (3, -1, 7, -4))),
         ),
         Family(
             name="L2D",
             description="domino tilings of the width-2 right angle at arm lengths (n, n-1)",
             recurrence=LinearRecurrence((2, 2, -1), (1, 3, 7), start=1),
-            closed=ClosedForm(
-                (
-                    (QuadExpr(Fraction(2, 5), 0, 5), phi2),
-                    (QuadExpr(Fraction(2, 5), 0, 5), phi2.conjugate()),
-                    (QuadExpr(Fraction(1, 5), 0, 5), minus_one5),
-                )
-            ),
+            # 2/5 (((3 + s5) / 2)^n + ((3 - s5) / 2)^n) + (-1)^n / 5, s5 = sqrt(5)
+            closed=ClosedForm(5, 5, 2, ((2, 0, 3, 1), (2, 0, 3, -1), (1, 0, -2, 0))),
         ),
     ]
     return {f.name: f for f in families}

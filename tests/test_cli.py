@@ -185,6 +185,40 @@ def test_verify_tauraso_rejects_bounds_below_one(capsys, argv, message, json_fla
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "thm21", "--max-n", "0"),
+        ("verify", "thm32", "--max", "0"),
+        ("verify", "thm32", "--max", "-2"),
+    ],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_rejects_max_n_below_one(capsys, argv, json_flag):
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: max_n must be at least 1, got {argv[-1]}\n"
+
+
+def test_verify_thm32_small_bound_stops_the_tower_rows_at_its_last_term(capsys):
+    code, out, err = run(capsys, "verify", "thm32", "--max", "3")
+    assert (code, err) == (0, "")
+    assert out == (
+        "thm32.even: 3/3 pass\n"
+        "thm32.odd: 3/3 pass\n"
+        "thm32.tower_dp: 7/7 pass\n"
+        "total: 13 checks, 0 failed\n"
+    )
+    code, out, err = run(capsys, "verify", "thm32", "--max", "1", "--json")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    towers = [r["params"] for r in records if r.get("check") == "thm32.tower_dp"]
+    assert towers == [[1], [2], [3]]
+    assert all(r["pass"] for r in records[:-1])
+    assert records[-1] == {"suite": "thm32", "checks": 5, "failed": 0}
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

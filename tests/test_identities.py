@@ -127,6 +127,14 @@ def test_thm32_passes():
     assert dp == {(m,) for m in range(1, 10)}
 
 
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
+def test_thm32_tower_rows_stop_at_the_last_computed_term(max_n):
+    report = verify_thm32(max_n)
+    assert report.all_passed
+    dp = {c.params for c in report.checks if c.name == "thm32.tower_dp"}
+    assert dp == {(m,) for m in range(1, min(9, 2 * max_n + 1) + 1)}
+
+
 def test_tauraso_passes():
     report = verify_tauraso(6, 6, diag_max=80)
     assert report.all_passed

@@ -4,6 +4,8 @@ Hypothesis runs derandomized, so every run draws the same examples.
 """
 from __future__ import annotations
 
+from math import isqrt
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from tilecount.count2d import (
     enumerate_tilings,
 )
 from tilecount.regions2d import Region2D, reflect_h, rotate90
-from tilecount.sequences import catalog, rec_eval_matpow, rec_values
+from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import Prism3D, count_bricks, count_bricks_bruteforce
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -148,6 +150,34 @@ def index_windows(draw, max_index: int = 3000):
 def test_jump_equals_forward_pass(window):
     rec, lo, hi = window
     assert [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)] == rec_values(rec, lo, hi)
+
+
+@st.composite
+def positive_quads(draw, d: int, max_rational: int = 60) -> tuple[int, int]:
+    """(p, r) with p > 0 and p^2 > d r^2, so p + r sqrt(d) and its conjugate are positive."""
+    p = draw(st.integers(1, max_rational))
+    bound = isqrt((p * p - 1) // d)
+    return p, draw(st.integers(-bound, bound))
+
+
+@st.composite
+def conjugate_pair_forms(draw):
+    """d and integers (cp, cr, p, r) for (cp + cr sqrt d)(p + r sqrt d)^n + conjugate."""
+    d = draw(st.sampled_from((2, 3, 5, 6, 7)))
+    cp, cr = draw(positive_quads(d))
+    p, r = draw(positive_quads(d))
+    return d, cp, cr, p, r
+
+
+@PROPERTY
+@given(conjugate_pair_forms())
+def test_conjugate_pair_closed_form_follows_its_order_2_recurrence(form):
+    d, cp, cr, p, r = form
+    cf = ClosedForm(d, 1, 1, ((cp, cr, p, r), (cp, -cr, p, -r)))
+    expected = [2 * cp, 2 * (cp * p + d * cr * r)]
+    while len(expected) <= 200:
+        expected.append(2 * p * expected[-1] - (p * p - d * r * r) * expected[-2])
+    assert [closed_eval(cf, n) for n in range(201)] == expected
 
 
 @st.composite

@@ -15,7 +15,6 @@ from tilecount.regions2d import (
     remove_cells,
     rotate90,
     to_ascii,
-    transform,
     transpose,
 )
 
@@ -168,7 +167,6 @@ def test_from_ascii_normalizes_padding():
 
 
 def test_transforms():
-    assert transform(rect(2, 3), "rotate90") == rect(3, 2)
     assert rotate90(rect(2, 3)) == rect(3, 2)
     assert transpose(rect(2, 3)) == rect(3, 2)
     region = l3_region(2, 1)
@@ -182,13 +180,8 @@ def test_transforms():
 
 def test_transform_preserves_cell_count():
     region = l2_region(3, 2)
-    for op in ("reflect_h", "reflect_v", "rotate90"):
-        assert transform(region, op).cell_count == region.cell_count
-
-
-def test_transform_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        transform(rect(2, 2), "shear")
+    for op in (reflect_h, reflect_v, rotate90):
+        assert op(region).cell_count == region.cell_count
 
 
 def test_region_is_hashable_and_frozen():
