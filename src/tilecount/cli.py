@@ -127,9 +127,9 @@ def cmd_count(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        print(_json_line({"spec": args.spec, "cells": cells, "count": str(count)}))
+        print(_json_line({"spec": args.spec, "cells": cells, "count": _decimal_str(count)}))
     else:
-        print(count)
+        print(_decimal_str(count))
     return 0
 
 
@@ -235,7 +235,7 @@ def cmd_bfile(args) -> int:
         range(family.start, args.to + 1),
         sequences.rec_values(family.recurrence, family.start, args.to),
     ):
-        print(f"{n} {value}")
+        print(f"{n} {_decimal_str(value)}")
     return 0
 
 

@@ -12,12 +12,13 @@ Three counting routes, on purpose:
   ``perfect_matchings``, also drives ``enumerate_tilings`` and the 3D
   oracle in ``solid3d``.
 
-The determinant and the DP accept any region whose narrow dimension is at
-most 32 cells. All counts are exact Python integers; nothing here touches
-floating point.
+The determinant refuses only regions over its work budget, the DP regions
+more than 32 cells across both ways. All counts are exact Python integers;
+nothing here touches floating point.
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -25,13 +26,18 @@ from operator import add
 
 from .regions2d import Cell, Region2D, transpose
 
-MAX_PROFILE_WIDTH = 32
+MAX_PROFILE_WIDTH = 32  # the profile DP's bitmask width
+# The determinant's work estimate is sum(level size^3) * (1 + cells / _BIG_INT_CELLS)^2:
+# a level of n cells costs about n^3 updates of entries that grow with the region.
+# At 16-40 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
+_BIG_INT_CELLS = 1000
+_MAX_WORK = 10**8
 MAX_ORACLE_CELLS = 30
 STEPS_2D = ((0, 1), (1, 0))  # right, then down: horizontal before vertical
 
 
 class RegionTooWideError(ValueError):
-    """Raised when a region is too wide for the 2D counters in both orientations."""
+    """Raised when a region is over a 2D counter's work budget or width cap."""
 
 
 class RegionTooLargeError(ValueError):
@@ -54,63 +60,51 @@ class Tiling:
         return len(self.dominoes)
 
 
-def _narrow_side_across(region: Region2D) -> Region2D:
-    """``region``, transposed if it is wider than tall, so its rows run along
-    the narrow side; refused when even that side is too wide."""
-    if region.width > region.height:
-        region = transpose(region)
-    if region.width > MAX_PROFILE_WIDTH:
-        raise RegionTooWideError(
-            f"region is {region.width} cells across in its narrow dimension; "
-            f"the profile DP supports at most {MAX_PROFILE_WIDTH}"
-        )
-    return region
-
-
 def count_tilings(region: Region2D) -> int:
     """Exact number of perfect domino tilings of ``region``.
 
-    |det K| for the Kasteleyn matrix K of the region (Kasteleyn 1961;
-    Temperley & Fisher 1961). Its rows are the black cells (row + column
-    even) and its columns the white cells, both in row-major order; K holds
-    ±1 for each pair of edge-adjacent cells, signed so that every tiling
-    adds the same sign to the determinant:
+    |det K| for the Kasteleyn matrix K (Kasteleyn 1961; Temperley & Fisher
+    1961): rows are the black cells (row + column even), columns the white
+    ones, and K holds ±1 per edge-adjacent pair, signed so that every tiling
+    adds the same sign to the determinant. A vertical edge (r, c)-(r+1, c)
+    gets (-1)^c, so each unit square has an odd number of negative edges; a
+    horizontal edge (r, c)-(r, c+1) gets (-1)^(r + b), b the region's cells
+    below it in column c. Up to a flip of every horizontal sign, which leaves
+    |det K| alone, that is a cut from each missing bounding-box cell down to
+    the outer face, which fixes holes of odd size without finding them.
 
-    * a vertical edge (r, c)-(r+1, c) gets (-1)^c, so every unit square of
-      four cells has an odd number of negative edges;
-    * a horizontal edge (r, c)-(r, c+1) gets (-1)^h, where h counts the
-      bounding-box cells (r', c) with r' > r that are missing from the
-      region. That is a cut from each missing cell up to the outer face: it
-      flips the sign around every hole that holds an odd number of missing
-      cells, which column parity alone gets wrong, with no need to find
-      the holes.
+    Both colour classes are numbered along anti-diagonals, by the key
+    (r + s*c, cell), with s = ±1 whichever gives the smaller sum of squared
+    level sizes; a level is the set of cells that share r + s*c, and s is
+    the same for a region and its transpose. K is then banded level by
+    level, so the cost follows the region, not its bounding box.
 
-    Regions wider than tall are transposed first, so rows run along the
-    narrow side and K is banded; ``_abs_det`` then takes O(cells * w^2)
-    big-integer steps for a narrow side of w cells.
-
-    The empty region counts 1. A region whose narrow side exceeds
-    ``MAX_PROFILE_WIDTH`` raises ``RegionTooWideError``. A region with an
-    odd number of cells, or with unequal colour classes, counts 0.
+    Guards, in order: the empty region counts 1; an odd number of cells or
+    unequal colour classes count 0; a work estimate over ``_MAX_WORK``
+    raises ``RegionTooWideError`` before any elimination.
     """
-    if not region.cells:
-        return 1
-    region = _narrow_side_across(region)
     cells = region.cells
-    if len(cells) % 2:
+    if not cells:
+        return 1
+    if 2 * sum(sum(cell) % 2 for cell in cells) != len(cells):  # odd, or unequal colours
         return 0
-    black = sorted(cell for cell in cells if not sum(cell) % 2)
-    white = {cell: j for j, cell in enumerate(sorted(cells.difference(black)))}
-    if len(black) != len(white):
-        return 0
-    # right_sign[r, c]: sign of the horizontal edge (r, c)-(r, c+1)
-    right_sign: dict[Cell, int] = {}
-    width = region.width
-    missing_below = [0] * width
-    for r in reversed(range(region.height)):
-        for c in range(width):
-            right_sign[r, c] = -1 if missing_below[c] % 2 else 1
-            missing_below[c] += (r, c) not in cells
+    s, sizes = min(
+        ((s, Counter(r + s * c for r, c in cells).values()) for s in (1, -1)),
+        key=lambda pair: sum(n * n for n in pair[1]),
+    )
+    work = sum(n**3 for n in sizes) * (_BIG_INT_CELLS + len(cells)) ** 2 // _BIG_INT_CELLS**2
+    if work > _MAX_WORK:
+        raise RegionTooWideError(
+            f"estimated elimination work {work:,} exceeds the budget of {_MAX_WORK:,}"
+        )
+    order = sorted(cells, key=lambda cell: (cell[0] + s * cell[1], cell))
+    black = [cell for cell in order if not sum(cell) % 2]
+    white = {cell: j for j, cell in enumerate(cell for cell in order if sum(cell) % 2)}
+    right_sign: dict[Cell, int] = {}  # (r, c) -> sign of the edge (r, c)-(r, c+1)
+    below: Counter[int] = Counter()  # column -> its cells passed so far, bottom up
+    for r, c in sorted(cells, reverse=True):
+        right_sign[r, c] = -1 if (r + below[c]) % 2 else 1
+        below[c] += 1
     rows = []
     for r, c in black:
         down_sign = -1 if c % 2 else 1
@@ -189,15 +183,21 @@ def count_tilings_dp(region: Region2D) -> int:
     of row r, bits >= c describe row r and bits < c describe row r+1. A set
     bit means the cell is already covered by a previously placed domino.
     Regions wider than tall are transposed first so the mask spans the
-    narrow dimension.
+    narrow dimension, which may not exceed ``MAX_PROFILE_WIDTH``.
 
     The empty region counts 1; any region with an odd number of cells
     counts 0.
     """
     if not region.cells:
         return 1
-    region = _narrow_side_across(region)
+    if region.width > region.height:
+        region = transpose(region)
     width, height = region.width, region.height
+    if width > MAX_PROFILE_WIDTH:
+        raise RegionTooWideError(
+            f"region is {width} cells across in its narrow dimension; "
+            f"the profile DP supports at most {MAX_PROFILE_WIDTH}"
+        )
     if len(region.cells) % 2:
         return 0
 

@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
+from tilecount import cli
 from tilecount.cli import main, parse_region_spec
 from tilecount.regions2d import Region2D, l3_region, rect
+from tilecount.sequences import catalog, l3, rec_values
 from tilecount.solid3d import Prism3D
 
 
@@ -62,10 +65,40 @@ def test_count_json(capsys):
 def test_count_errors_exit_2(capsys):
     code, _, err = run(capsys, "count", "blob:3")
     assert code == 2 and "unknown region token" in err
-    code, _, err = run(capsys, "count", "rect:40,40")
-    assert code == 2 and "profile DP" in err
+    code, _, err = run(capsys, "count", "rect:200,200")
+    assert code == 2 and "exceeds the budget of 100,000,000" in err
     code, _, err = run(capsys, "count", "@/no/such/file")
     assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["rect:24,2000", "rect:200,200", "tower:1000000"])
+def test_over_budget_counts_exit_2_fast(capsys, spec):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", spec)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: estimated ") and "exceeds the budget of" in err
+
+
+def test_count_and_bfile_print_through_the_split_path(capsys, monkeypatch):
+    # Lowered thresholds send these values down the divide-and-conquer path
+    # that values above 50,000 bits take; each printed value must pass it.
+    monkeypatch.setattr(cli, "_SPLIT_BITS", 64)
+    monkeypatch.setattr(cli, "_LEAF_BITS", 16)
+    printed = []
+    decimal_str = cli._decimal_str
+    monkeypatch.setattr(cli, "_decimal_str", lambda n: printed.append(n) or decimal_str(n))
+    code, out, _ = run(capsys, "count", "l3:30,30", "--json")
+    value = l3(30, 30)
+    assert value.bit_length() > 64 and printed == [value]
+    assert (code, json.loads(out)["count"]) == (0, str(value))
+    code, out, _ = run(capsys, "count", "l3:30,30")
+    assert (code, out) == (0, f"{value}\n")
+    printed.clear()
+    code, out, _ = run(capsys, "bfile", "L3", "--to", "40")
+    values = rec_values(catalog()["L3"].recurrence, 1, 40)
+    assert printed == values and values[-1].bit_length() > 64
+    assert (code, out) == (0, "".join(f"{n} {v}\n" for n, v in enumerate(values, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +232,16 @@ def test_verify_rejects_max_n_below_one(capsys, argv, json_flag):
     assert code == 2
     assert out == ""
     assert err == f"error: max_n must be at least 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "suite, limit", [("crux", 3000), ("thm32", 4000), ("recurrences", 4000)]
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_rejects_max_n_above_its_limit(capsys, suite, limit, json_flag):
+    code, out, err = run(capsys, "verify", suite, "--max", str(limit + 1), *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: max_n must be at most {limit}, got {limit + 1}\n"
 
 
 def test_verify_thm32_small_bound_stops_the_tower_rows_at_its_last_term(capsys):

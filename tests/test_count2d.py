@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,11 +21,14 @@ from tilecount.regions2d import (
     a_grid,
     b_grid,
     c_grid,
+    l2_region,
+    l3_region,
     rect,
     reflect_h,
     reflect_v,
     rotate90,
 )
+from tilecount.sequences import l2, l3
 
 # frozen oracle values: 2 x n rectangle counts are the shifted Fibonacci run
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]
@@ -146,10 +150,59 @@ def test_wide_region_is_transposed_not_rejected():
 
 
 def test_width_guard():
-    with pytest.raises(RegionTooWideError):
-        count_tilings(rect(33, 33))
-    with pytest.raises(RegionTooWideError):
+    # the determinant refuses on its work estimate, the DP on its width cap
+    with pytest.raises(RegionTooWideError, match="exceeds the budget of 100,000,000"):
+        count_tilings(rect(200, 200))
+    with pytest.raises(RegionTooWideError, match="profile DP supports at most 32"):
         count_tilings_dp(rect(33, 33))
+    # zero counts come first, however large the region
+    assert count_tilings(rect(201, 201)) == 0
+    assert count_tilings(Region2D(rect(200, 200).cells - {(0, 0), (1, 1)})) == 0
+
+
+def test_long_thin_and_wide_regions_match_their_formulas():
+    assert count_tilings(l3_region(30, 30)) == l3(30, 30)
+    assert count_tilings(l3_region(150, 150)) == l3(150, 150)
+    assert count_tilings(l2_region(200, 200)) == l2(200, 200)
+    assert count_tilings(rect(33, 33)) == ktf_rectangle(33, 33) == 0
+    assert count_tilings(rect(40, 40)) == ktf_rectangle(40, 40)
+
+
+def block_staircase(steps: int, size: int = 6) -> Region2D:
+    """``steps`` size x size squares, each one right of the last, then below it, in turn."""
+    cells = []
+    for i in range(steps):
+        top, left = i // 2 * size, (i + 1) // 2 * size
+        cells += [(top + r, left + c) for r in range(size) for c in range(size)]
+    return Region2D(cells)
+
+
+def _best_seconds(fn, region, repeat=3):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        value = fn(region)
+        best = min(best, time.perf_counter() - start)
+    return value, best
+
+
+def test_a_staircase_and_its_mirror_image_count_alike_and_fast():
+    # The chosen anti-diagonal order runs across the staircase in either
+    # image. A fixed one runs along it in one of them, where levels of 180
+    # cells put it far over the work budget.
+    stairs = block_staircase(60)
+    count, seconds = _best_seconds(count_tilings, stairs)
+    mirror_count, mirror_seconds = _best_seconds(count_tilings, reflect_h(stairs))
+    assert count == mirror_count > 0
+    assert seconds < 0.1 and mirror_seconds < 0.1
+
+
+def test_an_over_budget_region_is_refused_before_any_elimination():
+    region = rect(24, 2000)
+    start = time.perf_counter()
+    with pytest.raises(RegionTooWideError, match="estimated elimination work"):
+        count_tilings(region)
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_size_guard():

@@ -84,9 +84,15 @@ def test_empty_prism_counts_one():
 
 
 def test_cross_section_guard():
+    # the guard is a budget on layers * 3^cells, not a cap on the cross-section
     nine = {(r, c) for r in range(3) for c in range(3)}
-    with pytest.raises(CrossSectionTooLargeError):
-        count_bricks(Prism3D(nine, 2))
+    assert count_bricks(Prism3D(nine, 2)) == count_bricks_bruteforce(Prism3D(nine, 2)) == 229
+    assert count_bricks(Prism3D(nine, 40)) > 0
+    with pytest.raises(CrossSectionTooLargeError, match="exceeds the budget of 30,000,000"):
+        count_bricks(tower(1_000_000))
+    twenty_five = {(r, c) for r in range(5) for c in range(5)}
+    with pytest.raises(CrossSectionTooLargeError, match="estimated layer-DP work"):
+        count_bricks(Prism3D(twenty_five, 2))
 
 
 def test_bruteforce_guard():
