@@ -117,11 +117,10 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
 def cmd_count(args) -> int:
     try:
         region = parse_region_spec(args.spec)
+        cells = region.cell_count
         if isinstance(region, Prism3D):
-            cells = region.cell_count
             count = solid3d.count_bricks(region)
         else:
-            cells = region.cell_count
             count = count2d.count_tilings(region)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -174,8 +173,6 @@ def cmd_seq(args) -> int:
 
 def cmd_verify(args) -> int:
     bounds: dict[str, int] = {}
-    if args.max is not None:
-        bounds["max_n"] = args.max
     if args.max_n is not None:
         bounds["max_n"] = args.max_n
     if args.max_k is not None:
@@ -261,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=tuple(identities.SUITES) + ("all",))
-    p_verify.add_argument("--max", type=int, default=None, help="index bound")
-    p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p_verify.add_argument(
+        "--max", "--max-n", type=int, default=None, dest="max_n", help="index bound"
+    )
     p_verify.add_argument("--max-k", type=int, default=None, dest="max_k")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

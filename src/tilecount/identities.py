@@ -38,12 +38,17 @@ TABLE1_L3_DP_MAX = 6
 TABLE2_DP_MAX = 8
 THM32_DP_MAX = 9
 
-# Upper limits on max_n. The suites hold every term up to their bound, so memory
-# grows with its square; at these limits `verify <suite> --max N --json` takes
-# under 3 s and 100 MiB (CPython 3.11, Xeon).
+# Upper limits on each bound. crux, thm32 and recurrences hold every term up to
+# their bound, so memory grows with its square; thm21 and tauraso count one 2D
+# region per (n, k), so time grows faster than max_n * max_k, and each bound
+# needs its own limit. With every bound of a suite at its limit, `verify <suite>
+# ... --json` takes under 3 s and 100 MiB (CPython 3.11, Xeon).
 _CRUX_MAX_N = 3000
 _THM32_MAX_N = 4000
 _RECURRENCES_MAX_N = 4000
+_THM21_MAX_NK = 40
+_TAURASO_MAX_NK = 50
+_TAURASO_DIAG_MAX = 2000
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,9 @@ def _family_values(name: str, lo: int, hi: int) -> dict[int, int]:
     return dict(zip(range(lo, hi + 1), rec_values(catalog()[name].recurrence, lo, hi)))
 
 
-def _at_most(max_n: int, limit: int) -> None:
-    if max_n > limit:
-        raise ValueError(f"max_n must be at most {limit}, got {max_n}")
+def _at_most(name: str, bound: int, limit: int) -> None:
+    if bound > limit:
+        raise ValueError(f"{name} must be at most {limit}, got {bound}")
 
 
 def verify_table1(max_n: int = 10) -> Report:
@@ -174,6 +179,8 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
+    _at_most("max_n", max_n, _THM21_MAX_NK)
+    _at_most("max_k", max_k, _THM21_MAX_NK)
     checks = []
     for n in range(2, max_n + 1):
         for k in range(1, max_k + 1):
@@ -196,7 +203,7 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
 
 def verify_crux(max_n: int = 200) -> Report:
     """Equal-arm width-3 angle equals the straight grid at doubled index."""
-    _at_most(max_n, _CRUX_MAX_N)
+    _at_most("max_n", max_n, _CRUX_MAX_N)
     fam_a = catalog()["A"]
     a = _family_values("A", 1, 2 * max_n)
     checks = []
@@ -219,7 +226,7 @@ def verify_thm32(max_n: int = 200) -> Report:
     """
     if max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {max_n}")
-    _at_most(max_n, _THM32_MAX_N)
+    _at_most("max_n", max_n, _THM32_MAX_N)
     t = _family_values("T", 1, 2 * max_n + 1)
     a = _family_values("A", 1, max_n)
     b = _family_values("B", 0, max_n)
@@ -235,9 +242,14 @@ def verify_thm32(max_n: int = 200) -> Report:
 def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Report:
     """Width-2 angle: 2D count against the Fibonacci product formula, plus the
     diagonal against its alternating closed form."""
-    for name, bound in (("max_n", max_n), ("max_k", max_k), ("diag_max", diag_max)):
+    for name, bound, limit in (
+        ("max_n", max_n, _TAURASO_MAX_NK),
+        ("max_k", max_k, _TAURASO_MAX_NK),
+        ("diag_max", diag_max, _TAURASO_DIAG_MAX),
+    ):
         if bound < 1:
             raise ValueError(f"{name} must be at least 1, got {bound}")
+        _at_most(name, bound, limit)
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
@@ -261,7 +273,7 @@ def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Repor
 
 def verify_coupled_recurrences(max_n: int = 500) -> Report:
     """The five pairwise identities tying A, B, C and T, M together."""
-    _at_most(max_n, _RECURRENCES_MAX_N)
+    _at_most("max_n", max_n, _RECURRENCES_MAX_N)
     a = _family_values("A", 1, max_n)
     b = _family_values("B", 0, max_n)
     c = _family_values("C", 0, max_n)

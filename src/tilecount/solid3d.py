@@ -1,24 +1,27 @@
 """Exact counting of 1x1x2 brick tilings of small prisms.
 
 A prism is a 2D cross-section extruded through a number of layers, with an
-optional set of deleted cells. Counting runs layer by layer: the DP state is
-the subset of cross-section cells whose bricks stand upright into the next
-layer, and completing a layer with flat bricks reuses the 2D domino counter,
-so both dimensions share one tested kernel. A layer of a k-cell
-cross-section tries up to 3^k splits, so a prism whose estimated work,
-layers * 3^k scaled by its cell count, is over budget is refused.
+optional set of deleted cells. Counting is a sparse transfer through the
+layers: a state is the set of cells whose bricks stand upright into the next
+layer, and a move is an upright set with its number of flat completions,
+counted by the 2D domino counter, so both dimensions share one tested
+kernel. A layer of a k-cell cross-section has up to 3^k (state, move)
+pairs, so a prism whose estimated work, layers * 3^k scaled by its cell
+count, is over budget is refused.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .count2d import count_tilings, perfect_matchings
 from .regions2d import Cell, Region2D
 
 # The layer DP's work estimate is layers * 3^k * (1 + cells / _BIG_INT_CELLS) for a
 # cross-section of k cells: a layer tries at most 3^k (from below, upright, flat)
-# splits, each dearer as the counts grow. At 80-210 ns a unit (CPython 3.11,
-# Xeon) the budget stops work of over about 4 s.
+# splits, each dearer as the counts grow. At 9-101 ns a unit (CPython 3.11, Xeon;
+# the dearest are 2x2 towers, whose time goes to big-int sums) the budget stops
+# work of over about 3 s.
 _BIG_INT_CELLS = 25_000
 _MAX_WORK = 3 * 10**7
 MAX_BRUTEFORCE_CELLS = 24
@@ -91,10 +94,10 @@ def m_tower(n: int) -> Prism3D:
 def count_bricks(prism: Prism3D) -> int:
     """Exact number of perfect 1x1x2 brick tilings of a prism.
 
-    Layer DP over protrusion subsets. Entering layer z with protrusion set P
-    (cells covered from below), every subset U of the remaining cells that
-    also exist in layer z+1 may start upright bricks; the cells left over
-    must be tiled flat, counted by the 2D kernel.
+    Sparse transfer: states are protrusion masks (cells covered from below),
+    and ``moves(free, above)`` lists, for a layer's free cells, each upright
+    set that also exists in the layer above with its nonzero flat count from
+    the 2D kernel. Moves and flat counts are cached for the call.
 
     A prism whose work estimate exceeds ``_MAX_WORK`` raises
     ``CrossSectionTooLargeError`` before the first layer.
@@ -105,40 +108,34 @@ def count_bricks(prism: Prism3D) -> int:
         raise CrossSectionTooLargeError(
             f"estimated layer-DP work {work:,} exceeds the budget of {_MAX_WORK:,}"
         )
-    index = {cell: i for i, cell in enumerate(cross)}
+    bit = {cell: 1 << i for i, cell in enumerate(cross)}
+    masks = [(1 << len(cross)) - 1] * prism.layers + [0]
+    for r, c, z in prism.deleted:
+        masks[z] &= ~bit[r, c]
 
-    flat_cache: dict[int, int] = {}
-
+    @cache
     def flat_count(mask: int) -> int:
-        if mask not in flat_cache:
-            cells = [cross[i] for i in range(len(cross)) if mask >> i & 1]
-            flat_cache[mask] = count_tilings(Region2D(cells))
-        return flat_cache[mask]
+        return count_tilings(Region2D(cell for cell in cross if mask & bit[cell]))
 
-    def layer_mask(z: int) -> int:
-        mask = 0
-        for cell in prism.layer_cells(z):
-            mask |= 1 << index[cell]
-        return mask
+    @cache
+    def moves(free: int, above: int) -> tuple[tuple[int, int], ...]:
+        found = []
+        allowed_up = free & above
+        up = allowed_up
+        while True:
+            flat = flat_count(free & ~up)
+            if flat:
+                found.append((up, flat))
+            if up == 0:
+                return tuple(found)
+            up = (up - 1) & allowed_up
 
     states: dict[int, int] = {0: 1}
-    for z in range(prism.layers):
-        present = layer_mask(z)
-        above = layer_mask(z + 1) if z + 1 < prism.layers else 0
+    for present, above in zip(masks, masks[1:]):
         nxt: dict[int, int] = {}
         for protruding, ways in states.items():
-            if protruding & ~present:
-                continue  # a brick from below pokes into a deleted cell
-            free = present & ~protruding
-            allowed_up = free & above
-            up = allowed_up
-            while True:
-                flat = flat_count(free & ~up)
-                if flat:
-                    nxt[up] = nxt.get(up, 0) + ways * flat
-                if up == 0:
-                    break
-                up = (up - 1) & allowed_up
+            for up, flat in moves(present & ~protruding, above):
+                nxt[up] = nxt.get(up, 0) + ways * flat
         states = nxt
         if not states:
             return 0

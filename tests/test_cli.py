@@ -244,6 +244,37 @@ def test_verify_rejects_max_n_above_its_limit(capsys, suite, limit, json_flag):
     assert err == f"error: max_n must be at most {limit}, got {limit + 1}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("thm21", "--max-n", "41"), "max_n must be at most 40, got 41"),
+        (("thm21", "--max", "2", "--max-k", "41"), "max_k must be at most 40, got 41"),
+        (("thm21", "--max-n", "100000"), "max_n must be at most 40, got 100000"),
+        (("tauraso", "--max", "51"), "max_n must be at most 50, got 51"),
+        (("tauraso", "--max-n", "3", "--max-k", "51"), "max_k must be at most 50, got 51"),
+    ],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_rejects_each_thm21_and_tauraso_bound_above_its_limit(
+    capsys, argv, message, json_flag
+):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv, *json_flag)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_max_and_max_n_are_one_option(capsys):
+    # two spellings of one option: when both are given, the last one wins
+    assert run(capsys, "verify", "crux", "--max", "3", "--max-n", "4")[1] == run(
+        capsys, "verify", "crux", "--max", "4"
+    )[1]
+    assert run(capsys, "verify", "crux", "--max-n", "4", "--max", "3")[1] == run(
+        capsys, "verify", "crux", "--max-n", "3"
+    )[1]
+    assert "crux.formula_vs_closed: 3/3 pass" in run(capsys, "verify", "crux", "--max", "3")[1]
+
+
 def test_verify_thm32_small_bound_stops_the_tower_rows_at_its_last_term(capsys):
     code, out, err = run(capsys, "verify", "thm32", "--max", "3")
     assert (code, err) == (0, "")

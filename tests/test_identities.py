@@ -145,6 +145,8 @@ def test_tauraso_passes():
     for bounds in ({"max_n": 0}, {"max_k": 0}, {"diag_max": 0}):
         with pytest.raises(ValueError):
             verify_tauraso(**bounds)
+    with pytest.raises(ValueError, match="diag_max must be at most 2000, got 2001"):
+        verify_tauraso(diag_max=2001)
 
 
 def test_coupled_recurrences_pass():

@@ -19,7 +19,12 @@ from tilecount.count2d import (
 )
 from tilecount.regions2d import Region2D, reflect_h, rotate90
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
-from tilecount.solid3d import Prism3D, count_bricks, count_bricks_bruteforce
+from tilecount.solid3d import (
+    MAX_BRUTEFORCE_CELLS,
+    Prism3D,
+    count_bricks,
+    count_bricks_bruteforce,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -128,6 +133,37 @@ def small_prisms(draw) -> Prism3D:
 @given(small_prisms())
 def test_layer_dp_equals_3d_oracle(prism):
     assert count_bricks(prism) == count_bricks_bruteforce(prism)
+
+
+_SQUARE_SYMMETRIES = (
+    lambda r, c: (c, r),  # transpose
+    lambda r, c: (c, -r),  # rotate by a quarter turn
+    lambda r, c: (-r, -c),  # by a half turn
+    lambda r, c: (-c, r),  # by three quarters
+)
+
+
+@st.composite
+def long_prisms(draw) -> Prism3D:
+    """A connected cross-section of up to 6 cells, more layers than the oracle
+    takes, and up to 4 deleted cells in interior layers."""
+    cross = draw(connected_regions(max_cells=6)).cells
+    layers = draw(st.integers((MAX_BRUTEFORCE_CELLS + 4) // len(cross) + 1, 40))
+    interior = sorted((r, c, z) for r, c in cross for z in range(1, layers - 1))
+    deleted = draw(st.sets(st.sampled_from(interior), max_size=4))
+    return Prism3D(cross, layers, deleted)
+
+
+@PROPERTY
+@given(long_prisms(), st.sampled_from(_SQUARE_SYMMETRIES))
+def test_layer_dp_is_invariant_under_cross_section_symmetries(prism, move):
+    assert prism.cell_count > MAX_BRUTEFORCE_CELLS
+    image = Prism3D(
+        (move(r, c) for r, c in prism.cross_section),
+        prism.layers,
+        ((*move(r, c), z) for r, c, z in prism.deleted),
+    )
+    assert count_bricks(image) == count_bricks(prism)
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
 import pytest
 
 from conftest import prism_corpus
+from tilecount import solid3d
+from tilecount.count2d import count_tilings
 from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
     CrossSectionTooLargeError,
@@ -63,6 +65,34 @@ def test_towers_track_their_sequences():
     for n in range(1, 9):
         assert count_bricks(tower(n)) == t_values[n - 1]
         assert count_bricks(m_tower(n)) == m_values[n - 1]
+
+
+def test_long_towers_track_their_sequences():
+    assert count_bricks(tower(500)) == rec_values(catalog()["T"].recurrence, 500, 500)[0]
+    assert count_bricks(m_tower(500)) == rec_values(catalog()["M"].recurrence, 500, 500)[0]
+
+
+def test_layers_are_read_once_from_the_prism(monkeypatch):
+    def no_rebuild(self, z):
+        raise AssertionError("count_bricks rebuilt a layer")
+
+    monkeypatch.setattr(Prism3D, "layer_cells", no_rebuild)
+    assert count_bricks(m_tower(50)) == rec_values(catalog()["M"].recurrence, 50, 50)[0]
+
+
+def test_flat_counts_are_cached(monkeypatch):
+    calls = []
+
+    def counting(region):
+        calls.append(region)
+        return count_tilings(region)
+
+    monkeypatch.setattr(solid3d, "count_tilings", counting)
+    count_bricks(tower(300))
+    assert len(calls) <= 16  # one per subset of the 2x2 cross-section
+    calls.clear()
+    count_bricks(Prism3D({(r, c) for r in range(3) for c in range(3)}, 40))
+    assert len(calls) <= 512  # one per subset of the 3x3 cross-section
 
 
 def test_odd_cell_count_is_zero():
