@@ -1,7 +1,8 @@
 """Command-line interface: counting, sequence tables, verification, rendering.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(including a verify run whose bounds leave no checks).
+Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Every command raises ValueError or OSError for a usage or input error;
+``main`` alone reports it as ``error: <message>`` on stderr and exits 2.
 """
 from __future__ import annotations
 
@@ -115,49 +116,36 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
 
 
 def cmd_count(args) -> int:
-    try:
-        region = parse_region_spec(args.spec)
-        cells = region.cell_count
-        if isinstance(region, Prism3D):
-            count = solid3d.count_bricks(region)
-        else:
-            count = count2d.count_tilings(region)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    region = parse_region_spec(args.spec)
+    if isinstance(region, Prism3D):
+        count = solid3d.count_bricks(region)
+    else:
+        count = count2d.count_tilings(region)
     if args.json:
-        print(_json_line({"spec": args.spec, "cells": cells, "count": _decimal_str(count)}))
+        record = {"spec": args.spec, "cells": region.cell_count, "count": _decimal_str(count)}
+        print(_json_line(record))
     else:
         print(_decimal_str(count))
     return 0
 
 
-def _family(name: str, first: int, method: str = "iter") -> sequences.Family | None:
-    """Catalog family ``name`` if it serves ``method`` from index ``first``, else None.
-
-    The reason for a None goes to stderr.
-    """
+def _family(name: str, first: int, method: str = "iter") -> sequences.Family:
+    """Catalog family ``name``; ValueError unless it serves ``method`` from index ``first``."""
     fams = sequences.catalog()
     family = fams.get(name)
     if family is None:
-        error = f"unknown family {name!r}; known: {' '.join(fams)}"
-    elif method == "closed" and family.closed is None:
-        error = f"family {name} has no closed form"
-    elif first < family.start:
-        error = f"family {name} starts at index {family.start}"
-    else:
-        return family
-    print(f"error: {error}", file=sys.stderr)
-    return None
+        raise ValueError(f"unknown family {name!r}; known: {' '.join(fams)}")
+    if method == "closed" and family.closed is None:
+        raise ValueError(f"family {name} has no closed form")
+    if first < family.start:
+        raise ValueError(f"family {name} starts at index {family.start}")
+    return family
 
 
 def cmd_seq(args) -> int:
     family = _family(args.family, args.start, args.method)
-    if family is None:
-        return 2
     if args.end < args.start:
-        print("error: empty range", file=sys.stderr)
-        return 2
+        raise ValueError("empty range")
     indices = range(args.start, args.end + 1)
     if args.method == "iter":
         values = sequences.rec_values(family.recurrence, args.start, args.end)
@@ -172,52 +160,33 @@ def cmd_seq(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bounds: dict[str, int] = {}
-    if args.max_n is not None:
-        bounds["max_n"] = args.max_n
-    if args.max_k is not None:
-        bounds["max_k"] = args.max_k
-    try:
-        if args.suite == "all":
-            if bounds:
-                print("error: 'verify all' runs fixed default bounds", file=sys.stderr)
-                return 2
-            report = identities.verify_all()
-        else:
-            report = identities.SUITES[args.suite](**bounds)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bounds = {k: v for k, v in (("max_n", args.max_n), ("max_k", args.max_k)) if v is not None}
+    if args.suite == "all":
+        if bounds:
+            raise ValueError("'verify all' runs fixed default bounds")
+        report = identities.verify_all()
+    else:
+        for name in bounds:
+            if name not in identities.BOUNDS[args.suite]:
+                raise ValueError(f"suite {args.suite} takes no {name} bound")
+        report = identities.SUITES[args.suite](**bounds)
     if not report.checks:
-        print(f"error: suite {args.suite} has no checks within these bounds", file=sys.stderr)
-        return 2
+        raise ValueError(f"suite {args.suite} has no checks within these bounds")
     if args.json:
         for record in report.records():
             print(_json_line(record))
-        print(
-            _json_line(
-                {
-                    "suite": args.suite,
-                    "checks": len(report.checks),
-                    "failed": len(report.failures),
-                }
-            )
-        )
+        failed = len(report.failures)
+        print(_json_line({"suite": args.suite, "checks": len(report.checks), "failed": failed}))
     else:
         print(report.to_text())
     return 0 if report.all_passed else 1
 
 
 def cmd_render(args) -> int:
-    try:
-        region = parse_region_spec(args.spec)
-        if isinstance(region, Prism3D):
-            raise ValueError("render supports 2D regions only")
-        tilings = count2d.enumerate_tilings(region, args.limit)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for i, tiling in enumerate(tilings):
+    region = parse_region_spec(args.spec)
+    if isinstance(region, Prism3D):
+        raise ValueError("render supports 2D regions only")
+    for i, tiling in enumerate(count2d.enumerate_tilings(region, args.limit)):
         if i:
             print()
         print(count2d.render_tiling_ascii(tiling))
@@ -226,8 +195,6 @@ def cmd_render(args) -> int:
 
 def cmd_bfile(args) -> int:
     family = _family(args.family, args.to)
-    if family is None:
-        return 2
     for n, value in zip(
         range(family.start, args.to + 1),
         sequences.rec_values(family.recurrence, family.start, args.to),
@@ -259,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=tuple(identities.SUITES) + ("all",))
     p_verify.add_argument(
-        "--max", "--max-n", type=int, default=None, dest="max_n", help="index bound"
+        "--max", "--max-n", type=int, dest="max_n", help="largest n (the n arm for thm21, tauraso)"
     )
-    p_verify.add_argument("--max-k", type=int, default=None, dest="max_k")
+    p_verify.add_argument("--max-k", type=int, dest="max_k", help="largest k arm (thm21, tauraso)")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -290,6 +257,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (ValueError, OSError) as exc:
+        # BrokenPipeError is an OSError, so it must be caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

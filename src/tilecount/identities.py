@@ -33,22 +33,25 @@ TABLE1 = {
 }
 TABLE2_T = (2, 9, 32, 121, 450, 1681, 6272, 23409, 87362, 326041)
 
-# Geometric work is capped so the default suite stays interactive.
-TABLE1_L3_DP_MAX = 6
-TABLE2_DP_MAX = 8
+# The towers verify_thm32 counts by the 3D layer DP stop here.
 THM32_DP_MAX = 9
 
-# Upper limits on each bound. crux, thm32 and recurrences hold every term up to
-# their bound, so memory grows with its square; thm21 and tauraso count one 2D
-# region per (n, k), so time grows faster than max_n * max_k, and each bound
-# needs its own limit. With every bound of a suite at its limit, `verify <suite>
-# ... --json` takes under 3 s and 100 MiB (CPython 3.11, Xeon).
-_CRUX_MAX_N = 3000
-_THM32_MAX_N = 4000
-_RECURRENCES_MAX_N = 4000
-_THM21_MAX_NK = 40
-_TAURASO_MAX_NK = 50
-_TAURASO_DIAG_MAX = 2000
+# Every bound of every suite is an integer from 1 to its limit here. crux,
+# thm32 and recurrences hold every term up to their bound, so memory grows with
+# its square; thm21 and tauraso count one 2D region per (n, k), so time grows
+# faster than max_n * max_k, and each bound needs its own limit; table1 and
+# table2 end with their frozen columns. With every bound of a suite at its
+# limit, `verify <suite> ... --json` takes under 3 s and 100 MiB (CPython 3.11,
+# Xeon).
+BOUNDS = {
+    "table1": {"max_n": 10},
+    "table2": {"max_n": 10},
+    "thm21": {"max_n": 40, "max_k": 40},
+    "crux": {"max_n": 3000},
+    "thm32": {"max_n": 4000},
+    "tauraso": {"max_n": 50, "max_k": 50, "diag_max": 2000},
+    "recurrences": {"max_n": 4000},
+}
 
 
 @dataclass(frozen=True)
@@ -119,68 +122,66 @@ def _family_values(name: str, lo: int, hi: int) -> dict[int, int]:
     return dict(zip(range(lo, hi + 1), rec_values(catalog()[name].recurrence, lo, hi)))
 
 
-def _at_most(name: str, bound: int, limit: int) -> None:
-    if bound > limit:
-        raise ValueError(f"{name} must be at most {limit}, got {bound}")
+def _check_bounds(suite: str, **bounds: int) -> None:
+    """Raise unless each of the suite's bounds is an integer from 1 to its limit."""
+    for name, limit in BOUNDS[suite].items():
+        bound = bounds[name]
+        if not isinstance(bound, int):
+            raise TypeError(f"{name} must be an integer, got {bound!r}")
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
+        if bound > limit:
+            raise ValueError(f"{name} must be at most {limit}, got {bound}")
+
+
+# Frozen table rows: (family, column for n = 1..10, geometric count of index n,
+# last n counted). The geometric work stops early where it would slow the
+# default suite.
+_TABLE1_ROWS = (
+    ("A", TABLE1["A"], lambda n: count_tilings(a_grid(n)), 10),
+    ("B", TABLE1["B"], lambda n: count_tilings(b_grid(n)), 10),
+    ("C", TABLE1["C"], lambda n: count_tilings(c_grid(n)), 10),
+    ("L3", TABLE1["L3"], lambda n: count_tilings(l3_region(n, n)), 6),
+)
+_TABLE2_ROWS = (("T", TABLE2_T, lambda n: count_bricks(tower(n)), 8),)
+
+
+def _table(suite: str, rows, max_n: int) -> Report:
+    """Each row's column by recurrence, closed form and geometric count."""
+    _check_bounds(suite, max_n=max_n)
+    fams = catalog()
+    checks = []
+    for name, column, geometric, last_counted in rows:
+        fam = fams[name]
+        for n in range(1, max_n + 1):
+            expected = column[n - 1]
+            checks.append(CheckResult(f"{suite}.{name}.recurrence", (n,), fam.eval(n), expected))
+            checks.append(
+                CheckResult(f"{suite}.{name}.closed", (n,), closed_eval(fam.closed, n), expected)
+            )
+            if n <= last_counted:
+                checks.append(CheckResult(f"{suite}.{name}.dp", (n,), geometric(n), expected))
+    return Report(checks)
 
 
 def verify_table1(max_n: int = 10) -> Report:
-    """Grid-family table, each column by recurrence, closed form and DP."""
-    if not 1 <= max_n <= 10:
-        raise ValueError(f"max_n must be in 1..10, got {max_n}")
-    fams = catalog()
-    builders = {"A": a_grid, "B": b_grid, "C": c_grid}
-    checks = []
-    for name in ("A", "B", "C", "L3"):
-        table = TABLE1[name]
-        for n in range(1, max_n + 1):
-            expected = table[n - 1]
-            checks.append(
-                CheckResult(f"table1.{name}.recurrence", (n,), fams[name].eval(n), expected)
-            )
-            checks.append(
-                CheckResult(
-                    f"table1.{name}.closed", (n,), closed_eval(fams[name].closed, n), expected
-                )
-            )
-            if name == "L3":
-                if n <= TABLE1_L3_DP_MAX:
-                    geometric = count_tilings(l3_region(n, n))
-                    checks.append(CheckResult("table1.L3.dp", (n,), geometric, expected))
-            else:
-                geometric = count_tilings(builders[name](n))
-                checks.append(CheckResult(f"table1.{name}.dp", (n,), geometric, expected))
-    return Report(checks)
+    """Grid-family table, each column by recurrence, closed form and 2D count."""
+    return _table("table1", _TABLE1_ROWS, max_n)
 
 
 def verify_table2(max_n: int = 10) -> Report:
     """Tower counts by recurrence, closed form and the 3D layer DP."""
-    if not 1 <= max_n <= 10:
-        raise ValueError(f"max_n must be in 1..10, got {max_n}")
-    fam = catalog()["T"]
-    checks = []
-    for n in range(1, max_n + 1):
-        expected = TABLE2_T[n - 1]
-        checks.append(CheckResult("table2.T.recurrence", (n,), fam.eval(n), expected))
-        checks.append(
-            CheckResult("table2.T.closed", (n,), closed_eval(fam.closed, n), expected)
-        )
-        if n <= TABLE2_DP_MAX:
-            checks.append(CheckResult("table2.T.dp", (n,), count_bricks(tower(n)), expected))
-    return Report(checks)
+    return _table("table2", _TABLE2_ROWS, max_n)
 
 
 def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
-    """Width-3 angle: DP count against the A/B/C product decomposition.
+    """Width-3 angle: 2D count against the A/B/C product decomposition.
 
     The decomposition applies from n >= 2; the n = 1 row also matches and is
     reported separately as an extension rather than folded into the main
     check.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    _at_most("max_n", max_n, _THM21_MAX_NK)
-    _at_most("max_k", max_k, _THM21_MAX_NK)
+    _check_bounds("thm21", max_n=max_n, max_k=max_k)
     checks = []
     for n in range(2, max_n + 1):
         for k in range(1, max_k + 1):
@@ -203,7 +204,7 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
 
 def verify_crux(max_n: int = 200) -> Report:
     """Equal-arm width-3 angle equals the straight grid at doubled index."""
-    _at_most("max_n", max_n, _CRUX_MAX_N)
+    _check_bounds("crux", max_n=max_n)
     fam_a = catalog()["A"]
     a = _family_values("A", 1, 2 * max_n)
     checks = []
@@ -224,9 +225,7 @@ def verify_thm32(max_n: int = 200) -> Report:
     The towers counted by the 3D layer DP stop at THM32_DP_MAX layers, and at
     T(2 max_n + 1), the last term the bound computes.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    _at_most("max_n", max_n, _THM32_MAX_N)
+    _check_bounds("thm32", max_n=max_n)
     t = _family_values("T", 1, 2 * max_n + 1)
     a = _family_values("A", 1, max_n)
     b = _family_values("B", 0, max_n)
@@ -242,14 +241,7 @@ def verify_thm32(max_n: int = 200) -> Report:
 def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Report:
     """Width-2 angle: 2D count against the Fibonacci product formula, plus the
     diagonal against its alternating closed form."""
-    for name, bound, limit in (
-        ("max_n", max_n, _TAURASO_MAX_NK),
-        ("max_k", max_k, _TAURASO_MAX_NK),
-        ("diag_max", diag_max, _TAURASO_DIAG_MAX),
-    ):
-        if bound < 1:
-            raise ValueError(f"{name} must be at least 1, got {bound}")
-        _at_most(name, bound, limit)
+    _check_bounds("tauraso", max_n=max_n, max_k=max_k, diag_max=diag_max)
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
@@ -273,7 +265,7 @@ def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Repor
 
 def verify_coupled_recurrences(max_n: int = 500) -> Report:
     """The five pairwise identities tying A, B, C and T, M together."""
-    _at_most("max_n", max_n, _RECURRENCES_MAX_N)
+    _check_bounds("recurrences", max_n=max_n)
     a = _family_values("A", 1, max_n)
     b = _family_values("B", 0, max_n)
     c = _family_values("C", 0, max_n)

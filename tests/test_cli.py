@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from tilecount import cli
+from tilecount import cli, identities
 from tilecount.cli import main, parse_region_spec
+from tilecount.identities import BOUNDS, Report
 from tilecount.regions2d import Region2D, l3_region, rect
 from tilecount.sequences import catalog, l3, rec_values
 from tilecount.solid3d import Prism3D
@@ -67,8 +72,9 @@ def test_count_errors_exit_2(capsys):
     assert code == 2 and "unknown region token" in err
     code, _, err = run(capsys, "count", "rect:200,200")
     assert code == 2 and "exceeds the budget of 100,000,000" in err
-    code, _, err = run(capsys, "count", "@/no/such/file")
-    assert code == 2
+    code, out, err = run(capsys, "count", "@/no/such/file")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and "/no/such/file" in err
 
 
 @pytest.mark.parametrize("spec", ["rect:24,2000", "rect:200,200", "tower:1000000"])
@@ -152,7 +158,16 @@ def test_seq_errors_exit_2(capsys):
     assert run(capsys, "seq", "F", "1", "5", "--method", "closed")[0] == 2
     assert run(capsys, "seq", "M", "1", "5", "--method", "closed")[0] == 2
     assert run(capsys, "seq", "A", "0", "5")[0] == 2  # below starting index
-    assert run(capsys, "seq", "A", "5", "1")[0] == 2
+    assert run(capsys, "seq", "A", "5", "1") == (2, "", "error: empty range\n")
+    assert run(capsys, "seq", "A", "0", "5") == (2, "", "error: family A starts at index 1\n")
+
+
+def test_family_lookup_raises_instead_of_printing(capsys):
+    with pytest.raises(ValueError, match="^family F has no closed form$"):
+        cli._family("F", 1, "closed")
+    with pytest.raises(ValueError, match="^unknown family 'Q'; known: F A B C T M L3 L2D$"):
+        cli._family("Q", 1)
+    assert capsys.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +201,84 @@ def test_verify_json_is_deterministic_and_well_formed(capsys):
 
 
 def test_verify_rejects_bad_bounds(capsys):
-    assert run(capsys, "verify", "table1", "--max", "99")[0] == 2
-    assert run(capsys, "verify", "crux", "--max-k", "3")[0] == 2
-    assert run(capsys, "verify", "all", "--max", "3")[0] == 2
+    for argv, message in [
+        (("table1", "--max", "99"), "max_n must be at most 10, got 99"),
+        (("crux", "--max-k", "3"), "suite crux takes no max_k bound"),
+        (("table2", "--max-k", "3"), "suite table2 takes no max_k bound"),
+        (("all", "--max", "3"), "'verify all' runs fixed default bounds"),
+    ]:
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("verify", "crux"), ("verify", "crux", "--max", "3")])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verify_with_no_checks_is_a_usage_error(capsys, monkeypatch, argv, json_flag):
+    # Every bound is at least 1, so no bound leaves a suite empty; a suite
+    # that still reports no checks must not pass vacuously.
+    monkeypatch.setitem(identities.SUITES, "crux", lambda max_n=200: Report(()))
+    code, out, err = run(capsys, *argv, *json_flag)
+    assert (code, out) == (2, "")
+    assert err == "error: suite crux has no checks within these bounds\n"
+
+
+def test_an_internal_error_in_a_suite_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(max_n=200):
+        raise TypeError("a bug inside the suite")
+
+    monkeypatch.setitem(identities.SUITES, "crux", broken)
+    with pytest.raises(TypeError, match="a bug inside the suite"):
+        main(["verify", "crux", "--max", "3"])
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_closed_pipe_exits_0_not_2():
+    # BrokenPipeError is an OSError: main must catch it before the usage errors
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tilecount.cli", "bfile", "L3", "--to", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"1 11\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+_CLI_OPTIONS = {"max_n": "--max-n", "max_k": "--max-k"}
+_CLI_BOUNDS = [
+    (suite, name, limit)
+    for suite, limits in BOUNDS.items()
+    for name, limit in limits.items()
+    if name in _CLI_OPTIONS
+]
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("verify", "crux", "--max", "0"), ("verify", "thm21", "--max-n", "1", "--max-k", "0")],
+    "suite, name, limit", _CLI_BOUNDS, ids=[f"{s}-{n}" for s, n, _ in _CLI_BOUNDS]
 )
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_verify_with_no_checks_is_a_usage_error(capsys, argv, json_flag):
-    code, out, err = run(capsys, *argv, *json_flag)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: suite {argv[1]} has no checks within these bounds\n"
+def test_verify_refuses_every_bound_outside_1_to_its_limit(
+    capsys, suite, name, limit, json_flag
+):
+    # the suite's other options sit at their lowest legal value
+    others = [
+        arg
+        for other, option in _CLI_OPTIONS.items()
+        if other != name and other in BOUNDS[suite]
+        for arg in (option, "1")
+    ]
+    for bad, message in (
+        (0, f"{name} must be at least 1, got 0"),
+        (limit + 1, f"{name} must be at most {limit}, got {limit + 1}"),
+    ):
+        start = time.perf_counter()
+        argv = ("verify", suite, *others, _CLI_OPTIONS[name], str(bad), *json_flag)
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -224,6 +302,8 @@ def test_verify_tauraso_rejects_bounds_below_one(capsys, argv, message, json_fla
         ("verify", "thm21", "--max-n", "0"),
         ("verify", "thm32", "--max", "0"),
         ("verify", "thm32", "--max", "-2"),
+        ("verify", "crux", "--max", "0"),
+        ("verify", "recurrences", "--max", "0"),
     ],
 )
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])

@@ -1,7 +1,11 @@
+import inspect
+
 import pytest
 
 from tilecount.count2d import count_tilings
 from tilecount.identities import (
+    BOUNDS,
+    SUITES,
     TABLE1,
     TABLE2_T,
     CheckResult,
@@ -66,9 +70,9 @@ def test_table1_passes_and_bounds_checked():
         "table1.C.recurrence", "table1.C.closed", "table1.C.dp",
         "table1.L3.recurrence", "table1.L3.closed", "table1.L3.dp",
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_n must be at least 1, got 0$"):
         verify_table1(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_n must be at most 10, got 11$"):
         verify_table1(11)
 
 
@@ -173,3 +177,28 @@ def test_reports_are_deterministic():
     assert first.checks == second.checks
     assert first.to_text() == second.to_text()
     assert first.records() == second.records()
+
+
+_BOUNDS = [
+    (suite, name, limit) for suite, limits in BOUNDS.items() for name, limit in limits.items()
+]
+
+
+def test_bounds_name_every_suite_and_each_of_its_parameters():
+    assert BOUNDS.keys() == SUITES.keys()
+    for suite, verify in SUITES.items():
+        params = inspect.signature(verify).parameters
+        assert list(params) == list(BOUNDS[suite]), suite
+        for name, param in params.items():
+            assert 1 <= param.default <= BOUNDS[suite][name], (suite, name)
+
+
+@pytest.mark.parametrize("suite, name, limit", _BOUNDS, ids=[f"{s}-{n}" for s, n, _ in _BOUNDS])
+def test_every_bound_is_an_integer_from_1_to_its_limit(suite, name, limit):
+    assert SUITES[suite](**{name: 1}).all_passed
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1, got 0$"):
+        SUITES[suite](**{name: 0})
+    with pytest.raises(ValueError, match=f"^{name} must be at most {limit}, got {limit + 1}$"):
+        SUITES[suite](**{name: limit + 1})
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got 2.0$"):
+        SUITES[suite](**{name: 2.0})
