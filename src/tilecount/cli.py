@@ -11,6 +11,7 @@ import decimal
 import json
 import os
 import sys
+from math import log2
 from pathlib import Path
 
 from . import count2d, identities, regions2d, sequences, solid3d
@@ -67,6 +68,20 @@ def _decimal_str(n: int) -> str:
         return str(build(n, n.bit_length()))
 
 
+# token -> (module, builder, number of integer arguments). The builder is looked
+# up on its module at each call, so a wrapper installed there sees every build.
+_REGION_TOKENS = {
+    "rect": (regions2d, "rect", 2),
+    "a": (regions2d, "a_grid", 1),
+    "b": (regions2d, "b_grid", 1),
+    "c": (regions2d, "c_grid", 1),
+    "l2": (regions2d, "l2_region", 2),
+    "l3": (regions2d, "l3_region", 2),  # and an optional orientation
+    "tower": (solid3d, "tower", 1),
+    "mtower": (solid3d, "m_tower", 1),
+}
+
+
 def parse_region_spec(spec: str) -> Region2D | Prism3D:
     """Turn a builder token like ``rect:3,4`` or ``@shape.txt`` into a region.
 
@@ -78,41 +93,18 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
     token, sep, argtext = spec.partition(":")
     if not sep:
         raise ValueError(f"malformed region spec {spec!r}; expected token:args")
+    if token not in _REGION_TOKENS:
+        raise ValueError(f"unknown region token {token!r}; known: {' '.join(_REGION_TOKENS)}")
+    module, builder, count = _REGION_TOKENS[token]
     args = argtext.split(",") if argtext else []
-
-    def ints(count: int) -> list[int]:
-        if len(args) != count:
-            raise ValueError(
-                f"spec {token!r} takes {count} argument(s), got {len(args)}"
-            )
-        try:
-            return [int(a) for a in args]
-        except ValueError:
-            raise ValueError(f"non-integer argument in spec {spec!r}") from None
-
-    if token == "rect":
-        rows, cols = ints(2)
-        return regions2d.rect(rows, cols)
-    if token == "a":
-        return regions2d.a_grid(*ints(1))
-    if token == "b":
-        return regions2d.b_grid(*ints(1))
-    if token == "c":
-        return regions2d.c_grid(*ints(1))
-    if token == "l2":
-        n, k = ints(2)
-        return regions2d.l2_region(n, k)
-    if token == "l3":
-        orientation = "SW"
-        if len(args) == 3:
-            orientation = args.pop().upper()
-        n, k = ints(2)
-        return regions2d.l3_region(n, k, orientation)
-    if token == "tower":
-        return solid3d.tower(*ints(1))
-    if token == "mtower":
-        return solid3d.m_tower(*ints(1))
-    raise ValueError(f"unknown region token {token!r}")
+    orientation = [args.pop().upper()] if token == "l3" and len(args) == 3 else []
+    if len(args) != count:
+        raise ValueError(f"spec {token!r} takes {count} argument(s), got {len(args)}")
+    try:
+        numbers = [int(a) for a in args]
+    except ValueError:
+        raise ValueError(f"non-integer argument in spec {spec!r}") from None
+    return getattr(module, builder)(*numbers, *orientation)
 
 
 def cmd_count(args) -> int:
@@ -142,10 +134,37 @@ def _family(name: str, first: int, method: str = "iter") -> sequences.Family:
     return family
 
 
+# seq and bfile refuse a range whose estimated work, in operations on CPython int
+# digits, is over _SEQ_MAX_WORK, before computing any term. a(n) has at most
+# n log2(1 + max |coefficient|) bits (Cauchy's bound on the roots). A term of s
+# digits costs s * min(s, digits of _SPLIT_BITS) to print, and order^2 s^1.585 to
+# jump to or 2 order s in the forward pass, which runs through every term up to hi.
+# At 0.8-3 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
+_SEQ_MAX_WORK = 15 * 10**8
+
+
+def _check_work(family: sequences.Family, lo: int, hi: int, method: str) -> None:
+    rec = family.recurrence
+    per_index = log2(1 + max(map(abs, rec.coeffs))) / sys.int_info.bits_per_digit
+    split = _SPLIT_BITS / sys.int_info.bits_per_digit
+    jump = 0 if method == "iter" else rec.order**2
+    top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
+    work = 0.0 if jump else rec.order * per_index * top * top
+    for n in range(top, min(lo, top) - 1, -1):  # largest terms first: a refusal comes early
+        size = per_index * n
+        work += size * min(size, split) + jump * size**1.585
+        if work > _SEQ_MAX_WORK:
+            raise count2d.BudgetError(
+                f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
+                f"{_SEQ_MAX_WORK:,}"
+            )
+
+
 def cmd_seq(args) -> int:
     family = _family(args.family, args.start, args.method)
     if args.end < args.start:
         raise ValueError("empty range")
+    _check_work(family, args.start, args.end, args.method)
     indices = range(args.start, args.end + 1)
     if args.method == "iter":
         values = sequences.rec_values(family.recurrence, args.start, args.end)
@@ -195,6 +214,7 @@ def cmd_render(args) -> int:
 
 def cmd_bfile(args) -> int:
     family = _family(args.family, args.to)
+    _check_work(family, family.start, args.to, "iter")
     for n, value in zip(
         range(family.start, args.to + 1),
         sequences.rec_values(family.recurrence, family.start, args.to),

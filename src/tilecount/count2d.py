@@ -13,8 +13,9 @@ Three counting routes, on purpose:
   oracle in ``solid3d``.
 
 The determinant refuses only regions over its work budget, the DP regions
-more than 32 cells across both ways. All counts are exact Python integers;
-nothing here touches floating point.
+more than 32 cells across both ways, and the search regions of more than 30
+cells. Each refusal raises ``BudgetError`` before any work. All counts are
+exact Python integers; nothing here touches floating point.
 """
 from __future__ import annotations
 
@@ -36,12 +37,8 @@ MAX_ORACLE_CELLS = 30
 STEPS_2D = ((0, 1), (1, 0))  # right, then down: horizontal before vertical
 
 
-class RegionTooWideError(ValueError):
-    """Raised when a region is over a 2D counter's work budget or width cap."""
-
-
-class RegionTooLargeError(ValueError):
-    """Raised when a region exceeds the brute-force/enumeration cell budget."""
+class BudgetError(ValueError):
+    """Raised, before any counting, for an input over a work or size budget."""
 
 
 Domino = tuple[Cell, Cell]  # pair of edge-adjacent cells, stored sorted
@@ -81,7 +78,7 @@ def count_tilings(region: Region2D) -> int:
 
     Guards, in order: the empty region counts 1; an odd number of cells or
     unequal colour classes count 0; a work estimate over ``_MAX_WORK``
-    raises ``RegionTooWideError`` before any elimination.
+    raises ``BudgetError`` before any elimination.
     """
     cells = region.cells
     if not cells:
@@ -94,7 +91,7 @@ def count_tilings(region: Region2D) -> int:
     )
     work = sum(n**3 for n in sizes) * (_BIG_INT_CELLS + len(cells)) ** 2 // _BIG_INT_CELLS**2
     if work > _MAX_WORK:
-        raise RegionTooWideError(
+        raise BudgetError(
             f"estimated elimination work {work:,} exceeds the budget of {_MAX_WORK:,}"
         )
     order = sorted(cells, key=lambda cell: (cell[0] + s * cell[1], cell))
@@ -183,7 +180,7 @@ def count_tilings_dp(region: Region2D) -> int:
     of row r, bits >= c describe row r and bits < c describe row r+1. A set
     bit means the cell is already covered by a previously placed domino.
     Regions wider than tall are transposed first so the mask spans the
-    narrow dimension, which may not exceed ``MAX_PROFILE_WIDTH``.
+    narrow dimension; one over ``MAX_PROFILE_WIDTH`` raises ``BudgetError``.
 
     The empty region counts 1; any region with an odd number of cells
     counts 0.
@@ -194,7 +191,7 @@ def count_tilings_dp(region: Region2D) -> int:
         region = transpose(region)
     width, height = region.width, region.height
     if width > MAX_PROFILE_WIDTH:
-        raise RegionTooWideError(
+        raise BudgetError(
             f"region is {width} cells across in its narrow dimension; "
             f"the profile DP supports at most {MAX_PROFILE_WIDTH}"
         )
@@ -254,11 +251,11 @@ def count_tilings_bruteforce(region: Region2D) -> int:
     """Oracle counter: backtracking on the first uncovered cell.
 
     Counts the matchings ``perfect_matchings`` yields, pairing each first
-    free cell with its right neighbour, then its lower one. Limited to
-    ``MAX_ORACLE_CELLS`` cells to keep the exponential search in check.
+    free cell with its right neighbour, then its lower one. Over
+    ``MAX_ORACLE_CELLS`` cells it raises ``BudgetError``, to bound the search.
     """
     if len(region.cells) > MAX_ORACLE_CELLS:
-        raise RegionTooLargeError(
+        raise BudgetError(
             f"{len(region.cells)} cells exceed the {MAX_ORACLE_CELLS}-cell oracle budget"
         )
     if len(region.cells) % 2:
@@ -269,13 +266,13 @@ def count_tilings_bruteforce(region: Region2D) -> int:
 def enumerate_tilings(region: Region2D, limit: int) -> list[Tiling]:
     """First ``limit`` tilings in deterministic lexicographic order.
 
-    Same search order as the oracle (first free cell; horizontal placement
-    before vertical), so prefixes are stable across runs.
+    Same search order and cell budget as the oracle (first free cell;
+    horizontal placement before vertical), so prefixes are stable across runs.
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if len(region.cells) > MAX_ORACLE_CELLS:
-        raise RegionTooLargeError(
+        raise BudgetError(
             f"{len(region.cells)} cells exceed the {MAX_ORACLE_CELLS}-cell enumeration budget"
         )
     if len(region.cells) % 2:

@@ -119,10 +119,10 @@ def l3_region(n: int, k: int, orientation: str = "SW") -> Region2D:
     The two arms are disjoint (6n + 6k cells). In the default "SW" layout the
     2n arm stands vertically at the top left and the 2k arm runs east along
     the bottom, so the inner corner of the angle sits to the southwest. The
-    other orientations are the mirror images:
+    other orientations are built from it:
 
-        SE  horizontal arm runs west          (mirror of SW across columns)
-        NW  horizontal arm on top, vertical arm hangs south
+        SE  mirror of SW across columns: the horizontal arm runs west
+        NW  SW of (k, n) mirrored across rows: the 2n arm lies on top
         NE  mirror of NW across columns
 
     All four have equal tiling counts; the calibration suite in the tests
@@ -132,16 +132,13 @@ def l3_region(n: int, k: int, orientation: str = "SW") -> Region2D:
         raise ValueError(f"l3_region needs n, k >= 1, got ({n}, {k})")
     if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}, expected one of {ORIENTATIONS}")
-    if orientation in ("SW", "SE"):
-        arm_a = {(r, c) for r in range(2 * n) for c in range(3)}
-        arm_b = {(r, c) for r in range(2 * n, 2 * n + 3) for c in range(2 * k)}
-    else:  # NW, NE: the 2n arm lies horizontally on top
-        arm_a = {(r, c) for r in range(3) for c in range(2 * n)}
-        arm_b = {(r, c) for r in range(3, 2 * k + 3) for c in range(3)}
-    region = Region2D(arm_a | arm_b)
-    if orientation in ("SE", "NE"):
-        region = reflect_h(region)
-    return region
+    if orientation[0] == "N":
+        region = reflect_v(l3_region(k, n))
+    else:
+        vertical = {(r, c) for r in range(2 * n) for c in range(3)}
+        horizontal = {(r, c) for r in range(2 * n, 2 * n + 3) for c in range(2 * k)}
+        region = Region2D(vertical | horizontal)
+    return reflect_h(region) if orientation[1] == "E" else region
 
 
 def from_ascii(text: str) -> Region2D:

@@ -7,14 +7,14 @@ layer, and a move is an upright set with its number of flat completions,
 counted by the 2D domino counter, so both dimensions share one tested
 kernel. A layer of a k-cell cross-section has up to 3^k (state, move)
 pairs, so a prism whose estimated work, layers * 3^k scaled by its cell
-count, is over budget is refused.
+count, is over budget raises ``BudgetError`` before the first layer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
 
-from .count2d import count_tilings, perfect_matchings
+from .count2d import BudgetError, count_tilings, perfect_matchings
 from .regions2d import Cell, Region2D
 
 # The layer DP's work estimate is layers * 3^k * (1 + cells / _BIG_INT_CELLS) for a
@@ -28,14 +28,6 @@ MAX_BRUTEFORCE_CELLS = 24
 
 Cell3 = tuple[int, int, int]  # (row, col, layer)
 STEPS_3D = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # on (z, row, col): col, row, then layer
-
-
-class CrossSectionTooLargeError(ValueError):
-    """Raised when a prism's layer-DP work estimate exceeds its budget."""
-
-
-class PrismTooLargeError(ValueError):
-    """Raised when a prism exceeds the brute-force cell budget."""
 
 
 @dataclass(frozen=True)
@@ -100,14 +92,12 @@ def count_bricks(prism: Prism3D) -> int:
     the 2D kernel. Moves and flat counts are cached for the call.
 
     A prism whose work estimate exceeds ``_MAX_WORK`` raises
-    ``CrossSectionTooLargeError`` before the first layer.
+    ``BudgetError`` before the first layer.
     """
     cross = sorted(prism.cross_section)
     work = prism.layers * 3 ** len(cross) * (_BIG_INT_CELLS + prism.cell_count) // _BIG_INT_CELLS
     if work > _MAX_WORK:
-        raise CrossSectionTooLargeError(
-            f"estimated layer-DP work {work:,} exceeds the budget of {_MAX_WORK:,}"
-        )
+        raise BudgetError(f"estimated layer-DP work {work:,} exceeds the budget of {_MAX_WORK:,}")
     bit = {cell: 1 << i for i, cell in enumerate(cross)}
     masks = [(1 << len(cross)) - 1] * prism.layers + [0]
     for r, c, z in prism.deleted:
@@ -146,10 +136,10 @@ def count_bricks_bruteforce(prism: Prism3D) -> int:
     """Oracle counter: backtracking on the first free cell in (z, row, col) order.
 
     Placements are tried in a fixed order: along the column, along the row,
-    then up one layer.
+    then up one layer. Over ``MAX_BRUTEFORCE_CELLS`` cells it raises ``BudgetError``.
     """
     if prism.cell_count > MAX_BRUTEFORCE_CELLS:
-        raise PrismTooLargeError(
+        raise BudgetError(
             f"{prism.cell_count} cells exceed the {MAX_BRUTEFORCE_CELLS}-cell oracle budget"
         )
     cells = frozenset(

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from tilecount import cli, identities
+from tilecount import cli, identities, sequences
 from tilecount.cli import main, parse_region_spec
 from tilecount.identities import BOUNDS, Report
-from tilecount.regions2d import Region2D, l3_region, rect
+from tilecount.regions2d import Region2D, l2_region, l3_region, rect
 from tilecount.sequences import catalog, l3, rec_values
 from tilecount.solid3d import Prism3D
 
@@ -28,6 +28,9 @@ def run(capsys, *argv):
 def test_parse_region_specs():
     assert parse_region_spec("rect:3,4") == rect(3, 4)
     assert parse_region_spec("a:2") == rect(3, 4)
+    assert parse_region_spec("c:0") == rect(2, 2)
+    assert parse_region_spec("l2:3,1") == rect(2, 4)
+    assert parse_region_spec("l2:3,2") == l2_region(3, 2)
     assert parse_region_spec("l3:2,1,ne") == l3_region(2, 1, "NE")
     prism = parse_region_spec("tower:5")
     assert isinstance(prism, Prism3D) and prism.layers == 5
@@ -68,8 +71,11 @@ def test_count_json(capsys):
 
 
 def test_count_errors_exit_2(capsys):
-    code, _, err = run(capsys, "count", "blob:3")
-    assert code == 2 and "unknown region token" in err
+    assert run(capsys, "count", "blob:3") == (
+        2,
+        "",
+        "error: unknown region token 'blob'; known: rect a b c l2 l3 tower mtower\n",
+    )
     code, _, err = run(capsys, "count", "rect:200,200")
     assert code == 2 and "exceeds the budget of 100,000,000" in err
     code, out, err = run(capsys, "count", "@/no/such/file")
@@ -77,13 +83,87 @@ def test_count_errors_exit_2(capsys):
     assert err.startswith("error: [Errno ") and "/no/such/file" in err
 
 
-@pytest.mark.parametrize("spec", ["rect:24,2000", "rect:200,200", "tower:1000000"])
-def test_over_budget_counts_exit_2_fast(capsys, spec):
+def _seq_refusal(name: str, lo: int, hi: int) -> str:
+    return f"estimated work for {name}({lo}..{hi}) exceeds the budget of 1,500,000,000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("count", "rect:24,2000"),
+            "estimated elimination work 65,985,242,400 exceeds the budget of 100,000,000",
+            id="rect:24,2000",
+        ),
+        pytest.param(
+            ("count", "rect:200,200"),
+            "estimated elimination work 1,344,833,620,000 exceeds the budget of 100,000,000",
+            id="rect:200,200",
+        ),
+        pytest.param(
+            ("count", "tower:1000000"),
+            "estimated layer-DP work 13,041,000,000 exceeds the budget of 30,000,000",
+            id="tower:1000000",
+        ),
+        pytest.param(
+            ("render", "rect:6,6"),
+            "36 cells exceed the 30-cell enumeration budget",
+            id="render rect:6,6",
+        ),
+        pytest.param(
+            ("bfile", "L3", "--to", "1000000"),
+            _seq_refusal("L3", 1, 1000000),
+            id="bfile L3 --to 1000000",
+        ),
+        pytest.param(
+            ("seq", "A", "1", "10000000"), _seq_refusal("A", 1, 10000000), id="seq A 1 10000000"
+        ),
+        pytest.param(
+            ("seq", "T", "1", "100000", "--method", "matpow"),
+            _seq_refusal("T", 1, 100000),
+            id="seq T 1 100000 matpow",
+        ),
+        pytest.param(
+            ("seq", "T", "1000000000", "1000000000", "--method", "matpow"),
+            _seq_refusal("T", 10**9, 10**9),
+            id="seq T 10^9 matpow",
+        ),
+        pytest.param(
+            ("seq", "T", "1000000000", "1000000000", "--method", "closed"),
+            _seq_refusal("T", 10**9, 10**9),
+            id="seq T 10^9 closed",
+        ),
+        pytest.param(
+            ("seq", "F", "0", str(10**400)), _seq_refusal("F", 0, 10**400), id="seq F 0 10^400"
+        ),
+    ],
+)
+def test_over_budget_counts_exit_2_fast(capsys, monkeypatch, argv, message):
+    def computed(*args):
+        raise AssertionError("a term was computed before the refusal")
+
+    for name in ("rec_values", "rec_eval_matpow", "closed_eval"):
+        monkeypatch.setattr(sequences, name, computed)
     start = time.perf_counter()
-    code, out, err = run(capsys, "count", spec)
+    result = run(capsys, *argv)
     assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err.startswith("error: estimated ") and "exceeds the budget of" in err
+    assert result == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, method",
+    [
+        # the benchmark's seq-big jobs at their largest offsets
+        ("T", 252504, 252504, "matpow"),
+        ("L3", 100999, 100999, "closed"),
+        ("A", 1, 1009, "iter"),
+        ("L3", 1, 4039, "iter"),
+        # the single term the docs time, at about 2 s
+        ("L3", 1000000, 1000000, "matpow"),
+    ],
+)
+def test_seq_budget_admits_the_large_ranges_in_use(name, lo, hi, method):
+    cli._check_work(catalog()[name], lo, hi, method)
 
 
 def test_count_and_bfile_print_through_the_split_path(capsys, monkeypatch):

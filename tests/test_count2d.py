@@ -6,8 +6,7 @@ import pytest
 from conftest import random_connected_region, region_corpus_2d
 from tilecount.cli import main
 from tilecount.count2d import (
-    RegionTooLargeError,
-    RegionTooWideError,
+    BudgetError,
     Tiling,
     count_tilings,
     count_tilings_bruteforce,
@@ -151,9 +150,9 @@ def test_wide_region_is_transposed_not_rejected():
 
 def test_width_guard():
     # the determinant refuses on its work estimate, the DP on its width cap
-    with pytest.raises(RegionTooWideError, match="exceeds the budget of 100,000,000"):
+    with pytest.raises(BudgetError, match="exceeds the budget of 100,000,000"):
         count_tilings(rect(200, 200))
-    with pytest.raises(RegionTooWideError, match="profile DP supports at most 32"):
+    with pytest.raises(BudgetError, match="profile DP supports at most 32"):
         count_tilings_dp(rect(33, 33))
     # zero counts come first, however large the region
     assert count_tilings(rect(201, 201)) == 0
@@ -200,15 +199,15 @@ def test_a_staircase_and_its_mirror_image_count_alike_and_fast():
 def test_an_over_budget_region_is_refused_before_any_elimination():
     region = rect(24, 2000)
     start = time.perf_counter()
-    with pytest.raises(RegionTooWideError, match="estimated elimination work"):
+    with pytest.raises(BudgetError, match="estimated elimination work"):
         count_tilings(region)
     assert time.perf_counter() - start < 1
 
 
 def test_oracle_size_guard():
-    with pytest.raises(RegionTooLargeError):
+    with pytest.raises(BudgetError):
         count_tilings_bruteforce(rect(4, 8))
-    with pytest.raises(RegionTooLargeError):
+    with pytest.raises(BudgetError):
         enumerate_tilings(rect(4, 8), 1)
 
 

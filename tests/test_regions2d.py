@@ -104,6 +104,20 @@ def test_l3_region_default_shape():
     assert l3_region(2, 2).cell_count == 24
 
 
+@pytest.mark.parametrize(
+    "orientation, picture",
+    [
+        ("SW", "###.\n###.\n####\n####\n####"),
+        ("SE", ".###\n.###\n####\n####\n####"),
+        ("NW", "##.\n##.\n##.\n###\n###\n###\n###"),
+        ("NE", ".##\n.##\n.##\n###\n###\n###\n###"),
+    ],
+)
+def test_l3_region_shape_in_each_orientation(orientation, picture):
+    # the 2n = 2 arm is the vertical one in SW/SE and the top one in NW/NE
+    assert to_ascii(l3_region(1, 2, orientation)) == picture
+
+
 def test_l3_region_rejects_unknown_orientation():
     with pytest.raises(ValueError):
         l3_region(2, 2, "UP")

@@ -2,12 +2,10 @@ import pytest
 
 from conftest import prism_corpus
 from tilecount import solid3d
-from tilecount.count2d import count_tilings
+from tilecount.count2d import BudgetError, count_tilings
 from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
-    CrossSectionTooLargeError,
     Prism3D,
-    PrismTooLargeError,
     count_bricks,
     count_bricks_bruteforce,
     m_tower,
@@ -118,15 +116,15 @@ def test_cross_section_guard():
     nine = {(r, c) for r in range(3) for c in range(3)}
     assert count_bricks(Prism3D(nine, 2)) == count_bricks_bruteforce(Prism3D(nine, 2)) == 229
     assert count_bricks(Prism3D(nine, 40)) > 0
-    with pytest.raises(CrossSectionTooLargeError, match="exceeds the budget of 30,000,000"):
+    with pytest.raises(BudgetError, match="exceeds the budget of 30,000,000"):
         count_bricks(tower(1_000_000))
     twenty_five = {(r, c) for r in range(5) for c in range(5)}
-    with pytest.raises(CrossSectionTooLargeError, match="estimated layer-DP work"):
+    with pytest.raises(BudgetError, match="estimated layer-DP work"):
         count_bricks(Prism3D(twenty_five, 2))
 
 
 def test_bruteforce_guard():
-    with pytest.raises(PrismTooLargeError):
+    with pytest.raises(BudgetError):
         count_bricks_bruteforce(tower(7))
 
 
@@ -156,7 +154,7 @@ def test_oracle_equivalence_on_corpus():
 
 def test_flat_only_prism_matches_2d():
     # a single layer is exactly a 2D tiling problem
-    from tilecount.count2d import count_tilings
+    from tilecount.count2d import BudgetError, count_tilings
     from tilecount.regions2d import Region2D, rect
 
     cross = {(r, c) for r in range(2) for c in range(4)}
