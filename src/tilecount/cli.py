@@ -11,7 +11,8 @@ import decimal
 import json
 import os
 import sys
-from math import log2
+from collections.abc import Iterator
+from math import log2, log10
 from pathlib import Path
 
 from . import count2d, identities, regions2d, sequences, solid3d
@@ -28,13 +29,27 @@ def _json_line(record: dict) -> str:
 _SPLIT_BITS = 50_000
 _LEAF_BITS = 1024
 
+# The exact context of every Decimal this module computes: any rounding or
+# overflow raises instead of printing wrong digits.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
 
 def _decimal_str(n: int) -> str:
     """str(n), in subquadratic time for big n.
 
-    n is split in binary and rebuilt as a Decimal, whose multiplication is
-    subquadratic, as CPython 3.12's _pylong does. The context is exact: any
-    rounding or overflow raises instead of printing wrong digits.
+    n is split in binary and rebuilt as a Decimal in the exact context, whose
+    multiplication is subquadratic, as CPython 3.12's _pylong does.
     """
     if n.bit_length() <= _SPLIT_BITS:
         return str(n)
@@ -59,13 +74,25 @@ def _decimal_str(n: int) -> str:
         hi = m >> half
         return build(hi, bits - half) * two_to(half) + build(m - (hi << half), half)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
-            ctx.traps[signal] = True
+    with decimal.localcontext(_EXACT):
         return str(build(n, n.bit_length()))
+
+
+def _decimal_terms(rec: sequences.LinearRecurrence, lo: int, hi: int) -> Iterator[str]:
+    """The decimal strings of a(lo), ..., a(hi), from one forward pass.
+
+    The pass runs in ints up to the first ``order`` terms of the range, each
+    converted once by ``_decimal_str``, and goes on from them in exact Decimal
+    arithmetic, where each step and each str is linear in the term's size.
+    The exact context stays current while the tail is suspended, until it
+    ends or is closed.
+    """
+    head = [_decimal_str(v) for v in sequences.rec_values(rec, lo, min(hi, lo + rec.order - 1))]
+    yield from head
+    if hi >= lo + rec.order:
+        tail = sequences.LinearRecurrence(rec.coeffs, tuple(map(decimal.Decimal, head)), lo)
+        with decimal.localcontext(_EXACT):
+            yield from map(str, sequences.rec_terms(tail, lo + rec.order, hi))
 
 
 # token -> (module, builder, number of integer arguments). The builder is looked
@@ -137,22 +164,29 @@ def _family(name: str, first: int, method: str = "iter") -> sequences.Family:
 # seq and bfile refuse a range whose estimated work, in operations on CPython int
 # digits, is over _SEQ_MAX_WORK, before computing any term. a(n) has at most
 # n log2(1 + max |coefficient|) bits (Cauchy's bound on the roots). A term of s
-# digits costs s * min(s, digits of _SPLIT_BITS) to print, and order^2 s^1.585 to
-# jump to or 2 order s in the forward pass, which runs through every term up to hi.
+# digits printed from an int costs s * min(s, digits of _SPLIT_BITS), and
+# order^2 s^1.585 to jump to or 2 order s a term in the int forward pass. `iter`
+# prints only the first order terms of its range from ints; the Decimal pass goes
+# on from them at 2 units per decimal digit a term, which bounds the output too.
 # At 0.8-3 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
 _SEQ_MAX_WORK = 15 * 10**8
 
 
 def _check_work(family: sequences.Family, lo: int, hi: int, method: str) -> None:
     rec = family.recurrence
-    per_index = log2(1 + max(map(abs, rec.coeffs))) / sys.int_info.bits_per_digit
+    bound = 1 + max(map(abs, rec.coeffs))
+    per_index = log2(bound) / sys.int_info.bits_per_digit
     split = _SPLIT_BITS / sys.int_info.bits_per_digit
     jump = 0 if method == "iter" else rec.order**2
     top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
-    work = 0.0 if jump else rec.order * per_index * top * top
+    last_int = lo + rec.order - 1 if method == "iter" else top  # last term printed from an int
+    work = 0.0 if jump else rec.order * per_index * min(top, last_int) ** 2
     for n in range(top, min(lo, top) - 1, -1):  # largest terms first: a refusal comes early
         size = per_index * n
-        work += size * min(size, split) + jump * size**1.585
+        if n > last_int:
+            work += 2 * log10(bound) * n
+        else:
+            work += size * min(size, split) + jump * size**1.585
         if work > _SEQ_MAX_WORK:
             raise count2d.BudgetError(
                 f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
@@ -167,14 +201,14 @@ def cmd_seq(args) -> int:
     _check_work(family, args.start, args.end, args.method)
     indices = range(args.start, args.end + 1)
     if args.method == "iter":
-        values = sequences.rec_values(family.recurrence, args.start, args.end)
+        values = _decimal_terms(family.recurrence, args.start, args.end)
     else:
-        values = (family.eval(n, args.method) for n in indices)
+        values = (_decimal_str(family.eval(n, args.method)) for n in indices)
     for n, value in zip(indices, values):
         if args.json:
-            print(_json_line({"family": family.name, "n": n, "value": _decimal_str(value)}))
+            print(_json_line({"family": family.name, "n": n, "value": value}))
         else:
-            print(f"{n}\t{_decimal_str(value)}")
+            print(f"{n}\t{value}")
     return 0
 
 
@@ -217,9 +251,9 @@ def cmd_bfile(args) -> int:
     _check_work(family, family.start, args.to, "iter")
     for n, value in zip(
         range(family.start, args.to + 1),
-        sequences.rec_values(family.recurrence, family.start, args.to),
+        _decimal_terms(family.recurrence, family.start, args.to),
     ):
-        print(f"{n} {_decimal_str(value)}")
+        print(f"{n} {value}")
     return 0
 
 

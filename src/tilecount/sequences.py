@@ -6,16 +6,21 @@ and most also carry a closed form whose terms live in Q(sqrt(d)).
 A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
 modulo the characteristic polynomial by binary powering, and the remainder's
 coefficients weight the initial terms, so a jump costs O(d^2 log n) big
-multiplies. A closed form is stored as integer data: each coefficient and
-base is an element of Z[sqrt(d)] over one of two common denominators. It is
-evaluated exactly: the bases are powered with three big multiplies per
-squaring, and the terms are summed over one denominator. The irrational part
-must cancel and the rational remainder must be a nonnegative integer; a
-failure of either condition raises, since it can only mean a mistranscribed
-formula.
+multiplies. A range of terms comes from one forward pass, ``rec_terms``,
+which holds only the last d terms and yields each term of the range in turn;
+it runs on ints, or on exact Decimals when started from Decimal initial
+terms. ``rec_values`` is that pass as a list of ints. A closed form is
+stored as integer data: each coefficient and base is an element of
+Z[sqrt(d)] over one of two common denominators. It is evaluated exactly:
+the bases are powered with three big multiplies per squaring, and the terms
+are summed over one denominator, whose power of two is divided out by a
+shift. The irrational part must cancel and the rational remainder must be a
+nonnegative integer; a failure of either condition raises, since it can
+only mean a mistranscribed formula.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -80,7 +85,8 @@ def closed_eval(cf: ClosedForm, n: int) -> int:
 
     Each distinct base is powered once in Z[sqrt(d)], and the power of its
     conjugate is read off the same result. The terms are summed over the
-    common denominator coeff_den * base_den^n.
+    common denominator coeff_den * base_den^n; its power of two is divided
+    out by a shift.
     """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
@@ -95,15 +101,19 @@ def closed_eval(cf: ClosedForm, n: int) -> int:
         u, v = powers[p, r]
         num_a += cp * u + d * cr * v
         num_b += cp * v + cr * u
-    den = coeff_den * base_den**n
+    # base_den^n = 2^shift * odd^n: the power of two divides out by a shift
+    # of num_a, whose low bits must be zero, instead of a long division.
+    twos = (base_den & -base_den).bit_length() - 1
+    shift = twos * n
+    den = coeff_den * (base_den >> twos) ** n
     if num_b:
         raise ClosedFormCancellationError(
-            f"irrational part {Fraction(num_b, den)}*sqrt({d}) left over at n={n}"
+            f"irrational part {Fraction(num_b, den << shift)}*sqrt({d}) left over at n={n}"
         )
-    value, remainder = divmod(num_a, den)
-    if remainder or value < 0:
+    value, remainder = divmod(num_a >> shift, den)
+    if remainder or num_a & ((1 << shift) - 1) or value < 0:
         raise ClosedFormCancellationError(
-            f"closed form produced non-count value {Fraction(num_a, den)} at n={n}"
+            f"closed form produced non-count value {Fraction(num_a, den << shift)} at n={n}"
         )
     return value
 
@@ -132,24 +142,30 @@ class LinearRecurrence:
         return len(self.coeffs)
 
 
-def rec_values(rec: LinearRecurrence, lo: int, hi: int) -> list[int]:
-    """Terms a(lo), ..., a(hi) in one forward pass: O(hi * order) big-int additions.
+def rec_terms(rec: LinearRecurrence, lo: int, hi: int) -> Iterator:
+    """Yield a(lo), ..., a(hi) from one forward pass: O(hi * order) additions.
 
-    Below ``lo`` only the last ``order`` terms are held.
+    Only the last ``order`` terms are held. The pass adds whatever numbers
+    ``rec.initial`` holds, scaled by the integer coefficients: ints, or
+    Decimals in an exact context. The index check runs at the first step.
     """
     if lo < rec.start:
         raise ValueError(f"index {lo} below starting index {rec.start}")
     if hi < lo:
-        return []
-    values = list(rec.initial[lo - rec.start : hi - rec.start + 1])
+        return
+    yield from rec.initial[lo - rec.start : hi - rec.start + 1]
     window = list(rec.initial)  # window[-1] is the newest term
     for n in range(rec.start + rec.order, hi + 1):
         nxt = sum(c * window[-i] for i, c in enumerate(rec.coeffs, start=1))
         window.pop(0)
         window.append(nxt)
         if n >= lo:
-            values.append(nxt)
-    return values
+            yield nxt
+
+
+def rec_values(rec: LinearRecurrence, lo: int, hi: int) -> list[int]:
+    """Terms a(lo), ..., a(hi) as a list, from one pass of ``rec_terms``."""
+    return list(rec_terms(rec, lo, hi))
 
 
 def rec_eval_iter(rec: LinearRecurrence, n: int) -> int:

@@ -1,8 +1,10 @@
+import decimal
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from tilecount import cli, identities, sequences
 from tilecount.cli import main, parse_region_spec
 from tilecount.identities import BOUNDS, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
-from tilecount.sequences import catalog, l3, rec_values
+from tilecount.sequences import catalog, l3, rec_eval_matpow, rec_values
 from tilecount.solid3d import Prism3D
 
 
@@ -142,7 +144,7 @@ def test_over_budget_counts_exit_2_fast(capsys, monkeypatch, argv, message):
     def computed(*args):
         raise AssertionError("a term was computed before the refusal")
 
-    for name in ("rec_values", "rec_eval_matpow", "closed_eval"):
+    for name in ("rec_values", "rec_terms", "rec_eval_matpow", "closed_eval"):
         monkeypatch.setattr(sequences, name, computed)
     start = time.perf_counter()
     result = run(capsys, *argv)
@@ -180,11 +182,57 @@ def test_count_and_bfile_print_through_the_split_path(capsys, monkeypatch):
     assert (code, json.loads(out)["count"]) == (0, str(value))
     code, out, _ = run(capsys, "count", "l3:30,30")
     assert (code, out) == (0, f"{value}\n")
+    # bfile prints its first order terms from ints, the rest from the Decimal
+    # pass; thresholds of a few bits send both int terms down the split path.
+    monkeypatch.setattr(cli, "_SPLIT_BITS", 2)
+    monkeypatch.setattr(cli, "_LEAF_BITS", 1)
     printed.clear()
     code, out, _ = run(capsys, "bfile", "L3", "--to", "40")
     values = rec_values(catalog()["L3"].recurrence, 1, 40)
-    assert printed == values and values[-1].bit_length() > 64
+    assert printed == values[:2] and min(printed).bit_length() > 2
     assert (code, out) == (0, "".join(f"{n} {v}\n" for n, v in enumerate(values, 1)))
+
+
+def test_the_decimal_pass_raises_instead_of_rounding(capsys, monkeypatch):
+    # With 50 digits of precision, L3's terms outgrow the context from n = 44.
+    monkeypatch.setattr(cli._EXACT, "prec", 50)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        main(["bfile", "L3", "--to", "200"])
+    out = capsys.readouterr().out
+    values = rec_values(catalog()["L3"].recurrence, 1, 200)
+    expected = "".join(f"{n} {v}\n" for n, v in enumerate(values, 1))
+    assert out and expected.startswith(out) and len(out) < len(expected)
+
+
+class _Sink:
+    """A stdout that keeps only the line count and the last line."""
+
+    def __init__(self):
+        self.lines, self.last = 0, ""
+
+    def write(self, text):
+        if text == "\n":
+            self.lines += 1
+        else:
+            self.last = text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_bfile_holds_only_a_window_of_terms(monkeypatch):
+    expected = f"6000 {rec_eval_matpow(catalog()['L3'].recurrence, 6000)}"
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["bfile", "L3", "--to", "6000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.lines, sink.last) == (0, 6000, expected)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ Hypothesis runs derandomized, so every run draws the same examples.
 """
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stdout
 from math import isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecount.cli import _SPLIT_BITS, _decimal_str
+from tilecount.cli import _SPLIT_BITS, _decimal_str, main
 from tilecount.count2d import (
     MAX_ORACLE_CELLS,
     count_tilings,
@@ -186,6 +188,40 @@ def index_windows(draw, max_index: int = 3000):
 def test_jump_equals_forward_pass(window):
     rec, lo, hi = window
     assert [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)] == rec_values(rec, lo, hi)
+
+
+@st.composite
+def printed_windows(draw, max_index: int = 1000):
+    """A family token and a window lo..hi to print: lo at the start index or
+    anywhere up to max_index, and 1, order, order + 1 or up to 40 terms."""
+    name = draw(st.sampled_from(sorted(catalog())))
+    rec = catalog()[name].recurrence
+    lo = draw(st.one_of(st.just(rec.start), st.integers(rec.start, max_index)))
+    count = draw(st.one_of(st.sampled_from((1, rec.order, rec.order + 1)), st.integers(1, 40)))
+    return name, lo, lo + count - 1
+
+
+def _stdout(*argv: str) -> str:
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@PROPERTY
+@given(printed_windows())
+def test_iter_and_bfile_print_str_of_the_forward_pass(window):
+    name, lo, hi = window
+    rec = catalog()[name].recurrence
+    values = list(enumerate(rec_values(rec, lo, hi), lo))
+    assert _stdout("seq", name, str(lo), str(hi)) == "".join(
+        f"{n}\t{str(v)}\n" for n, v in values
+    )
+    assert _stdout("seq", name, str(lo), str(hi), "--json") == "".join(
+        f'{{"family":"{name}","n":{n},"value":"{str(v)}"}}\n' for n, v in values
+    )
+    assert _stdout("bfile", name, "--to", str(hi)) == "".join(
+        f"{n} {str(v)}\n" for n, v in enumerate(rec_values(rec, rec.start, hi), rec.start)
+    )
 
 
 @st.composite

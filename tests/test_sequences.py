@@ -216,6 +216,25 @@ def test_cancellation_error_fires_on_non_integer_value():
         closed_eval(ClosedForm(5, 2, 2, half.terms[:1]), 3)
 
 
+@pytest.mark.parametrize("base_den", [2, 4])
+def test_a_power_of_two_denominator_keeps_the_low_bits_checked(base_den):
+    # 3 + (1 / base_den)^n: shifted right, the numerator 3 base_den^n + 1 gives
+    # 3 exactly; only its low bit shows that the value is no count.
+    form = ClosedForm(5, 1, base_den, ((3, 0, base_den, 0), (1, 0, 1, 0)))
+    for n in (1, 2, 70):
+        value = f"{3 * base_den**n + 1}/{base_den**n}"
+        with pytest.raises(
+            ClosedFormCancellationError,
+            match=f"^closed form produced non-count value {value} at n={n}$",
+        ):
+            closed_eval(form, n)
+
+
+def test_l2d_closed_form_equals_the_jump_far_out():
+    fam = catalog()["L2D"]
+    assert closed_eval(fam.closed, 10**5) == rec_eval_matpow(fam.recurrence, 10**5)
+
+
 def test_closed_form_rejects_bad_radicands():
     for d in (4, 12, 18):
         with pytest.raises(ValueError, match="radicand must be square-free"):
