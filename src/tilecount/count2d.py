@@ -1,21 +1,24 @@
 """Exact domino-tiling counters for arbitrary 2D regions.
 
-Three counting routes, on purpose:
+Two counting routes, on purpose:
 
 * ``count_tilings`` — the counter every caller uses (the CLI, the identity
   suites and the flat layers of ``solid3d``): the absolute value of the
   Kasteleyn determinant, reduced by sparse fraction-free elimination;
-* ``count_tilings_dp`` — broken-profile dynamic programming, an
-  independent cross-check the tests compare the determinant against;
 * ``count_tilings_bruteforce`` — direct backtracking over placements, the
-  oracle both are validated against on small regions. Its search,
+  oracle the determinant is validated against on small regions. Its search,
   ``perfect_matchings``, also drives ``enumerate_tilings`` and the 3D
   oracle in ``solid3d``.
 
-The determinant refuses only regions over its work budget, the DP regions
-more than 32 cells across both ways, and the search regions of more than 30
-cells. Each refusal raises ``BudgetError`` before any work. All counts are
-exact Python integers; nothing here touches floating point.
+The tests cross-check the determinant on larger regions against the layer
+DP of ``solid3d``: a region is a 1 x W prism, W its narrow side, with one
+layer per row and its missing cells deleted. That DP's flat counts are
+one-row regions, which the tests check against the oracle in full.
+
+The determinant refuses only regions over its work budget, and the search
+regions of more than 30 cells. Each refusal raises ``BudgetError`` before
+any work. All counts are exact Python integers; nothing here touches
+floating point.
 """
 from __future__ import annotations
 
@@ -25,9 +28,8 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import add
 
-from .regions2d import Cell, Region2D, transpose
+from .regions2d import Cell, Region2D
 
-MAX_PROFILE_WIDTH = 32  # the profile DP's bitmask width
 # The determinant's work estimate is sum(level size^3) * (1 + cells / _BIG_INT_CELLS)^2:
 # a level of n cells costs about n^3 updates of entries that grow with the region.
 # At 16-40 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
@@ -169,64 +171,6 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
         column.clear()
         pivots.append(pivot)
     return abs(pivots[n])
-
-
-def count_tilings_dp(region: Region2D) -> int:
-    """Exact number of perfect domino tilings of ``region``, by the profile DP.
-
-    The cross-check for ``count_tilings``; only the tests call it.
-    Cell-by-cell broken-profile DP. The scan runs row-major over the bounding
-    box; the state is a bitmask over the columns where, standing at column c
-    of row r, bits >= c describe row r and bits < c describe row r+1. A set
-    bit means the cell is already covered by a previously placed domino.
-    Regions wider than tall are transposed first so the mask spans the
-    narrow dimension; one over ``MAX_PROFILE_WIDTH`` raises ``BudgetError``.
-
-    The empty region counts 1; any region with an odd number of cells
-    counts 0.
-    """
-    if not region.cells:
-        return 1
-    if region.width > region.height:
-        region = transpose(region)
-    width, height = region.width, region.height
-    if width > MAX_PROFILE_WIDTH:
-        raise BudgetError(
-            f"region is {width} cells across in its narrow dimension; "
-            f"the profile DP supports at most {MAX_PROFILE_WIDTH}"
-        )
-    if len(region.cells) % 2:
-        return 0
-
-    cells = region.cells
-    states: dict[int, int] = {0: 1}
-    for r in range(height):
-        for c in range(width):
-            bit = 1 << c
-            here = (r, c) in cells
-            right = c + 1 < width and (r, c + 1) in cells
-            below = (r + 1, c) in cells
-            nxt: dict[int, int] = {}
-            for mask, ways in states.items():
-                if not here:
-                    if not mask & bit:  # nothing may protrude into a missing cell
-                        nxt[mask] = nxt.get(mask, 0) + ways
-                    continue
-                if mask & bit:
-                    # already covered; the bit now refers to (r+1, c), clear it
-                    m = mask & ~bit
-                    nxt[m] = nxt.get(m, 0) + ways
-                    continue
-                if right and not mask & (bit << 1):
-                    m = mask | (bit << 1)
-                    nxt[m] = nxt.get(m, 0) + ways
-                if below:
-                    m = mask | bit
-                    nxt[m] = nxt.get(m, 0) + ways
-            states = nxt
-            if not states:
-                return 0
-    return states.get(0, 0)
 
 
 def perfect_matchings(cells: frozenset, steps) -> Iterator[tuple]:

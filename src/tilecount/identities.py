@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .count2d import count_tilings
 from .regions2d import a_grid, b_grid, c_grid, l2_region, l3_region
 from .sequences import catalog, closed_eval, l2, l3, rec_values
-from .solid3d import count_bricks, tower
+from .solid3d import count_bricks, layer_counts, tower
 
 # Reference values, n = 1..10.
 TABLE1 = {
@@ -222,8 +222,9 @@ def verify_crux(max_n: int = 200) -> Report:
 def verify_thm32(max_n: int = 200) -> Report:
     """Tower counts as squares: T(2n) = A(n)^2 and T(2n+1) = 2 B(n)^2.
 
-    The towers counted by the 3D layer DP stop at THM32_DP_MAX layers, and at
-    T(2 max_n + 1), the last term the bound computes.
+    The towers counted by the 3D layer DP, all read from one pass, stop at
+    THM32_DP_MAX layers, and at T(2 max_n + 1), the last term the bound
+    computes.
     """
     _check_bounds("thm32", max_n=max_n)
     t = _family_values("T", 1, 2 * max_n + 1)
@@ -233,8 +234,9 @@ def verify_thm32(max_n: int = 200) -> Report:
     for n in range(1, max_n + 1):
         checks.append(CheckResult("thm32.even", (n,), t[2 * n], a[n] ** 2))
         checks.append(CheckResult("thm32.odd", (n,), t[2 * n + 1], 2 * b[n] ** 2))
-    for m in range(1, min(THM32_DP_MAX, 2 * max_n + 1) + 1):
-        checks.append(CheckResult("thm32.tower_dp", (m,), count_bricks(tower(m)), t[m]))
+    tower_dp = layer_counts(tower(min(THM32_DP_MAX, 2 * max_n + 1)))
+    for m, count in enumerate(tower_dp, start=1):
+        checks.append(CheckResult("thm32.tower_dp", (m,), count, t[m]))
     return Report(checks)
 
 

@@ -5,12 +5,18 @@ optional set of deleted cells. Counting is a sparse transfer through the
 layers: a state is the set of cells whose bricks stand upright into the next
 layer, and a move is an upright set with its number of flat completions,
 counted by the 2D domino counter, so both dimensions share one tested
-kernel. A layer of a k-cell cross-section has up to 3^k (state, move)
-pairs, so a prism whose estimated work, layers * 3^k scaled by its cell
-count, is over budget raises ``BudgetError`` before the first layer.
+kernel. ``layer_counts`` yields the count of every prefix of layers from one
+pass; ``count_bricks`` is its last value. A 2D region of width W is a
+1 x W prism with one layer per row and its missing cells deleted, so the
+same transfer is the tests' cross-check of the 2D counter.
+
+A layer of a k-cell cross-section has up to 3^k (state, move) pairs, so a
+prism whose estimated work, layers * 3^k scaled by its cell count, is over
+budget raises ``BudgetError`` before the first layer.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -83,16 +89,17 @@ def m_tower(n: int) -> Prism3D:
     )
 
 
-def count_bricks(prism: Prism3D) -> int:
-    """Exact number of perfect 1x1x2 brick tilings of a prism.
+def layer_counts(prism: Prism3D) -> Iterator[int]:
+    """Yield, after each layer z, the number of brick tilings of layers 0..z.
 
     Sparse transfer: states are protrusion masks (cells covered from below),
     and ``moves(free, above)`` lists, for a layer's free cells, each upright
     set that also exists in the layer above with its nonzero flat count from
-    the 2D kernel. Moves and flat counts are cached for the call.
+    the 2D kernel. Moves and flat counts are cached for the call. The count
+    after layer z is the weight of the state with nothing protruding.
 
     A prism whose work estimate exceeds ``_MAX_WORK`` raises
-    ``BudgetError`` before the first layer.
+    ``BudgetError`` on the first ``next()``, before any flat count.
     """
     cross = sorted(prism.cross_section)
     work = prism.layers * 3 ** len(cross) * (_BIG_INT_CELLS + prism.cell_count) // _BIG_INT_CELLS
@@ -127,9 +134,16 @@ def count_bricks(prism: Prism3D) -> int:
             for up, flat in moves(present & ~protruding, above):
                 nxt[up] = nxt.get(up, 0) + ways * flat
         states = nxt
-        if not states:
-            return 0
-    return states.get(0, 0)
+        yield states.get(0, 0)
+
+
+def count_bricks(prism: Prism3D) -> int:
+    """Exact number of perfect 1x1x2 brick tilings of a prism: the last
+    value ``layer_counts`` yields, or 1 for a prism of no layers."""
+    count = 1
+    for count in layer_counts(prism):
+        pass
+    return count
 
 
 def count_bricks_bruteforce(prism: Prism3D) -> int:

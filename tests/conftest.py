@@ -12,6 +12,7 @@ from tilecount.regions2d import (
     l2_region,
     l3_region,
     rect,
+    transpose,
 )
 from tilecount.solid3d import Prism3D, m_tower, tower
 
@@ -50,6 +51,20 @@ def region_corpus_2d(seed: int = 20240229, n_random: int = 200) -> list[Region2D
         regions.append(random_connected_region(rng, size))
     assert all(r.cell_count <= 28 for r in regions)
     return regions
+
+
+def strip_prism(region: Region2D) -> Prism3D:
+    """The region as a 1 x W prism, W its narrow side, for the layer DP.
+
+    A region wider than tall is transposed first. The cross-section is the
+    row of W cells, each row of the region is one layer, and each missing
+    bounding-box cell is a deleted cell.
+    """
+    if region.width > region.height:
+        region = transpose(region)
+    width, height = region.width, region.height
+    missing = {(0, c, r) for r in range(height) for c in range(width) if (r, c) not in region}
+    return Prism3D({(0, c) for c in range(width)}, height, missing)
 
 
 _CROSS_SECTIONS = [

@@ -3,14 +3,13 @@ import time
 
 import pytest
 
-from conftest import random_connected_region, region_corpus_2d
+from conftest import random_connected_region, region_corpus_2d, strip_prism
 from tilecount.cli import main
 from tilecount.count2d import (
     BudgetError,
     Tiling,
     count_tilings,
     count_tilings_bruteforce,
-    count_tilings_dp,
     enumerate_tilings,
     parse_tiling_ascii,
     render_tiling_ascii,
@@ -28,6 +27,7 @@ from tilecount.regions2d import (
     rotate90,
 )
 from tilecount.sequences import l2, l3
+from tilecount.solid3d import count_bricks, layer_counts
 
 # frozen oracle values: 2 x n rectangle counts are the shifted Fibonacci run
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233]
@@ -68,13 +68,13 @@ def ktf_rectangle(rows: int, cols: int) -> int:
 
 def test_empty_region_counts_one():
     assert count_tilings(Region2D()) == 1
-    assert count_tilings_dp(Region2D()) == 1
+    assert count_bricks(strip_prism(Region2D())) == 1
     assert count_tilings_bruteforce(Region2D()) == 1
 
 
 def test_odd_cell_count_is_zero():
     assert count_tilings(rect(3, 3)) == 0
-    assert count_tilings_dp(rect(3, 3)) == 0
+    assert count_bricks(strip_prism(rect(3, 3))) == 0
     assert count_tilings_bruteforce(rect(3, 3)) == 0
     assert count_tilings(Region2D([(0, 0)])) == 0
 
@@ -96,12 +96,12 @@ def test_island_inside_a_hole():
     # a 7x7 frame around a 5x5 hole that holds one domino: 23 missing cells
     frame = [(r, c) for r in range(7) for c in range(7) if r in (0, 6) or c in (0, 6)]
     region = Region2D(frame + [(3, 2), (3, 3)])
-    assert count_tilings(region) == count_tilings_dp(region) == 2
+    assert count_tilings(region) == count_bricks(strip_prism(region)) == 2
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_aztec_diamond_counts_a_power_of_two(n):
-    # order 16 is 32 cells across both ways, the widest the guard admits
+    # order 16 is 32 cells across both ways; the determinant has no width cap
     assert count_tilings(aztec_diamond(n)) == 2 ** (n * (n + 1) // 2)
 
 
@@ -113,6 +113,16 @@ def test_count_rect_24_by_24_matches_the_product_formula(capsys):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_two_by_n_is_fibonacci(n):
     assert count_tilings(rect(2, n)) == FIB[n]
+
+
+@pytest.mark.parametrize("width", range(2, 7))
+def test_one_layer_pass_counts_every_rectangle_of_a_strip(width):
+    # a W x n rectangle is the first n layers of the 1 x W strip prism,
+    # zeros for odd W * n included; the 2-wide pass is the Fibonacci run
+    counts = list(layer_counts(strip_prism(rect(len(FIB) - 1, width))))
+    assert counts == [count_tilings(rect(n, width)) for n in range(1, len(FIB))]
+    if width == 2:
+        assert counts == FIB[1:]
 
 
 def test_small_rectangles():
@@ -143,17 +153,15 @@ def test_region_with_hole():
     assert count_tilings(region) == count_tilings_bruteforce(region)
 
 
-def test_wide_region_is_transposed_not_rejected():
+def test_a_long_strip_counts_alike_lying_and_standing():
     count = count_tilings(rect(3, 40))
-    assert count == count_tilings(rect(40, 3)) == count_tilings_dp(rect(3, 40))
+    assert count == count_tilings(rect(40, 3)) == count_bricks(strip_prism(rect(3, 40)))
 
 
 def test_width_guard():
-    # the determinant refuses on its work estimate, the DP on its width cap
+    # the determinant refuses on its work estimate, not on a width cap
     with pytest.raises(BudgetError, match="exceeds the budget of 100,000,000"):
         count_tilings(rect(200, 200))
-    with pytest.raises(BudgetError, match="profile DP supports at most 32"):
-        count_tilings_dp(rect(33, 33))
     # zero counts come first, however large the region
     assert count_tilings(rect(201, 201)) == 0
     assert count_tilings(Region2D(rect(200, 200).cells - {(0, 0), (1, 1)})) == 0
@@ -217,11 +225,21 @@ def test_oracle_equivalence_on_corpus():
     for region in corpus:
         count = count_tilings(region)
         assert count == count_tilings_bruteforce(region), to_fail_msg("determinant", region)
-        assert count_tilings_dp(region) == count, to_fail_msg("DP", region)
+        assert count_bricks(strip_prism(region)) == count, to_fail_msg("layer DP", region)
 
 
 def to_fail_msg(route, region):
     return f"{route} != brute force on:\n{region}"
+
+
+def test_every_one_row_region_matches_the_oracle():
+    # The layer DP counts a strip prism's flat layers with the determinant,
+    # on one row of cells. Pinning those counts to the search keeps the
+    # strip route an independent check of the determinant.
+    for width in range(1, 13):
+        for mask in range(2**width):
+            region = Region2D((0, c) for c in range(width) if mask >> c & 1)
+            assert count_tilings(region) == count_tilings_bruteforce(region), region
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

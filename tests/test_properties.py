@@ -11,12 +11,12 @@ from math import isqrt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import strip_prism
 from tilecount.cli import _SPLIT_BITS, _decimal_str, main
 from tilecount.count2d import (
     MAX_ORACLE_CELLS,
     count_tilings,
     count_tilings_bruteforce,
-    count_tilings_dp,
     enumerate_tilings,
 )
 from tilecount.regions2d import Region2D, reflect_h, rotate90
@@ -92,7 +92,7 @@ def square_symmetries(region: Region2D) -> list[Region2D]:
 def test_dp_equals_oracle_equals_enumeration(region):
     count = count_tilings(region)
     assert count == count_tilings_bruteforce(region)
-    assert count_tilings_dp(region) == count
+    assert count_bricks(strip_prism(region)) == count
     assert len(enumerate_tilings(region, 10**6)) == count
 
 
@@ -100,7 +100,7 @@ def test_dp_equals_oracle_equals_enumeration(region):
 @given(punched_rectangles())
 def test_determinant_equals_dp_around_holes(region):
     count = count_tilings(region)
-    assert count == count_tilings_dp(region)
+    assert count == count_bricks(strip_prism(region))
     if region.cell_count <= MAX_ORACLE_CELLS:
         assert count == count_tilings_bruteforce(region)
 

@@ -8,6 +8,7 @@ from tilecount.solid3d import (
     Prism3D,
     count_bricks,
     count_bricks_bruteforce,
+    layer_counts,
     m_tower,
     tower,
 )
@@ -104,11 +105,23 @@ def test_single_cell_column():
     # 1x1 cross-section: only upright bricks fit, so parity decides
     assert count_bricks(Prism3D({(0, 0)}, 4)) == 1
     assert count_bricks(Prism3D({(0, 0)}, 5)) == 0
+    assert list(layer_counts(Prism3D({(0, 0)}, 5))) == [0, 1, 0, 1, 0]
 
 
 def test_empty_prism_counts_one():
     assert count_bricks(Prism3D(set(), 0)) == 1
     assert count_bricks(Prism3D({(0, 0), (0, 1)}, 0)) == 1
+    assert list(layer_counts(Prism3D({(0, 0), (0, 1)}, 0))) == []
+
+
+def test_over_budget_prism_is_refused_before_any_flat_count(monkeypatch):
+    def no_flat_count(region):
+        raise AssertionError("a flat count ran before the budget check")
+
+    monkeypatch.setattr(solid3d, "count_tilings", no_flat_count)
+    counts = layer_counts(tower(1_000_000))
+    with pytest.raises(BudgetError, match="estimated layer-DP work"):
+        next(counts)
 
 
 def test_cross_section_guard():
