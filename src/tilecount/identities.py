@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .count2d import count_tilings
 from .regions2d import a_grid, b_grid, c_grid, l2_region, l3_region
 from .sequences import catalog, closed_eval, l2, l3, rec_values
-from .solid3d import count_bricks, layer_counts, tower
+from .solid3d import layer_counts, tower
 
 # Reference values, n = 1..10.
 TABLE1 = {
@@ -134,16 +134,21 @@ def _check_bounds(suite: str, **bounds: int) -> None:
             raise ValueError(f"{name} must be at most {limit}, got {bound}")
 
 
-# Frozen table rows: (family, column for n = 1..10, geometric count of index n,
-# last n counted). The geometric work stops early where it would slow the
-# default suite.
+def _each(count):
+    """Geometric counts of n = 1..last, one ``count(n)`` call each."""
+    return lambda last: [count(n) for n in range(1, last + 1)]
+
+
+# Frozen table rows: (family, column for n = 1..10, geometric counts of
+# n = 1..last, last n counted). The geometric work stops early where it would
+# slow the default suite; the towers are all read from one layer DP pass.
 _TABLE1_ROWS = (
-    ("A", TABLE1["A"], lambda n: count_tilings(a_grid(n)), 10),
-    ("B", TABLE1["B"], lambda n: count_tilings(b_grid(n)), 10),
-    ("C", TABLE1["C"], lambda n: count_tilings(c_grid(n)), 10),
-    ("L3", TABLE1["L3"], lambda n: count_tilings(l3_region(n, n)), 6),
+    ("A", TABLE1["A"], _each(lambda n: count_tilings(a_grid(n))), 10),
+    ("B", TABLE1["B"], _each(lambda n: count_tilings(b_grid(n))), 10),
+    ("C", TABLE1["C"], _each(lambda n: count_tilings(c_grid(n))), 10),
+    ("L3", TABLE1["L3"], _each(lambda n: count_tilings(l3_region(n, n))), 6),
 )
-_TABLE2_ROWS = (("T", TABLE2_T, lambda n: count_bricks(tower(n)), 8),)
+_TABLE2_ROWS = (("T", TABLE2_T, lambda last: layer_counts(tower(last)), 8),)
 
 
 def _table(suite: str, rows, max_n: int) -> Report:
@@ -159,8 +164,9 @@ def _table(suite: str, rows, max_n: int) -> Report:
             checks.append(
                 CheckResult(f"{suite}.{name}.closed", (n,), closed_eval(fam.closed, n), expected)
             )
-            if n <= last_counted:
-                checks.append(CheckResult(f"{suite}.{name}.dp", (n,), geometric(n), expected))
+        counts = geometric(min(max_n, last_counted))
+        for n, count in enumerate(counts, start=1):
+            checks.append(CheckResult(f"{suite}.{name}.dp", (n,), count, column[n - 1]))
     return Report(checks)
 
 

@@ -7,16 +7,18 @@ A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
 modulo the characteristic polynomial by binary powering, and the remainder's
 coefficients weight the initial terms, so a jump costs O(d^2 log n) big
 multiplies. A range of terms comes from one forward pass, ``rec_terms``,
-which holds only the last d terms and yields each term of the range in turn;
-it runs on ints, or on exact Decimals when started from Decimal initial
-terms. ``rec_values`` is that pass as a list of ints. A closed form is
-stored as integer data: each coefficient and base is an element of
-Z[sqrt(d)] over one of two common denominators. It is evaluated exactly:
-the bases are powered with three big multiplies per squaring, and the terms
-are summed over one denominator, whose power of two is divided out by a
-shift. The irrational part must cancel and the rational remainder must be a
-nonnegative integer; a failure of either condition raises, since it can
-only mean a mistranscribed formula.
+which holds only the last d terms and yields each term of the range in turn.
+Both run in whatever numbers the initial terms are: ints, or Decimals in an
+exact context, whose big multiplies are subquadratic and whose result needs
+no conversion to print. ``rec_values`` is the pass as a list of ints. A
+closed form is stored as integer data: each coefficient and base is an
+element of Z[sqrt(d)] over one of two common denominators. It is evaluated
+exactly, in ints or from a Decimal unit: the bases are powered with three
+big multiplies per squaring, and the terms are summed over one denominator,
+whose power of two is divided out by a shift, or for Decimals by a power of
+five and a decimal shift. The irrational part must cancel and the rational
+remainder must be a nonnegative integer; a failure of either condition
+raises, since it can only mean a mistranscribed formula.
 """
 from __future__ import annotations
 
@@ -65,55 +67,65 @@ class ClosedForm:
             raise ValueError("closed form needs at least one term")
 
 
-def _quad_pow(p: int, r: int, d: int, n: int) -> tuple[int, int]:
-    """(u, v) with u + v sqrt(d) = (p + r sqrt(d))^n, by left-to-right binary powering.
+def _quad_pow(p: int, r: int, d: int, n: int, unit=1) -> tuple:
+    """(u, v) with u + v sqrt(d) = unit * (p + r sqrt(d))^n, by left-to-right binary powering.
 
-    A squaring costs three big multiplies; a set bit multiplies by the small
-    base only.
+    u and v are numbers of the unit's type. A squaring costs three big
+    multiplies; a set bit multiplies by the small base only.
     """
-    u, v = 1, 0
+    u, v = unit, 0 * unit
     for bit in bin(n)[2:]:
         uv = u * v
-        u, v = u * u + d * (v * v), uv << 1
+        u, v = u * u + d * (v * v), uv + uv
         if bit == "1":
             u, v = u * p + d * r * v, u * r + v * p
     return u, v
 
 
-def closed_eval(cf: ClosedForm, n: int) -> int:
+def closed_eval(cf: ClosedForm, n: int, unit=1):
     """Evaluate a closed form at n >= 0, checking exactness on the way out.
 
-    Each distinct base is powered once in Z[sqrt(d)], and the power of its
-    conjugate is read off the same result. The terms are summed over the
-    common denominator coeff_den * base_den^n; its power of two is divided
-    out by a shift.
+    The value is an int for the unit 1, and an integral Decimal for the unit
+    Decimal(1), computed in the current decimal context, which should be
+    exact. Each distinct base is powered once in Z[sqrt(d)], and the power of
+    its conjugate is read off the same result. The terms are summed over the
+    common denominator coeff_den * base_den^n; its power of two is divided out
+    by a shift.
     """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
     d, coeff_den, base_den = cf.d, cf.coeff_den, cf.base_den
-    powers: dict[tuple[int, int], tuple[int, int]] = {}
+    powers: dict[tuple[int, int], tuple] = {}
     num_a = num_b = 0
     for cp, cr, p, r in cf.terms:
         if (p, r) not in powers:
-            u, v = _quad_pow(p, r, d, n)
+            u, v = _quad_pow(p, r, d, n, unit)
             powers[p, -r] = (u, -v)
             powers[p, r] = (u, v)
         u, v = powers[p, r]
         num_a += cp * u + d * cr * v
         num_b += cp * v + cr * u
     # base_den^n = 2^shift * odd^n: the power of two divides out by a shift
-    # of num_a, whose low bits must be zero, instead of a long division.
+    # of num_a, whose low bits must be zero, instead of a long division. A
+    # Decimal is multiplied by 5^shift and shifted in base ten, and must be
+    # integral: a divmod of the unrounded value would be far slower.
     twos = (base_den & -base_den).bit_length() - 1
     shift = twos * n
     den = coeff_den * (base_den >> twos) ** n
     if num_b:
         raise ClosedFormCancellationError(
-            f"irrational part {Fraction(num_b, den << shift)}*sqrt({d}) left over at n={n}"
+            f"irrational part {Fraction(int(num_b), den << shift)}*sqrt({d}) left over at n={n}"
         )
-    value, remainder = divmod(num_a >> shift, den)
-    if remainder or num_a & ((1 << shift) - 1) or value < 0:
+    if isinstance(num_a, int):
+        halved, inexact = num_a >> shift, num_a & ((1 << shift) - 1)
+    else:
+        scaled = (num_a * (5 * unit) ** shift).scaleb(-shift)
+        halved = scaled.to_integral_value()
+        inexact = halved != scaled
+    value, remainder = divmod(halved, den)
+    if remainder or inexact or value < 0:
         raise ClosedFormCancellationError(
-            f"closed form produced non-count value {Fraction(num_a, den << shift)} at n={n}"
+            f"closed form produced non-count value {Fraction(int(num_a), den << shift)} at n={n}"
         )
     return value
 
@@ -185,14 +197,15 @@ def _reduce(poly: list[int], coeffs: tuple[int, ...]) -> list[int]:
     return poly
 
 
-def rec_eval_matpow(rec: LinearRecurrence, n: int) -> int:
+def rec_eval_matpow(rec: LinearRecurrence, n: int):
     """nth term by Fiduccia's jump: O(d^2 log n) big multiplies.
 
     x^(n - start) is reduced modulo the characteristic polynomial
     x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1] by left-to-right binary
     powering. A bit costs one squaring, d(d+1)/2 big multiplies reduced by the
     small coefficients, and a set bit a shift by x. The remainder
-    sum r_j x^j gives a(n) = sum r_j a(start + j).
+    sum r_j x^j gives a(n) = sum r_j a(start + j). The jump runs in the type
+    of ``rec.initial``: ints, or Decimals in an exact context.
     """
     if n < rec.start:
         raise ValueError(f"index {n} below starting index {rec.start}")
@@ -200,13 +213,14 @@ def rec_eval_matpow(rec: LinearRecurrence, n: int) -> int:
     d = rec.order
     if idx < d:
         return rec.initial[idx]
-    rem = [1] + [0] * (d - 1)
+    rem = [type(rec.initial[0])(1)] + [0] * (d - 1)
     for bit in bin(idx)[2:]:
         square = [0] * (2 * d - 1)
         for i, ri in enumerate(rem):
             square[2 * i] += ri * ri
             for j in range(i + 1, d):
-                square[i + j] += (ri * rem[j]) << 1
+                cross = ri * rem[j]
+                square[i + j] += cross + cross
         rem = _reduce(square, rec.coeffs)
         if bit == "1":
             rem = _reduce([0] + rem, rec.coeffs)

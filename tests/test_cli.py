@@ -160,7 +160,7 @@ def test_over_budget_counts_exit_2_fast(capsys, monkeypatch, argv, message):
         ("L3", 100999, 100999, "closed"),
         ("A", 1, 1009, "iter"),
         ("L3", 1, 4039, "iter"),
-        # the single term the docs time, at about 2 s
+        # the single term the docs time, at about 0.3 s
         ("L3", 1000000, 1000000, "matpow"),
     ],
 )
@@ -202,6 +202,15 @@ def test_the_decimal_pass_raises_instead_of_rounding(capsys, monkeypatch):
     values = rec_values(catalog()["L3"].recurrence, 1, 200)
     expected = "".join(f"{n} {v}\n" for n, v in enumerate(values, 1))
     assert out and expected.startswith(out) and len(out) < len(expected)
+
+
+@pytest.mark.parametrize("method", ["matpow", "closed"])
+def test_the_decimal_jump_raises_instead_of_rounding(capsys, monkeypatch, method):
+    # L3(200) has 115 digits, more than a 50-digit context holds.
+    monkeypatch.setattr(cli._EXACT, "prec", 50)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        main(["seq", "L3", "200", "200", "--method", method])
+    assert capsys.readouterr().out == ""
 
 
 class _Sink:

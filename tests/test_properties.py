@@ -8,6 +8,7 @@ import io
 from contextlib import redirect_stdout
 from math import isqrt
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,6 +222,32 @@ def test_iter_and_bfile_print_str_of_the_forward_pass(window):
     )
     assert _stdout("bfile", name, "--to", str(hi)) == "".join(
         f"{n} {str(v)}\n" for n, v in enumerate(rec_values(rec, rec.start, hi), rec.start)
+    )
+
+
+_JUMPS = [
+    (name, method)
+    for name, family in sorted(catalog().items())
+    for method in ("matpow", "closed")
+    if method == "matpow" or family.closed
+]
+
+
+@pytest.mark.parametrize("name, method", _JUMPS)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_jumps_print_str_of_the_library_int(name, method, data):
+    # seq --method matpow|closed jumps in Decimals; each printed term must be
+    # str() of the int the library's own jump or closed form returns.
+    family = catalog()[name]
+    low = st.integers(family.start, family.start + family.recurrence.order)
+    lo = data.draw(st.one_of(low, st.integers(family.start, 3000)), label="lo")
+    hi = data.draw(st.integers(lo, lo + 3), label="hi")
+    values = [(n, str(family.eval(n, method))) for n in range(lo, hi + 1)]
+    argv = ("seq", name, str(lo), str(hi), "--method", method)
+    assert _stdout(*argv) == "".join(f"{n}\t{v}\n" for n, v in values)
+    assert _stdout(*argv, "--json") == "".join(
+        f'{{"family":"{name}","n":{n},"value":"{v}"}}\n' for n, v in values
     )
 
 

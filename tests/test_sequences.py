@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -354,11 +355,55 @@ def test_seq_methods_print_the_same_bytes(capsys):
 
 
 def test_seq_prints_values_above_the_split_threshold_in_full(capsys):
-    value = rec_eval_matpow(catalog()["T"].recurrence, 120_000)
-    assert value.bit_length() > 3 * _SPLIT_BITS
-    for method in ("matpow", "closed"):
-        argv = ("T", "120000", "120000", "--method", method)
-        assert _seq_out(capsys, *argv) == f"120000\t{value}\n"
-        assert _seq_out(capsys, *argv, "--json") == (
-            f'{{"family":"T","n":120000,"value":"{value}"}}\n'
-        )
+    # L2D divides out 2^n from its closed form: the Decimal route's power of five
+    for name, n in (("T", 120_000), ("L3", 40_000), ("L2D", 110_000)):
+        value = rec_eval_matpow(catalog()[name].recurrence, n)
+        assert value.bit_length() > 3 * _SPLIT_BITS
+        for method in ("matpow", "closed"):
+            argv = (name, str(n), str(n), "--method", method)
+            assert _seq_out(capsys, *argv) == f"{n}\t{value}\n"
+            assert _seq_out(capsys, *argv, "--json") == (
+                f'{{"family":"{name}","n":{n},"value":"{value}"}}\n'
+            )
+
+
+def _with_closed_form(monkeypatch, name, form):
+    monkeypatch.setitem(catalog(), name, dataclasses.replace(catalog()[name], closed=form))
+
+
+def _seq_raises(capsys, name, n, match):
+    with pytest.raises(ClosedFormCancellationError, match=match):
+        main(["seq", name, str(n), str(n), "--method", "closed"])
+    assert capsys.readouterr().out == ""
+
+
+def test_seq_closed_raises_on_an_irrational_leftover(capsys, monkeypatch):
+    # one term of L3's conjugate pair alone
+    l3_form = catalog()["L3"].closed
+    _with_closed_form(monkeypatch, "L3", ClosedForm(3, 6, 1, l3_form.terms[:1]))
+    for n in (1, 30, 20_000):
+        _seq_raises(capsys, "L3", n, rf"\*sqrt\(3\) left over at n={n}$")
+
+
+@pytest.mark.parametrize("base_den", [2, 4])
+def test_seq_closed_raises_on_a_value_not_integral_after_the_power_of_two(
+    capsys, monkeypatch, base_den
+):
+    # 3 + (1 / base_den)^n: the power of two leaves 3 + 1/base_den^n, whose
+    # integer part 3 is a count; only the fraction shows the form is wrong.
+    form = ClosedForm(5, 1, base_den, ((3, 0, base_den, 0), (1, 0, 1, 0)))
+    _with_closed_form(monkeypatch, "L2D", form)
+    for n in (1, 2, 70):
+        value = f"{3 * base_den**n + 1}/{base_den**n}"
+        _seq_raises(capsys, "L2D", n, f"^closed form produced non-count value {value} at n={n}$")
+
+
+def test_seq_closed_raises_on_a_negative_value(capsys, monkeypatch):
+    # A(n) - 2 B(n) < 0 for all n: the sqrt(3) parts cancel, the sign is wrong
+    a, b = catalog()["A"].closed, catalog()["B"].closed
+    terms = a.terms + tuple((-2 * cp, -2 * cr, p, r) for cp, cr, p, r in b.terms)
+    _with_closed_form(monkeypatch, "A", ClosedForm(a.d, a.coeff_den, a.base_den, terms))
+    for n in (1, 5, 300):
+        _seq_raises(capsys, "A", n, f"non-count value -.* at n={n}$")
+    _with_closed_form(monkeypatch, "A", ClosedForm(3, 1, 1, ((-1, 0, 1, 0),)))
+    _seq_raises(capsys, "A", 4, "non-count value -1 at n=4$")
