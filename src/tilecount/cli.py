@@ -24,11 +24,6 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-# Above this many bits, _decimal_str converts by divide and conquer: str(int)
-# is quadratic before CPython 3.12 and falls behind from about 40k bits.
-_SPLIT_BITS = 50_000
-_LEAF_BITS = 1024
-
 # The exact context of every Decimal this module computes: any rounding or
 # overflow raises instead of printing wrong digits.
 _EXACT = decimal.Context(
@@ -45,74 +40,34 @@ _EXACT = decimal.Context(
 )
 
 
-def _decimal_str(n: int) -> str:
-    """str(n), in subquadratic time for big n.
+def _terms(family: sequences.Family, lo: int, hi: int, method: str) -> Iterator[str]:
+    """The decimal strings of a(lo), ..., a(hi), computed by ``method``.
 
-    n is split in binary and rebuilt as a Decimal in the exact context, whose
-    multiplication is subquadratic, as CPython 3.12's _pylong does.
-    """
-    if n.bit_length() <= _SPLIT_BITS:
-        return str(n)
-    if n < 0:
-        return "-" + _decimal_str(-n)
-    powers: dict[int, decimal.Decimal] = {}
-
-    def two_to(bits: int) -> decimal.Decimal:
-        power = powers.get(bits)
-        if power is None:
-            if bits <= _LEAF_BITS:
-                power = decimal.Decimal(1 << bits)
-            else:
-                power = two_to(bits >> 1) * two_to(bits - (bits >> 1))
-            powers[bits] = power
-        return power
-
-    def build(m: int, bits: int) -> decimal.Decimal:
-        if bits <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        half = bits >> 1
-        hi = m >> half
-        return build(hi, bits - half) * two_to(half) + build(m - (hi << half), half)
-
-    with decimal.localcontext(_EXACT):
-        return str(build(n, n.bit_length()))
-
-
-def _decimal_terms(rec: sequences.LinearRecurrence, lo: int, hi: int) -> Iterator[str]:
-    """The decimal strings of a(lo), ..., a(hi), from one forward pass.
-
-    The pass runs in ints up to the first ``order`` terms of the range, each
-    converted once by ``_decimal_str``, and goes on from them in exact Decimal
-    arithmetic, where each step and each str is linear in the term's size.
-    The exact context stays current while the tail is suspended, until it
-    ends or is closed.
-    """
-    head = [_decimal_str(v) for v in sequences.rec_values(rec, lo, min(hi, lo + rec.order - 1))]
-    yield from head
-    if hi >= lo + rec.order:
-        tail = sequences.LinearRecurrence(rec.coeffs, tuple(map(decimal.Decimal, head)), lo)
-        with decimal.localcontext(_EXACT):
-            yield from map(str, sequences.rec_terms(tail, lo + rec.order, hi))
-
-
-def _jump_terms(family: sequences.Family, lo: int, hi: int, method: str) -> Iterator[str]:
-    """The decimal strings of a(lo), ..., a(hi), each by the jump or the closed form.
-
-    Each term is computed in exact Decimal arithmetic, from Decimal initial
-    terms or a Decimal unit, so it needs no conversion to print. The exact
+    ``iter`` runs one forward pass, in ints to the first ``order`` terms of the
+    range and on from them in exact Decimals, where each step and each str is
+    linear in the term's size. ``matpow`` and ``closed`` jump to each term in
+    exact Decimals, from Decimal initial terms or a Decimal unit. The exact
     context stays current while the generator is suspended, until it ends or
     is closed.
     """
     rec = family.recurrence
-    initial = tuple(map(decimal.Decimal, rec.initial))
-    exact = sequences.LinearRecurrence(rec.coeffs, initial, rec.start)
     with decimal.localcontext(_EXACT):
-        for n in range(lo, hi + 1):
-            if method == "matpow":
-                value = sequences.rec_eval_matpow(exact, n)
-            else:
-                value = sequences.closed_eval(family.closed, n, decimal.Decimal(1))
-            yield str(value)
+        if method == "iter":
+            last = min(hi, lo + rec.order - 1)
+            head = [str(v) for v in sequences.rec_values(rec, lo, last)]
+            yield from head
+            if hi > last:
+                initial = tuple(map(decimal.Decimal, head))
+                tail = sequences.LinearRecurrence(rec.coeffs, initial, lo)
+                yield from map(str, sequences.rec_terms(tail, last + 1, hi))
+        else:
+            initial = tuple(map(decimal.Decimal, rec.initial))
+            exact = sequences.LinearRecurrence(rec.coeffs, initial, rec.start)
+            for n in range(lo, hi + 1):
+                if method == "matpow":
+                    yield str(sequences.rec_eval_matpow(exact, n))
+                else:
+                    yield str(sequences.closed_eval(family.closed, n, decimal.Decimal(1)))
 
 
 # token -> (module, builder, number of integer arguments). The builder is looked
@@ -161,10 +116,10 @@ def cmd_count(args) -> int:
     else:
         count = count2d.count_tilings(region)
     if args.json:
-        record = {"spec": args.spec, "cells": region.cell_count, "count": _decimal_str(count)}
+        record = {"spec": args.spec, "cells": region.cell_count, "count": str(count)}
         print(_json_line(record))
     else:
-        print(_decimal_str(count))
+        print(count)
     return 0
 
 
@@ -184,13 +139,13 @@ def _family(name: str, first: int, method: str = "iter") -> sequences.Family:
 # seq and bfile refuse a range whose estimated work, in operations on CPython int
 # digits, is over _SEQ_MAX_WORK, before computing any term. a(n) has at most
 # n log2(1 + max |coefficient|) bits (Cauchy's bound on the roots). A term of s
-# digits printed from an int costs s * min(s, digits of _SPLIT_BITS), and
-# order^2 s^1.585 to jump to or 2 order s a term in the int forward pass. `iter`
-# prints only the first order terms of its range from ints; the Decimal pass goes
-# on from them at 2 units per decimal digit a term, which bounds the output too.
-# `matpow` and `closed` jump in Decimals, whose multiplies are subquadratic, and
-# print with no conversion, but are still charged at the int cost above: the
-# estimate is high for them, and refuses exactly what it refused before.
+# digits is charged s * min(s, split) to print, and order^2 s^1.585 to jump to or
+# 2 order s a term in the int forward pass. `iter` computes only the first order
+# terms of its range in ints; the Decimal pass goes on from them at 2 units per
+# decimal digit a term, which bounds the output too. `matpow` and `closed` jump in
+# Decimals, whose multiplies are subquadratic, but are charged at the int cost
+# above. For terms under ~50,000 bits the print charge is what pays for their
+# Decimal multiplies: without it, ranges of many small jumps ran 9.5-27 s.
 # At 0.8-3 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
 _SEQ_MAX_WORK = 15 * 10**8
 
@@ -199,10 +154,11 @@ def _check_work(family: sequences.Family, lo: int, hi: int, method: str) -> None
     rec = family.recurrence
     bound = 1 + max(map(abs, rec.coeffs))
     per_index = log2(bound) / sys.int_info.bits_per_digit
-    split = _SPLIT_BITS / sys.int_info.bits_per_digit
+    # a crossover fitted to the timings of the model, not the threshold of a converter
+    split = 50_000 / sys.int_info.bits_per_digit
     jump = 0 if method == "iter" else rec.order**2
     top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
-    last_int = lo + rec.order - 1 if method == "iter" else top  # last term printed from an int
+    last_int = lo + rec.order - 1 if method == "iter" else top  # last term at the int cost
     work = 0.0 if jump else rec.order * per_index * min(top, last_int) ** 2
     for n in range(top, min(lo, top) - 1, -1):  # largest terms first: a refusal comes early
         size = per_index * n
@@ -222,12 +178,8 @@ def cmd_seq(args) -> int:
     if args.end < args.start:
         raise ValueError("empty range")
     _check_work(family, args.start, args.end, args.method)
-    indices = range(args.start, args.end + 1)
-    if args.method == "iter":
-        values = _decimal_terms(family.recurrence, args.start, args.end)
-    else:
-        values = _jump_terms(family, args.start, args.end, args.method)
-    for n, value in zip(indices, values):
+    values = _terms(family, args.start, args.end, args.method)
+    for n, value in zip(range(args.start, args.end + 1), values):
         if args.json:
             print(_json_line({"family": family.name, "n": n, "value": value}))
         else:
@@ -272,10 +224,8 @@ def cmd_render(args) -> int:
 def cmd_bfile(args) -> int:
     family = _family(args.family, args.to)
     _check_work(family, family.start, args.to, "iter")
-    for n, value in zip(
-        range(family.start, args.to + 1),
-        _decimal_terms(family.recurrence, family.start, args.to),
-    ):
+    values = _terms(family, family.start, args.to, "iter")
+    for n, value in zip(range(family.start, args.to + 1), values):
         print(f"{n} {value}")
     return 0
 

@@ -11,6 +11,7 @@ import pytest
 
 from tilecount import cli, identities, sequences
 from tilecount.cli import main, parse_region_spec
+from tilecount.count2d import BudgetError
 from tilecount.identities import BOUNDS, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
 from tilecount.sequences import catalog, l3, rec_eval_matpow, rec_values
@@ -67,9 +68,11 @@ def test_count_known_values(capsys):
 
 
 def test_count_json(capsys):
-    code, out, err = run(capsys, "count", "l3:2,2", "--json")
-    assert code == 0
-    assert json.loads(out) == {"spec": "l3:2,2", "cells": 24, "count": "153"}
+    for spec, cells, count in (("l3:2,2", 24, 153), ("l3:30,30", 360, l3(30, 30))):
+        code, out, err = run(capsys, "count", spec, "--json")
+        assert code == 0
+        assert json.loads(out) == {"spec": spec, "cells": cells, "count": str(count)}
+        assert run(capsys, "count", spec) == (0, f"{count}\n", "")
 
 
 def test_count_errors_exit_2(capsys):
@@ -168,29 +171,28 @@ def test_seq_budget_admits_the_large_ranges_in_use(name, lo, hi, method):
     cli._check_work(catalog()[name], lo, hi, method)
 
 
-def test_count_and_bfile_print_through_the_split_path(capsys, monkeypatch):
-    # Lowered thresholds send these values down the divide-and-conquer path
-    # that values above 50,000 bits take; each printed value must pass it.
-    monkeypatch.setattr(cli, "_SPLIT_BITS", 64)
-    monkeypatch.setattr(cli, "_LEAF_BITS", 16)
-    printed = []
-    decimal_str = cli._decimal_str
-    monkeypatch.setattr(cli, "_decimal_str", lambda n: printed.append(n) or decimal_str(n))
-    code, out, _ = run(capsys, "count", "l3:30,30", "--json")
-    value = l3(30, 30)
-    assert value.bit_length() > 64 and printed == [value]
-    assert (code, json.loads(out)["count"]) == (0, str(value))
-    code, out, _ = run(capsys, "count", "l3:30,30")
-    assert (code, out) == (0, f"{value}\n")
-    # bfile prints its first order terms from ints, the rest from the Decimal
-    # pass; thresholds of a few bits send both int terms down the split path.
-    monkeypatch.setattr(cli, "_SPLIT_BITS", 2)
-    monkeypatch.setattr(cli, "_LEAF_BITS", 1)
-    printed.clear()
-    code, out, _ = run(capsys, "bfile", "L3", "--to", "40")
-    values = rec_values(catalog()["L3"].recurrence, 1, 40)
-    assert printed == values[:2] and min(printed).bit_length() > 2
-    assert (code, out) == (0, "".join(f"{n} {v}\n" for n, v in enumerate(values, 1)))
+@pytest.mark.parametrize(
+    "name, method, single, last",
+    [
+        ("L3", "iter", True, 75472),  # seq L3 n n
+        ("L3", "iter", False, 35712),  # bfile L3 --to n
+        ("F", "iter", False, 70589),  # bfile F --to n
+        ("L3", "matpow", True, 1658076),
+        ("L3", "closed", True, 1658076),
+        ("L3", "matpow", False, 5895),
+        ("T", "matpow", True, 2077711),
+        ("L2D", "closed", True, 2621780),
+    ],
+)
+def test_seq_budget_edges(name, method, single, last):
+    # the largest term, or range from the family's start, that the budget admits
+    family = catalog()[name]
+    lo = last if single else family.start
+    cli._check_work(family, lo, last, method)
+    lo = last + 1 if single else family.start
+    with pytest.raises(BudgetError) as refusal:
+        cli._check_work(family, lo, last + 1, method)
+    assert str(refusal.value) == _seq_refusal(name, lo, last + 1)
 
 
 def test_the_decimal_pass_raises_instead_of_rounding(capsys, monkeypatch):

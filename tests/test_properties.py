@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import strip_prism
-from tilecount.cli import _SPLIT_BITS, _decimal_str, main
+from tilecount.cli import main
 from tilecount.count2d import (
     MAX_ORACLE_CELLS,
     count_tilings,
@@ -277,18 +277,3 @@ def test_conjugate_pair_closed_form_follows_its_order_2_recurrence(form):
     while len(expected) <= 200:
         expected.append(2 * p * expected[-1] - (p * p - d * r * r) * expected[-2])
     assert [closed_eval(cf, n) for n in range(201)] == expected
-
-
-@st.composite
-def signed_ints(draw, max_bits: int) -> int:
-    """An integer of uniformly random bit length 1..max_bits and random sign."""
-    rng = draw(st.randoms(use_true_random=True))
-    bits = rng.randint(1, max_bits)
-    value = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
-    return -value if draw(st.booleans()) else value
-
-
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
-@given(signed_ints(3 * _SPLIT_BITS))
-def test_decimal_str_equals_str(value):
-    assert _decimal_str(value) == str(value)

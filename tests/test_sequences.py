@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from tilecount.cli import _SPLIT_BITS, _decimal_str, main
+from tilecount.cli import main
 from tilecount.sequences import (
     ClosedForm,
     ClosedFormCancellationError,
@@ -312,34 +312,6 @@ def test_l2_diagonal_matches_closed_form():
 # Decimal output of big values
 
 
-def test_decimal_str_on_powers_of_ten_and_two():
-    cases = [0, 1, 9, 10]
-    for k in (1, 100, 15_000, 15_060, 40_000):
-        cases += [10**k, 10**k - 1, 10**k + 1]
-    for k in list(range(_SPLIT_BITS - 3, _SPLIT_BITS + 4)) + [3 * _SPLIT_BITS + 1]:
-        cases += [2**k, 2**k - 1, 2**k + 1]
-    for value in cases:
-        assert _decimal_str(value) == str(value)
-    for value in (-1, -(2**_SPLIT_BITS) - 1, -(10**40_000)):
-        assert _decimal_str(value) == str(value)
-
-
-@pytest.mark.parametrize("digits", [15_100, 60_000, 400_000])
-def test_decimal_str_on_random_integers(digits):
-    rng = random.Random(digits)
-    value = rng.randrange(10 ** (digits - 1), 10**digits)
-    assert _decimal_str(value) == str(value)
-
-
-def test_decimal_str_on_the_largest_printed_values():
-    fams = catalog()
-    t = rec_eval_matpow(fams["T"].recurrence, 251005)
-    l3_value = closed_eval(fams["L3"].closed, 100716)
-    assert t.bit_length() > _SPLIT_BITS and l3_value.bit_length() > _SPLIT_BITS
-    assert _decimal_str(t) == str(t)
-    assert _decimal_str(l3_value) == str(l3_value)
-
-
 def _seq_out(capsys, *argv):
     assert main(["seq", *argv]) == 0
     return capsys.readouterr().out
@@ -358,13 +330,25 @@ def test_seq_prints_values_above_the_split_threshold_in_full(capsys):
     # L2D divides out 2^n from its closed form: the Decimal route's power of five
     for name, n in (("T", 120_000), ("L3", 40_000), ("L2D", 110_000)):
         value = rec_eval_matpow(catalog()[name].recurrence, n)
-        assert value.bit_length() > 3 * _SPLIT_BITS
+        assert value.bit_length() > 150_000
         for method in ("matpow", "closed"):
             argv = (name, str(n), str(n), "--method", method)
             assert _seq_out(capsys, *argv) == f"{n}\t{value}\n"
             assert _seq_out(capsys, *argv, "--json") == (
                 f'{{"family":"{name}","n":{n},"value":"{value}"}}\n'
             )
+
+
+def test_seq_iter_prints_a_head_above_50000_bits_in_full(capsys):
+    # iter computes the first order terms of its range in ints and prints them by str()
+    values = rec_values(catalog()["L3"].recurrence, 14000, 14001)
+    assert min(values).bit_length() > 50_000
+    assert _seq_out(capsys, "L3", "14000", "14001") == "".join(
+        f"{n}\t{v}\n" for n, v in zip((14000, 14001), values)
+    )
+    assert _seq_out(capsys, "L3", "14000", "14001", "--json") == "".join(
+        f'{{"family":"L3","n":{n},"value":"{v}"}}\n' for n, v in zip((14000, 14001), values)
+    )
 
 
 def _with_closed_form(monkeypatch, name, form):
