@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from math import log2, log10
+from math import log10
 from pathlib import Path
 
 from . import count2d, identities, regions2d, sequences, solid3d
@@ -41,33 +41,29 @@ _EXACT = decimal.Context(
 
 
 def _terms(family: sequences.Family, lo: int, hi: int, method: str) -> Iterator[str]:
-    """The decimal strings of a(lo), ..., a(hi), computed by ``method``.
+    """The decimal strings of a(lo), ..., a(hi), computed by ``method`` in exact Decimals.
 
-    ``iter`` runs one forward pass, in ints to the first ``order`` terms of the
-    range and on from them in exact Decimals, where each step and each str is
-    linear in the term's size. ``matpow`` and ``closed`` jump to each term in
-    exact Decimals, from Decimal initial terms or a Decimal unit. The exact
-    context stays current while the generator is suspended, until it ends or
-    is closed.
+    Every method runs on one Decimal copy of the recurrence. ``matpow`` jumps to
+    each term, and ``closed`` evaluates the closed form from a Decimal unit.
+    ``iter`` jumps to the first ``order`` terms of the range, which a range from
+    the family's start reads straight from the initial terms, and runs one
+    forward pass on from them, where each step and each str is linear in the
+    term's size. The exact context stays current while the generator is
+    suspended, until it ends or is closed.
     """
     rec = family.recurrence
     with decimal.localcontext(_EXACT):
+        initial = tuple(map(decimal.Decimal, rec.initial))
+        exact = sequences.LinearRecurrence(rec.coeffs, initial, rec.start)
         if method == "iter":
-            last = min(hi, lo + rec.order - 1)
-            head = [str(v) for v in sequences.rec_values(rec, lo, last)]
-            yield from head
-            if hi > last:
-                initial = tuple(map(decimal.Decimal, head))
-                tail = sequences.LinearRecurrence(rec.coeffs, initial, lo)
-                yield from map(str, sequences.rec_terms(tail, last + 1, hi))
+            head = tuple(sequences.rec_eval_matpow(exact, n) for n in range(lo, lo + rec.order))
+            values = sequences.rec_terms(sequences.LinearRecurrence(rec.coeffs, head, lo), lo, hi)
+        elif method == "matpow":
+            values = (sequences.rec_eval_matpow(exact, n) for n in range(lo, hi + 1))
         else:
-            initial = tuple(map(decimal.Decimal, rec.initial))
-            exact = sequences.LinearRecurrence(rec.coeffs, initial, rec.start)
-            for n in range(lo, hi + 1):
-                if method == "matpow":
-                    yield str(sequences.rec_eval_matpow(exact, n))
-                else:
-                    yield str(sequences.closed_eval(family.closed, n, decimal.Decimal(1)))
+            unit = decimal.Decimal(1)
+            values = (sequences.closed_eval(family.closed, n, unit) for n in range(lo, hi + 1))
+        yield from map(str, values)
 
 
 # token -> (module, builder, number of integer arguments). The builder is looked
@@ -136,41 +132,38 @@ def _family(name: str, first: int, method: str = "iter") -> sequences.Family:
     return family
 
 
-# seq and bfile refuse a range whose estimated work, in operations on CPython int
-# digits, is over _SEQ_MAX_WORK, before computing any term. a(n) has at most
-# n log2(1 + max |coefficient|) bits (Cauchy's bound on the roots). A term of s
-# digits is charged s * min(s, split) to print, and order^2 s^1.585 to jump to or
-# 2 order s a term in the int forward pass. `iter` computes only the first order
-# terms of its range in ints; the Decimal pass goes on from them at 2 units per
-# decimal digit a term, which bounds the output too. `matpow` and `closed` jump in
-# Decimals, whose multiplies are subquadratic, but are charged at the int cost
-# above. For terms under ~50,000 bits the print charge is what pays for their
-# Decimal multiplies: without it, ranges of many small jumps ran 9.5-27 s.
-# At 0.8-3 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
+# seq and bfile refuse a range whose estimated work is over _SEQ_MAX_WORK, before
+# computing any term. a(n) has at most n log10(1 + max |coefficient|) decimal
+# digits (Cauchy's bound on the roots). The forward pass costs 2 units a digit
+# of each term it adds and prints, which bounds the output too. A Decimal jump
+# to a term of s digits costs _JUMP order^2 (s + _JUMP_FLOOR): its multiplies
+# are subquadratic, and the floor charges the Python work a jump does whatever
+# the term's size. `iter` pays for the forward pass over its range and `order`
+# jumps to its head; `matpow` and `closed` pay one jump a term. Both sums over
+# the range are arithmetic series. With the constants fitted on CPython 3.11
+# (Xeon) the budget stops work of over about 4 s.
 _SEQ_MAX_WORK = 15 * 10**8
+_JUMP = 27
+_JUMP_FLOOR = 50
 
 
 def _check_work(family: sequences.Family, lo: int, hi: int, method: str) -> None:
     rec = family.recurrence
-    bound = 1 + max(map(abs, rec.coeffs))
-    per_index = log2(bound) / sys.int_info.bits_per_digit
-    # a crossover fitted to the timings of the model, not the threshold of a converter
-    split = 50_000 / sys.int_info.bits_per_digit
-    jump = 0 if method == "iter" else rec.order**2
+    digits = log10(1 + max(map(abs, rec.coeffs)))  # per index
     top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
-    last_int = lo + rec.order - 1 if method == "iter" else top  # last term at the int cost
-    work = 0.0 if jump else rec.order * per_index * min(top, last_int) ** 2
-    for n in range(top, min(lo, top) - 1, -1):  # largest terms first: a refusal comes early
-        size = per_index * n
-        if n > last_int:
-            work += 2 * log10(bound) * n
-        else:
-            work += size * min(size, split) + jump * size**1.585
-        if work > _SEQ_MAX_WORK:
-            raise count2d.BudgetError(
-                f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
-                f"{_SEQ_MAX_WORK:,}"
-            )
+    bottom = min(lo, top)
+    count = top - bottom + 1
+    index_sum = (bottom + top) * count / 2
+    jump = _JUMP * rec.order**2
+    if method == "iter":
+        work = 2 * digits * index_sum + rec.order * jump * (digits * bottom + _JUMP_FLOOR)
+    else:
+        work = jump * (digits * index_sum + _JUMP_FLOOR * count)
+    if work > _SEQ_MAX_WORK:
+        raise count2d.BudgetError(
+            f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
+            f"{_SEQ_MAX_WORK:,}"
+        )
 
 
 def cmd_seq(args) -> int:
@@ -246,7 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("family", help="family token: F A B C T M L3 L2D")
     p_seq.add_argument("start", type=int)
     p_seq.add_argument("end", type=int)
-    p_seq.add_argument("--method", choices=("iter", "matpow", "closed"), default="iter")
+    p_seq.add_argument(
+        "--method",
+        choices=("iter", "matpow", "closed"),
+        default="iter",
+        help="iter (default): jump to the first terms of the range, then one forward pass; "
+        "matpow: Fiduccia's jump to each term; closed: the closed form at each term",
+    )
     p_seq.add_argument("--json", action="store_true")
     p_seq.set_defaults(func=cmd_seq)
 

@@ -174,18 +174,56 @@ def test_seq_budget_admits_the_large_ranges_in_use(name, lo, hi, method):
 @pytest.mark.parametrize(
     "name, method, single, last",
     [
-        ("L3", "iter", True, 75472),  # seq L3 n n
-        ("L3", "iter", False, 35712),  # bfile L3 --to n
-        ("F", "iter", False, 70589),  # bfile F --to n
-        ("L3", "matpow", True, 1658076),
-        ("L3", "closed", True, 1658076),
-        ("L3", "matpow", False, 5895),
-        ("T", "matpow", True, 2077711),
-        ("L2D", "closed", True, 2621780),
+        ("F", "iter", True, 22857138),
+        ("F", "iter", False, 70588),
+        ("F", "matpow", True, 46137724),
+        ("F", "matpow", False, 9440),
+        ("A", "iter", True, 9844033),
+        ("A", "iter", False, 46324),
+        ("A", "matpow", True, 19870436),
+        ("A", "matpow", False, 6232),
+        ("A", "closed", True, 19870436),
+        ("A", "closed", False, 6232),
+        ("B", "iter", True, 9844033),
+        ("B", "iter", False, 46324),
+        ("B", "matpow", True, 19870436),
+        ("B", "matpow", False, 6232),
+        ("B", "closed", True, 19870436),
+        ("B", "closed", False, 6232),
+        ("C", "iter", True, 9844033),
+        ("C", "iter", False, 46324),
+        ("C", "matpow", True, 19870436),
+        ("C", "matpow", False, 6232),
+        ("C", "closed", True, 19870436),
+        ("C", "closed", False, 6232),
+        ("T", "iter", True, 3408188),
+        ("T", "iter", False, 49913),
+        ("T", "matpow", True, 10252781),
+        ("T", "matpow", False, 4445),
+        ("T", "closed", True, 10252781),
+        ("T", "closed", False, 4445),
+        ("M", "iter", True, 3408188),
+        ("M", "iter", False, 49913),
+        ("M", "matpow", True, 10252781),
+        ("M", "matpow", False, 4445),
+        ("L3", "iter", True, 5850468),
+        ("L3", "iter", False, 35712),
+        ("L3", "matpow", True, 11809320),
+        ("L3", "matpow", False, 4817),
+        ("L3", "closed", True, 11809320),
+        ("L3", "closed", False, 4817),
+        ("L2D", "iter", True, 4300654),
+        ("L2D", "iter", False, 56068),
+        ("L2D", "matpow", True, 12937569),
+        ("L2D", "matpow", False, 4982),
+        ("L2D", "closed", True, 12937569),
+        ("L2D", "closed", False, 4982),
     ],
 )
 def test_seq_budget_edges(name, method, single, last):
-    # the largest term, or range from the family's start, that the budget admits
+    # every family and method: the largest single term (`seq X n n`) and the
+    # largest range from the family's start (`seq X start n`, `bfile X --to n`)
+    # that the budget admits
     family = catalog()[name]
     lo = last if single else family.start
     cli._check_work(family, lo, last, method)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from tilecount import sequences
 from tilecount.cli import main
 from tilecount.sequences import (
     ClosedForm,
@@ -340,7 +341,8 @@ def test_seq_prints_values_above_the_split_threshold_in_full(capsys):
 
 
 def test_seq_iter_prints_a_head_above_50000_bits_in_full(capsys):
-    # iter computes the first order terms of its range in ints and prints them by str()
+    # iter jumps to the first order terms of its range in exact Decimals and
+    # prints them by str(), with no int -> decimal conversion
     values = rec_values(catalog()["L3"].recurrence, 14000, 14001)
     assert min(values).bit_length() > 50_000
     assert _seq_out(capsys, "L3", "14000", "14001") == "".join(
@@ -348,6 +350,24 @@ def test_seq_iter_prints_a_head_above_50000_bits_in_full(capsys):
     )
     assert _seq_out(capsys, "L3", "14000", "14001", "--json") == "".join(
         f'{{"family":"L3","n":{n},"value":"{v}"}}\n' for n, v in zip((14000, 14001), values)
+    )
+
+
+def test_seq_iter_jumps_to_a_far_range(capsys, monkeypatch):
+    # iter reaches the head of a far range by Decimal jumps, not by a pass from
+    # the family's start: the int pass is never run
+    indices = (200_000, 200_001)
+    values = [str(rec_eval_matpow(catalog()["L3"].recurrence, n)) for n in indices]
+
+    def int_pass(*args):
+        raise AssertionError("rec_values ran")
+
+    monkeypatch.setattr(sequences, "rec_values", int_pass)
+    assert _seq_out(capsys, "L3", "200000", "200001") == "".join(
+        f"{n}\t{v}\n" for n, v in zip(indices, values)
+    )
+    assert _seq_out(capsys, "L3", "200000", "200001", "--json") == "".join(
+        f'{{"family":"L3","n":{n},"value":"{v}"}}\n' for n, v in zip(indices, values)
     )
 
 
