@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Every command raises ValueError or OSError for a usage or input error;
 ``main`` alone reports it as ``error: <message>`` on stderr and exits 2.
+``seq`` and ``bfile`` only print: ``Family.terms`` checks each range, refuses
+one over budget and computes its terms, here in exact Decimals.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from math import log10
 from pathlib import Path
 
 from . import count2d, identities, regions2d, sequences, solid3d
@@ -41,29 +42,12 @@ _EXACT = decimal.Context(
 
 
 def _terms(family: sequences.Family, lo: int, hi: int, method: str) -> Iterator[str]:
-    """The decimal strings of a(lo), ..., a(hi), computed by ``method`` in exact Decimals.
+    """``family.terms(lo, hi, method)`` as strings, checked at the first step.
 
-    Every method runs on one Decimal copy of the recurrence. ``matpow`` jumps to
-    each term, and ``closed`` evaluates the closed form from a Decimal unit.
-    ``iter`` jumps to the first ``order`` terms of the range, which a range from
-    the family's start reads straight from the initial terms, and runs one
-    forward pass on from them, where each step and each str is linear in the
-    term's size. The exact context stays current while the generator is
-    suspended, until it ends or is closed.
+    Its exact context stays current while the generator is suspended.
     """
-    rec = family.recurrence
     with decimal.localcontext(_EXACT):
-        initial = tuple(map(decimal.Decimal, rec.initial))
-        exact = sequences.LinearRecurrence(rec.coeffs, initial, rec.start)
-        if method == "iter":
-            head = tuple(sequences.rec_eval_matpow(exact, n) for n in range(lo, lo + rec.order))
-            values = sequences.rec_terms(sequences.LinearRecurrence(rec.coeffs, head, lo), lo, hi)
-        elif method == "matpow":
-            values = (sequences.rec_eval_matpow(exact, n) for n in range(lo, hi + 1))
-        else:
-            unit = decimal.Decimal(1)
-            values = (sequences.closed_eval(family.closed, n, unit) for n in range(lo, hi + 1))
-        yield from map(str, values)
+        yield from map(str, family.terms(lo, hi, method, decimal.Decimal(1)))
 
 
 # token -> (module, builder, number of integer arguments). The builder is looked
@@ -119,60 +103,18 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _family(name: str, first: int, method: str = "iter") -> sequences.Family:
-    """Catalog family ``name``; ValueError unless it serves ``method`` from index ``first``."""
+def _family(name: str) -> sequences.Family:
+    """Catalog family ``name``; ValueError naming the known families."""
     fams = sequences.catalog()
     family = fams.get(name)
     if family is None:
         raise ValueError(f"unknown family {name!r}; known: {' '.join(fams)}")
-    if method == "closed" and family.closed is None:
-        raise ValueError(f"family {name} has no closed form")
-    if first < family.start:
-        raise ValueError(f"family {name} starts at index {family.start}")
     return family
 
 
-# seq and bfile refuse a range whose estimated work is over _SEQ_MAX_WORK, before
-# computing any term. a(n) has at most n log10(1 + max |coefficient|) decimal
-# digits (Cauchy's bound on the roots). The forward pass costs 2 units a digit
-# of each term it adds and prints, which bounds the output too. A Decimal jump
-# to a term of s digits costs _JUMP order^2 (s + _JUMP_FLOOR): its multiplies
-# are subquadratic, and the floor charges the Python work a jump does whatever
-# the term's size. `iter` pays for the forward pass over its range and `order`
-# jumps to its head; `matpow` and `closed` pay one jump a term. Both sums over
-# the range are arithmetic series. With the constants fitted on CPython 3.11
-# (Xeon) the budget stops work of over about 4 s.
-_SEQ_MAX_WORK = 15 * 10**8
-_JUMP = 27
-_JUMP_FLOOR = 50
-
-
-def _check_work(family: sequences.Family, lo: int, hi: int, method: str) -> None:
-    rec = family.recurrence
-    digits = log10(1 + max(map(abs, rec.coeffs)))  # per index
-    top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
-    bottom = min(lo, top)
-    count = top - bottom + 1
-    index_sum = (bottom + top) * count / 2
-    jump = _JUMP * rec.order**2
-    if method == "iter":
-        work = 2 * digits * index_sum + rec.order * jump * (digits * bottom + _JUMP_FLOOR)
-    else:
-        work = jump * (digits * index_sum + _JUMP_FLOOR * count)
-    if work > _SEQ_MAX_WORK:
-        raise count2d.BudgetError(
-            f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
-            f"{_SEQ_MAX_WORK:,}"
-        )
-
-
 def cmd_seq(args) -> int:
-    family = _family(args.family, args.start, args.method)
-    if args.end < args.start:
-        raise ValueError("empty range")
-    _check_work(family, args.start, args.end, args.method)
-    values = _terms(family, args.start, args.end, args.method)
-    for n, value in zip(range(args.start, args.end + 1), values):
+    family = _family(args.family)
+    for n, value in enumerate(_terms(family, args.start, args.end, args.method), args.start):
         if args.json:
             print(_json_line({"family": family.name, "n": n, "value": value}))
         else:
@@ -215,10 +157,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_bfile(args) -> int:
-    family = _family(args.family, args.to)
-    _check_work(family, family.start, args.to, "iter")
-    values = _terms(family, family.start, args.to, "iter")
-    for n, value in zip(range(family.start, args.to + 1), values):
+    family = _family(args.family)
+    if args.to < family.start:
+        raise ValueError(f"family {family.name} starts at index {family.start}")
+    for n, value in enumerate(_terms(family, family.start, args.to, "iter"), family.start):
         print(f"{n} {value}")
     return 0
 

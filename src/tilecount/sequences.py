@@ -18,7 +18,8 @@ big multiplies per squaring, and the terms are summed over one denominator,
 whose power of two is divided out by a shift, or for Decimals by a power of
 five and a decimal shift. The irrational part must cancel and the rational
 remainder must be a nonnegative integer; a failure of either condition
-raises, since it can only mean a mistranscribed formula.
+raises, since it can only mean a mistranscribed formula. ``Family.terms``
+serves every range of a family's terms, with the method dispatch and budget.
 """
 from __future__ import annotations
 
@@ -26,7 +27,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log10
+
+from .count2d import BudgetError
 
 
 class ClosedFormCancellationError(ArithmeticError):
@@ -180,11 +183,6 @@ def rec_values(rec: LinearRecurrence, lo: int, hi: int) -> list[int]:
     return list(rec_terms(rec, lo, hi))
 
 
-def rec_eval_iter(rec: LinearRecurrence, n: int) -> int:
-    """nth term by straight iteration."""
-    return rec_values(rec, n, n)[0]
-
-
 def _reduce(poly: list[int], coeffs: tuple[int, ...]) -> list[int]:
     """poly modulo the characteristic polynomial, in place: x^d = sum coeffs[i-1] x^(d-i)."""
     d = len(coeffs)
@@ -227,6 +225,42 @@ def rec_eval_matpow(rec: LinearRecurrence, n: int):
     return sum(r * a for r, a in zip(rem, rec.initial))
 
 
+# Family.terms refuses a range whose estimated work is over _SEQ_MAX_WORK,
+# before computing any term. a(n) has at most n log10(1 + max |coefficient|)
+# decimal digits (Cauchy's bound on the roots). The forward pass costs 2 units
+# a digit of each term it adds and prints, which bounds the output too. A
+# Decimal jump to a term of s digits costs _JUMP order^2 (s + _JUMP_FLOOR): its
+# multiplies are subquadratic, and the floor charges the Python work a jump
+# does whatever the term's size. `iter` pays for the forward pass over its
+# range and min(order, count) jumps to its head; `matpow` and `closed` pay one
+# jump a term. Both sums over the range are arithmetic series. With the
+# constants fitted on CPython 3.11 (Xeon) the budget stops work of over about
+# 4 s in Decimals.
+_SEQ_MAX_WORK = 15 * 10**8
+_JUMP = 27
+_JUMP_FLOOR = 50
+
+
+def _check_work(family: Family, lo: int, hi: int, method: str) -> None:
+    rec = family.recurrence
+    digits = log10(1 + max(map(abs, rec.coeffs)))  # per index
+    top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
+    bottom = min(lo, top)
+    count = top - bottom + 1
+    index_sum = (bottom + top) * count / 2
+    jump = _JUMP * rec.order**2
+    if method == "iter":
+        head = min(rec.order, count) * jump * (digits * bottom + _JUMP_FLOOR)
+        work = 2 * digits * index_sum + head
+    else:
+        work = jump * (digits * index_sum + _JUMP_FLOOR * count)
+    if work > _SEQ_MAX_WORK:
+        raise BudgetError(
+            f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
+            f"{_SEQ_MAX_WORK:,}"
+        )
+
+
 @dataclass(frozen=True)
 class Family:
     """A named counting sequence: recurrence plus optional closed form."""
@@ -240,16 +274,40 @@ class Family:
     def start(self) -> int:
         return self.recurrence.start
 
-    def eval(self, n: int, method: str = "iter") -> int:
+    def terms(self, lo: int, hi: int, method: str = "iter", unit=1) -> Iterator:
+        """a(lo), ..., a(hi) by ``method``: ints, or Decimals for Decimal(1) in an exact context.
+
+        Every check and the budget raise on the call, before any term is
+        computed. ``iter`` jumps to the first ``order`` terms (all of a shorter
+        range) and runs one forward pass on from them.
+        """
+        if method not in ("iter", "matpow", "closed"):
+            raise ValueError(f"unknown method {method!r}")
+        if method == "closed" and self.closed is None:
+            raise ValueError(f"family {self.name} has no closed form")
+        if lo < self.start:
+            raise ValueError(f"family {self.name} starts at index {self.start}")
+        if hi < lo:
+            raise ValueError("empty range")
+        _check_work(self, lo, hi, method)
+        return self._computed(lo, hi, method, unit)
+
+    def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:
+        coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
+        rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
         if method == "iter":
-            return rec_eval_iter(self.recurrence, n)
-        if method == "matpow":
-            return rec_eval_matpow(self.recurrence, n)
-        if method == "closed":
-            if self.closed is None:
-                raise ValueError(f"family {self.name} has no closed form")
-            return closed_eval(self.closed, n)
-        raise ValueError(f"unknown method {method!r}")
+            head = tuple(rec_eval_matpow(rec, n) for n in range(lo, min(hi + 1, lo + rec.order)))
+            if len(head) == rec.order:
+                yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
+            else:
+                yield from head
+        elif method == "matpow":
+            yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
+        else:
+            yield from (closed_eval(self.closed, n, unit) for n in range(lo, hi + 1))
+
+    def eval(self, n: int, method: str = "iter") -> int:
+        return next(self.terms(n, n, method))
 
 
 @lru_cache(maxsize=1)

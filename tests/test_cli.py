@@ -168,51 +168,51 @@ def test_over_budget_counts_exit_2_fast(capsys, monkeypatch, argv, message):
     ],
 )
 def test_seq_budget_admits_the_large_ranges_in_use(name, lo, hi, method):
-    cli._check_work(catalog()[name], lo, hi, method)
+    catalog()[name].terms(lo, hi, method)  # checks the budget; computes no term
 
 
 @pytest.mark.parametrize(
     "name, method, single, last",
     [
-        ("F", "iter", True, 22857138),
+        ("F", "iter", True, 45298856),
         ("F", "iter", False, 70588),
         ("F", "matpow", True, 46137724),
         ("F", "matpow", False, 9440),
-        ("A", "iter", True, 9844033),
+        ("A", "iter", True, 19509155),
         ("A", "iter", False, 46324),
         ("A", "matpow", True, 19870436),
         ("A", "matpow", False, 6232),
         ("A", "closed", True, 19870436),
         ("A", "closed", False, 6232),
-        ("B", "iter", True, 9844033),
+        ("B", "iter", True, 19509155),
         ("B", "iter", False, 46324),
         ("B", "matpow", True, 19870436),
         ("B", "matpow", False, 6232),
         ("B", "closed", True, 19870436),
         ("B", "closed", False, 6232),
-        ("C", "iter", True, 9844033),
+        ("C", "iter", True, 19509155),
         ("C", "iter", False, 46324),
         ("C", "matpow", True, 19870436),
         ("C", "matpow", False, 6232),
         ("C", "closed", True, 19870436),
         ("C", "closed", False, 6232),
-        ("T", "iter", True, 3408188),
+        ("T", "iter", True, 10169085),
         ("T", "iter", False, 49913),
         ("T", "matpow", True, 10252781),
         ("T", "matpow", False, 4445),
         ("T", "closed", True, 10252781),
         ("T", "closed", False, 4445),
-        ("M", "iter", True, 3408188),
+        ("M", "iter", True, 10169085),
         ("M", "iter", False, 49913),
         ("M", "matpow", True, 10252781),
         ("M", "matpow", False, 4445),
-        ("L3", "iter", True, 5850468),
+        ("L3", "iter", True, 11594605),
         ("L3", "iter", False, 35712),
         ("L3", "matpow", True, 11809320),
         ("L3", "matpow", False, 4817),
         ("L3", "closed", True, 11809320),
         ("L3", "closed", False, 4817),
-        ("L2D", "iter", True, 4300654),
+        ("L2D", "iter", True, 12831956),
         ("L2D", "iter", False, 56068),
         ("L2D", "matpow", True, 12937569),
         ("L2D", "matpow", False, 4982),
@@ -223,13 +223,14 @@ def test_seq_budget_admits_the_large_ranges_in_use(name, lo, hi, method):
 def test_seq_budget_edges(name, method, single, last):
     # every family and method: the largest single term (`seq X n n`) and the
     # largest range from the family's start (`seq X start n`, `bfile X --to n`)
-    # that the budget admits
+    # that the budget admits. Family.terms checks the budget on the call and
+    # computes no term until it is iterated.
     family = catalog()[name]
     lo = last if single else family.start
-    cli._check_work(family, lo, last, method)
+    family.terms(lo, last, method)
     lo = last + 1 if single else family.start
     with pytest.raises(BudgetError) as refusal:
-        cli._check_work(family, lo, last + 1, method)
+        family.terms(lo, last + 1, method)
     assert str(refusal.value) == _seq_refusal(name, lo, last + 1)
 
 
@@ -341,10 +342,25 @@ def test_seq_errors_exit_2(capsys):
 
 def test_family_lookup_raises_instead_of_printing(capsys):
     with pytest.raises(ValueError, match="^family F has no closed form$"):
-        cli._family("F", 1, "closed")
+        catalog()["F"].terms(1, 1, "closed")
     with pytest.raises(ValueError, match="^unknown family 'Q'; known: F A B C T M L3 L2D$"):
-        cli._family("Q", 1)
+        cli._family("Q")
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("name", ["F", "T", "L3"])
+def test_seq_iter_jumps_once_to_a_single_term(capsys, monkeypatch, name):
+    # a range shorter than the order is only its jumps: no head term is thrown away
+    calls = []
+
+    def counted(rec, n):
+        calls.append(n)
+        return rec_eval_matpow(rec, n)
+
+    monkeypatch.setattr(sequences, "rec_eval_matpow", counted)
+    value = rec_eval_matpow(catalog()[name].recurrence, 5000)
+    assert run(capsys, "seq", name, "5000", "5000") == (0, f"5000\t{value}\n", "")
+    assert calls == [5000]
 
 
 # ---------------------------------------------------------------------------

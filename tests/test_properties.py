@@ -177,18 +177,24 @@ def test_one_layer_prism_counts_as_its_cross_section(region):
 
 @st.composite
 def index_windows(draw, max_index: int = 3000):
-    """A catalog family and a window lo..hi of its indices, hi <= max_index."""
+    """A catalog family, a window lo..hi of its indices, hi <= max_index, and
+    a method the family serves."""
     family = catalog()[draw(st.sampled_from(sorted(catalog())))]
     lo = draw(st.integers(family.start, max_index))
     hi = draw(st.integers(lo, min(lo + 12, max_index)))
-    return family.recurrence, lo, hi
+    methods = ("iter", "matpow", "closed") if family.closed else ("iter", "matpow")
+    method = draw(st.sampled_from(methods))
+    return family, lo, hi, method
 
 
 @PROPERTY
 @given(index_windows())
 def test_jump_equals_forward_pass(window):
-    rec, lo, hi = window
-    assert [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)] == rec_values(rec, lo, hi)
+    family, lo, hi, method = window
+    rec = family.recurrence
+    values = rec_values(rec, lo, hi)
+    assert [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)] == values
+    assert list(family.terms(lo, hi, method)) == values
 
 
 @st.composite

@@ -1,11 +1,14 @@
 import dataclasses
+import decimal
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from tilecount import sequences
 from tilecount.cli import main
+from tilecount.count2d import BudgetError
 from tilecount.sequences import (
     ClosedForm,
     ClosedFormCancellationError,
@@ -16,7 +19,6 @@ from tilecount.sequences import (
     fibonacci,
     l2,
     l3,
-    rec_eval_iter,
     rec_eval_matpow,
     rec_values,
 )
@@ -64,22 +66,24 @@ def test_recurrence_validation():
 def test_iter_below_start_raises():
     rec = catalog()["A"].recurrence
     with pytest.raises(ValueError):
-        rec_eval_iter(rec, 0)
+        rec_values(rec, 0, 0)
     with pytest.raises(ValueError):
         rec_eval_matpow(rec, 0)
+    with pytest.raises(ValueError, match="^family A starts at index 1$"):
+        catalog()["A"].eval(0)
 
 
 def test_initial_terms_returned_directly():
     rec = catalog()["T"].recurrence
-    assert [rec_eval_iter(rec, n) for n in (1, 2, 3)] == [2, 9, 32]
+    assert [catalog()["T"].eval(n) for n in (1, 2, 3)] == [2, 9, 32]
     assert [rec_eval_matpow(rec, n) for n in (1, 2, 3)] == [2, 9, 32]
 
 
 def test_known_values_by_iteration():
     fams = catalog()
-    assert rec_eval_iter(fams["A"].recurrence, 3) == 41
-    assert rec_eval_iter(fams["C"].recurrence, 10) == 978122
-    assert rec_eval_iter(fams["T"].recurrence, 7) == 6272
+    assert rec_values(fams["A"].recurrence, 3, 3) == [41]
+    assert rec_values(fams["C"].recurrence, 10, 10) == [978122]
+    assert rec_values(fams["T"].recurrence, 7, 7) == [6272]
     assert rec_eval_matpow(fams["B"].recurrence, 0) == 1
     assert rec_eval_matpow(fams["L3"].recurrence, 2) == 153
 
@@ -87,17 +91,16 @@ def test_known_values_by_iteration():
 @pytest.mark.parametrize("name", list(catalog()))
 def test_iter_matpow_agree(name):
     fam = catalog()[name]
-    for n in range(fam.start, fam.start + 100):
-        assert rec_eval_iter(fam.recurrence, n) == rec_eval_matpow(fam.recurrence, n)
+    indices = range(fam.start, fam.start + 100)
+    iterated = fam.terms(indices[0], indices[-1])  # jumps to the first d, then one pass
+    assert list(iterated) == [rec_eval_matpow(fam.recurrence, n) for n in indices]
 
 
 @pytest.mark.parametrize("name", list(catalog()))
 def test_rec_values_matches_pointwise(name):
     fam = catalog()[name]
     lo, hi = fam.start, fam.start + 40
-    assert rec_values(fam.recurrence, lo, hi) == [
-        rec_eval_iter(fam.recurrence, n) for n in range(lo, hi + 1)
-    ]
+    assert rec_values(fam.recurrence, lo, hi) == [fam.eval(n) for n in range(lo, hi + 1)]
     assert rec_values(fam.recurrence, hi, lo) == []
 
 
@@ -169,6 +172,65 @@ def test_families_without_closed_form():
     assert catalog()["M"].closed is None
     with pytest.raises(ValueError):
         catalog()["F"].eval(3, "closed")
+
+
+# ---------------------------------------------------------------------------
+# Family.terms: one dispatch and one budget for every range
+
+
+def test_terms_checks_in_order_before_computing(monkeypatch):
+    def computed(*args):
+        raise AssertionError("a term was computed before the refusal")
+
+    for name in ("rec_terms", "rec_values", "rec_eval_matpow", "closed_eval"):
+        monkeypatch.setattr(sequences, name, computed)
+    fams = catalog()
+    refusals = [
+        (lambda: fams["F"].terms(-1, -2, "fast"), ValueError, "unknown method 'fast'"),
+        (lambda: fams["F"].terms(-1, -2, "closed"), ValueError, "family F has no closed form"),
+        (lambda: fams["A"].terms(0, -1), ValueError, "family A starts at index 1"),
+        (lambda: fams["A"].terms(5, 1), ValueError, "empty range"),
+        (
+            lambda: fams["L3"].eval(10**9),
+            BudgetError,
+            "estimated work for L3(1000000000..1000000000) exceeds the budget of 1,500,000,000",
+        ),
+        (
+            lambda: fams["T"].terms(1, 100000, "matpow"),
+            BudgetError,
+            "estimated work for T(1..100000) exceeds the budget of 1,500,000,000",
+        ),
+        (
+            lambda: fams["F"].terms(0, 10**400),
+            BudgetError,
+            f"estimated work for F(0..{10**400}) exceeds the budget of 1,500,000,000",
+        ),
+    ]
+    for call, kind, message in refusals:
+        start = time.perf_counter()
+        with pytest.raises(kind) as refusal:
+            call()
+        assert time.perf_counter() - start < 1
+        assert type(refusal.value) is kind and str(refusal.value) == message
+
+
+def test_terms_computes_in_the_units_type():
+    fam = catalog()["T"]
+    expected = rec_values(fam.recurrence, 1, 40)
+    with decimal.localcontext(decimal.Context(prec=100, traps=[decimal.Inexact, decimal.Rounded])):
+        for method in ("iter", "matpow", "closed"):
+            assert list(fam.terms(1, 40, method)) == expected
+            values = list(fam.terms(1, 40, method, decimal.Decimal(1)))
+            assert all(type(v) is decimal.Decimal for v in values) and values == expected
+
+
+def test_a_far_single_term_is_one_jump():
+    fam = catalog()["T"]
+    start = time.perf_counter()
+    value = fam.eval(60_000)
+    seconds = time.perf_counter() - start
+    assert value == rec_values(fam.recurrence, 60_000, 60_000)[0]
+    assert seconds < 0.5, f"T(60000) took {seconds:.2f} s"
 
 
 def test_cancellation_error_fires_on_bad_formula():
