@@ -9,11 +9,10 @@ one over budget and computes its terms, here in exact Decimals.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import os
 import sys
-from collections.abc import Iterator
+from decimal import Decimal
 from pathlib import Path
 
 from . import count2d, identities, regions2d, sequences, solid3d
@@ -23,31 +22,6 @@ from .solid3d import Prism3D
 
 def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-# The exact context of every Decimal this module computes: any rounding or
-# overflow raises instead of printing wrong digits.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[
-        decimal.InvalidOperation,
-        decimal.DivisionByZero,
-        decimal.Overflow,
-        decimal.Inexact,
-        decimal.Rounded,
-    ],
-)
-
-
-def _terms(family: sequences.Family, lo: int, hi: int, method: str) -> Iterator[str]:
-    """``family.terms(lo, hi, method)`` as strings, checked at the first step.
-
-    Its exact context stays current while the generator is suspended.
-    """
-    with decimal.localcontext(_EXACT):
-        yield from map(str, family.terms(lo, hi, method, decimal.Decimal(1)))
 
 
 # token -> (module, builder, number of integer arguments). The builder is looked
@@ -114,7 +88,8 @@ def _family(name: str) -> sequences.Family:
 
 def cmd_seq(args) -> int:
     family = _family(args.family)
-    for n, value in enumerate(_terms(family, args.start, args.end, args.method), args.start):
+    values = family.terms(args.start, args.end, args.method, Decimal(1))
+    for n, value in enumerate(map(str, values), args.start):
         if args.json:
             print(_json_line({"family": family.name, "n": n, "value": value}))
         else:
@@ -160,7 +135,8 @@ def cmd_bfile(args) -> int:
     family = _family(args.family)
     if args.to < family.start:
         raise ValueError(f"family {family.name} starts at index {family.start}")
-    for n, value in enumerate(_terms(family, family.start, args.to, "iter"), family.start):
+    values = family.terms(family.start, args.to, "iter", Decimal(1))
+    for n, value in enumerate(map(str, values), family.start):
         print(f"{n} {value}")
     return 0
 

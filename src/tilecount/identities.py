@@ -7,10 +7,11 @@ and tower families are frozen here; everything else is recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .count2d import count_tilings
 from .regions2d import a_grid, b_grid, c_grid, l2_region, l3_region
-from .sequences import catalog, closed_eval, l2, l3, rec_values
+from .sequences import catalog, l2, l2_formula, l3, l3_formula
 from .solid3d import layer_counts, tower
 
 # Reference values, n = 1..10.
@@ -54,6 +55,14 @@ BOUNDS = {
 }
 
 
+def _decimal(count: int) -> str:
+    """``count`` in decimal, past the int -> str digit limit too: Decimal is exempt from it."""
+    try:
+        return str(count)
+    except ValueError:
+        return str(Decimal(count))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -91,8 +100,8 @@ class Report:
             {
                 "check": c.name,
                 "params": list(c.params),
-                "left": str(c.left),
-                "right": str(c.right),
+                "left": _decimal(c.left),
+                "right": _decimal(c.right),
                 "pass": c.passed,
             }
             for c in self.checks
@@ -109,7 +118,7 @@ class Report:
             lines.append(f"{name}: {ok}/{len(group)} pass")
         for c in self.failures:
             lines.append(
-                f"FAIL {c.name}{c.params}: left={c.left} right={c.right}"
+                f"FAIL {c.name}{c.params}: left={_decimal(c.left)} right={_decimal(c.right)}"
             )
         lines.append(
             f"total: {len(self.checks)} checks, {len(self.failures)} failed"
@@ -118,8 +127,8 @@ class Report:
 
 
 def _family_values(name: str, lo: int, hi: int) -> dict[int, int]:
-    """Terms lo..hi of family ``name`` from one forward pass, keyed by index."""
-    return dict(zip(range(lo, hi + 1), rec_values(catalog()[name].recurrence, lo, hi)))
+    """Terms lo..hi of family ``name`` from one ``Family.terms`` pass, keyed by index."""
+    return dict(zip(range(lo, hi + 1), catalog()[name].terms(lo, hi)))
 
 
 def _check_bounds(suite: str, **bounds: int) -> None:
@@ -158,12 +167,11 @@ def _table(suite: str, rows, max_n: int) -> Report:
     checks = []
     for name, column, geometric, last_counted in rows:
         fam = fams[name]
-        for n in range(1, max_n + 1):
+        recurrence, closed = fam.terms(1, max_n), fam.terms(1, max_n, "closed")
+        for n, by_rec, by_closed in zip(range(1, max_n + 1), recurrence, closed):
             expected = column[n - 1]
-            checks.append(CheckResult(f"{suite}.{name}.recurrence", (n,), fam.eval(n), expected))
-            checks.append(
-                CheckResult(f"{suite}.{name}.closed", (n,), closed_eval(fam.closed, n), expected)
-            )
+            checks.append(CheckResult(f"{suite}.{name}.recurrence", (n,), by_rec, expected))
+            checks.append(CheckResult(f"{suite}.{name}.closed", (n,), by_closed, expected))
         counts = geometric(min(max_n, last_counted))
         for n, count in enumerate(counts, start=1):
             checks.append(CheckResult(f"{suite}.{name}.dp", (n,), count, column[n - 1]))
@@ -211,17 +219,15 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
 def verify_crux(max_n: int = 200) -> Report:
     """Equal-arm width-3 angle equals the straight grid at doubled index."""
     _check_bounds("crux", max_n=max_n)
-    fam_a = catalog()["A"]
     a = _family_values("A", 1, 2 * max_n)
+    b = {-1: 0, **_family_values("B", 0, max_n)}  # B's backward extension B(-1) = 0
+    c = _family_values("C", 0, max_n)
     checks = []
     for n in range(1, max_n + 1):
-        diagonal = l3(n, n)
+        diagonal = l3_formula(a.__getitem__, b.__getitem__, c.__getitem__, n, n)
         checks.append(CheckResult("crux.formula_vs_recurrence", (n,), diagonal, a[2 * n]))
-        checks.append(
-            CheckResult(
-                "crux.formula_vs_closed", (n,), diagonal, closed_eval(fam_a.closed, 2 * n)
-            )
-        )
+        closed = catalog()["A"].eval(2 * n, "closed")
+        checks.append(CheckResult("crux.formula_vs_closed", (n,), diagonal, closed))
     return Report(checks)
 
 
@@ -261,13 +267,11 @@ def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Repor
                     l2(n, k),
                 )
             )
-    fam = catalog()["L2D"]
-    for n in range(1, diag_max + 1):
-        checks.append(
-            CheckResult(
-                "tauraso.diagonal_closed", (n,), closed_eval(fam.closed, n), l2(n, n - 1)
-            )
-        )
+    f = {-1: 0, **_family_values("F", 0, diag_max)}  # F's backward extension F(-1) = 0
+    closed = catalog()["L2D"].terms(1, diag_max, "closed")
+    for n, value in enumerate(closed, start=1):
+        formula = l2_formula(f.__getitem__, n, n - 1)
+        checks.append(CheckResult("tauraso.diagonal_closed", (n,), value, formula))
     return Report(checks)
 
 

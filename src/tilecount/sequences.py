@@ -8,22 +8,25 @@ modulo the characteristic polynomial by binary powering, and the remainder's
 coefficients weight the initial terms, so a jump costs O(d^2 log n) big
 multiplies. A range of terms comes from one forward pass, ``rec_terms``,
 which holds only the last d terms and yields each term of the range in turn.
-Both run in whatever numbers the initial terms are: ints, or Decimals in an
-exact context, whose big multiplies are subquadratic and whose result needs
-no conversion to print. ``rec_values`` is the pass as a list of ints. A
-closed form is stored as integer data: each coefficient and base is an
-element of Z[sqrt(d)] over one of two common denominators. It is evaluated
-exactly, in ints or from a Decimal unit: the bases are powered with three
-big multiplies per squaring, and the terms are summed over one denominator,
-whose power of two is divided out by a shift, or for Decimals by a power of
-five and a decimal shift. The irrational part must cancel and the rational
-remainder must be a nonnegative integer; a failure of either condition
-raises, since it can only mean a mistranscribed formula. ``Family.terms``
-serves every range of a family's terms, with the method dispatch and budget.
+Both run in whatever numbers the initial terms are: ints, or Decimals, whose
+big multiplies are subquadratic and whose result needs no conversion to
+print. ``rec_values`` is the pass as a list of ints. A closed form is stored
+as integer data: each coefficient and base is an element of Z[sqrt(d)] over
+one of two common denominators. It is evaluated exactly, in ints or from a
+Decimal unit: the bases are powered with three big multiplies per squaring,
+and the terms are summed over one denominator, whose power of two is divided
+out by a shift, or for Decimals by a power of five and a decimal shift. The
+irrational part must cancel and the rational remainder must be a nonnegative
+integer; a failure of either condition raises, since it can only mean a
+mistranscribed formula. ``Family.terms`` serves every range of a family's
+terms, with the method dispatch, the budget and, for Decimals, the exact
+context; the rest of the package reaches the kernels only through it.
 """
 from __future__ import annotations
 
+import decimal
 from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,11 +92,10 @@ def closed_eval(cf: ClosedForm, n: int, unit=1):
     """Evaluate a closed form at n >= 0, checking exactness on the way out.
 
     The value is an int for the unit 1, and an integral Decimal for the unit
-    Decimal(1), computed in the current decimal context, which should be
-    exact. Each distinct base is powered once in Z[sqrt(d)], and the power of
-    its conjugate is read off the same result. The terms are summed over the
-    common denominator coeff_den * base_den^n; its power of two is divided out
-    by a shift.
+    Decimal(1), computed in the current decimal context. Each distinct base is
+    powered once in Z[sqrt(d)], and the power of its conjugate is read off the
+    same result. The terms are summed over the common denominator
+    coeff_den * base_den^n; its power of two is divided out by a shift.
     """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
@@ -160,9 +162,8 @@ class LinearRecurrence:
 def rec_terms(rec: LinearRecurrence, lo: int, hi: int) -> Iterator:
     """Yield a(lo), ..., a(hi) from one forward pass: O(hi * order) additions.
 
-    Only the last ``order`` terms are held. The pass adds whatever numbers
-    ``rec.initial`` holds, scaled by the integer coefficients: ints, or
-    Decimals in an exact context. The index check runs at the first step.
+    Only the last ``order`` terms are held. The pass adds the numbers of
+    ``rec.initial``, ints or Decimals. The index check runs at the first step.
     """
     if lo < rec.start:
         raise ValueError(f"index {lo} below starting index {rec.start}")
@@ -203,7 +204,7 @@ def rec_eval_matpow(rec: LinearRecurrence, n: int):
     powering. A bit costs one squaring, d(d+1)/2 big multiplies reduced by the
     small coefficients, and a set bit a shift by x. The remainder
     sum r_j x^j gives a(n) = sum r_j a(start + j). The jump runs in the type
-    of ``rec.initial``: ints, or Decimals in an exact context.
+    of ``rec.initial``: ints or Decimals.
     """
     if n < rec.start:
         raise ValueError(f"index {n} below starting index {rec.start}")
@@ -261,6 +262,21 @@ def _check_work(family: Family, lo: int, hi: int, method: str) -> None:
         )
 
 
+# The context of every Decimal term: any rounding or overflow raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
+
+
 @dataclass(frozen=True)
 class Family:
     """A named counting sequence: recurrence plus optional closed form."""
@@ -275,11 +291,15 @@ class Family:
         return self.recurrence.start
 
     def terms(self, lo: int, hi: int, method: str = "iter", unit=1) -> Iterator:
-        """a(lo), ..., a(hi) by ``method``: ints, or Decimals for Decimal(1) in an exact context.
+        """a(lo), ..., a(hi) by ``method``: ints for the unit 1, exact Decimals for Decimal(1).
 
         Every check and the budget raise on the call, before any term is
         computed. ``iter`` jumps to the first ``order`` terms (all of a shorter
-        range) and runs one forward pass on from them.
+        range) and runs one forward pass on from them. Decimal terms are
+        computed in an exact, trapped context, whatever the caller's is. The
+        generator enters it at the first term and leaves it when exhausted or
+        closed, so while it is suspended between terms that exact context is
+        the caller's too. Int terms never touch the context.
         """
         if method not in ("iter", "matpow", "closed"):
             raise ValueError(f"unknown method {method!r}")
@@ -293,18 +313,20 @@ class Family:
         return self._computed(lo, hi, method, unit)
 
     def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:
-        coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
-        rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
-        if method == "iter":
-            head = tuple(rec_eval_matpow(rec, n) for n in range(lo, min(hi + 1, lo + rec.order)))
-            if len(head) == rec.order:
-                yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
+        with decimal.localcontext(_EXACT) if isinstance(unit, decimal.Decimal) else nullcontext():
+            coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
+            rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
+            if method == "iter":
+                stop = min(hi + 1, lo + rec.order)
+                head = tuple(rec_eval_matpow(rec, n) for n in range(lo, stop))
+                if len(head) == rec.order:
+                    yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
+                else:
+                    yield from head
+            elif method == "matpow":
+                yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
             else:
-                yield from head
-        elif method == "matpow":
-            yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
-        else:
-            yield from (closed_eval(self.closed, n, unit) for n in range(lo, hi + 1))
+                yield from (closed_eval(self.closed, n, unit) for n in range(lo, hi + 1))
 
     def eval(self, n: int, method: str = "iter") -> int:
         return next(self.terms(n, n, method))
@@ -370,20 +392,21 @@ def catalog() -> dict[str, Family]:
     return {f.name: f for f in families}
 
 
-def _terms(name: str, *indices: int) -> list[int]:
-    """Terms of family ``name`` at ``indices``, each by the jump.
+def l2_formula(f, n: int, k: int) -> int:
+    """F(n) F(k-1) + F(n-1) F(k), each F(i) read from the lookup f(i)."""
+    return f(n) * f(k - 1) + f(n - 1) * f(k)
 
-    Index -1 gives 0: the backward extension F(-1) = B(-1) = 0 of F and B.
-    """
-    rec = catalog()[name].recurrence
-    return [0 if i == -1 else rec_eval_matpow(rec, i) for i in indices]
+
+def l3_formula(a, b, c, n: int, k: int) -> int:
+    """A(n) A(k) + C(n-1) B(k-1) + B(n-2) B(k-1), each term read from the lookups a, b, c."""
+    return a(n) * a(k) + c(n - 1) * b(k - 1) + b(n - 2) * b(k - 1)
 
 
 def fibonacci(n: int) -> int:
     """Shifted Fibonacci: F(0) = F(1) = 1, extended backward with F(-1) = 0."""
     if n < -1:
         raise ValueError(f"fibonacci defined for n >= -1, got {n}")
-    return _terms("F", n)[0]
+    return 0 if n == -1 else catalog()["F"].eval(n)
 
 
 def l2(n: int, k: int) -> int:
@@ -394,19 +417,15 @@ def l2(n: int, k: int) -> int:
     """
     if n < 1 or k < 0:
         raise ValueError(f"l2 needs n >= 1 and k >= 0, got ({n}, {k})")
-    f_n, f_k1, f_n1, f_k = _terms("F", n, k - 1, n - 1, k)
-    return f_n * f_k1 + f_n1 * f_k
+    return l2_formula(fibonacci, n, k)
 
 
 def l3(n: int, k: int) -> int:
-    """Tilings of the width-3 right angle with arms 2n and 2k.
+    """Tilings of the width-3 right angle with arms 2n and 2k, by ``l3_formula``.
 
-    Product decomposition A(n) A(k) + C(n-1) B(k-1) + B(n-2) B(k-1), where
     B(-1) = 0 is the backward extension forced by 4 B(0) - B(1) = 0.
     """
     if n < 1 or k < 1:
         raise ValueError(f"l3 needs n, k >= 1, got ({n}, {k})")
-    a_n, a_k = _terms("A", n, k)
-    (c_n1,) = _terms("C", n - 1)
-    b_k1, b_n2 = _terms("B", k - 1, n - 2)
-    return a_n * a_k + c_n1 * b_k1 + b_n2 * b_k1
+    a, b, c = (catalog()[name].eval for name in ("A", "B", "C"))
+    return l3_formula(a, lambda i: 0 if i == -1 else b(i), c, n, k)

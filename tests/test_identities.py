@@ -1,7 +1,13 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tilecount
+from tilecount import sequences
 from tilecount.count2d import count_tilings
 from tilecount.identities import (
     BOUNDS,
@@ -20,7 +26,7 @@ from tilecount.identities import (
     verify_thm32,
 )
 from tilecount.regions2d import ORIENTATIONS, l3_region
-from tilecount.sequences import l3
+from tilecount.sequences import l3, rec_eval_matpow
 
 
 def test_check_result_carries_witnesses():
@@ -58,6 +64,29 @@ def test_report_text_and_records():
         "right": "5",
         "pass": False,
     }
+
+
+def test_reports_render_counts_past_the_int_str_digit_limit():
+    # a fresh interpreter, where no earlier cli.main call can have lifted the
+    # process-wide limit (4,300 digits by default); verify_thm32(4000) reports
+    # T(8001), which has about 4,576 digits
+    script = """
+import sys
+from tilecount.identities import CheckResult, Report
+limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+big = 10**5000
+report = Report([CheckResult("big", (1,), big, big + 1)])
+(record,) = report.records()
+assert (record["left"], record["right"]) == ("1" + "0" * 5000, "1" + "0" * 4999 + "1")
+assert f"left={record['left']} right={record['right']}" in report.to_text()
+assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(tilecount.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_table1_passes_and_bounds_checked():
@@ -118,6 +147,26 @@ def test_crux_passes():
     }
     assert by_param[(1,)].left == 11
     assert by_param[(4,)].left == 29681
+
+
+def test_crux_and_the_tauraso_diagonal_make_no_jump_per_index(monkeypatch):
+    # each family's terms come from one pass, whose head is at most order jumps
+    jumps = []
+
+    def counted(rec, n):
+        jumps.append(n)
+        return rec_eval_matpow(rec, n)
+
+    monkeypatch.setattr(sequences, "rec_eval_matpow", counted)
+    counts = []
+    for n in (10, 300):
+        jumps.clear()
+        assert verify_crux(n).all_passed
+        crux = len(jumps)
+        jumps.clear()
+        assert verify_tauraso(1, 1, diag_max=n).all_passed
+        counts.append((crux, len(jumps)))
+    assert counts[0] == counts[1]
 
 
 def test_thm32_passes():

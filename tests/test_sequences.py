@@ -20,6 +20,7 @@ from tilecount.sequences import (
     l2,
     l3,
     rec_eval_matpow,
+    rec_terms,
     rec_values,
 )
 
@@ -205,6 +206,22 @@ def test_terms_checks_in_order_before_computing(monkeypatch):
             BudgetError,
             f"estimated work for F(0..{10**400}) exceeds the budget of 1,500,000,000",
         ),
+        # the angle formulas and fibonacci read their terms through Family.eval
+        (
+            lambda: l3(10**8, 1),
+            BudgetError,
+            "estimated work for A(100000000..100000000) exceeds the budget of 1,500,000,000",
+        ),
+        (
+            lambda: l2(10**8, 1),
+            BudgetError,
+            "estimated work for F(100000000..100000000) exceeds the budget of 1,500,000,000",
+        ),
+        (
+            lambda: fibonacci(10**9),
+            BudgetError,
+            "estimated work for F(1000000000..1000000000) exceeds the budget of 1,500,000,000",
+        ),
     ]
     for call, kind, message in refusals:
         start = time.perf_counter()
@@ -222,6 +239,31 @@ def test_terms_computes_in_the_units_type():
             assert list(fam.terms(1, 40, method)) == expected
             values = list(fam.terms(1, 40, method, decimal.Decimal(1)))
             assert all(type(v) is decimal.Decimal for v in values) and values == expected
+
+
+def test_decimal_terms_are_exact_whatever_the_callers_context():
+    # A(99..101) have 56-58 digits, more than the default context's 28
+    fam = catalog()["A"]
+    expected = rec_values(fam.recurrence, 99, 101)
+    with decimal.localcontext(decimal.Context()) as caller:
+        for method in ("iter", "matpow", "closed"):
+            values = list(fam.terms(99, 101, method, decimal.Decimal(1)))
+            assert all(type(v) is decimal.Decimal for v in values) and values == expected
+            assert decimal.getcontext() is caller
+
+
+def test_only_a_decimal_generator_holds_the_exact_context():
+    fam = catalog()["T"]
+    caller = decimal.getcontext()
+    ints = fam.terms(1, 40)
+    assert next(ints) == 2 and decimal.getcontext() is caller
+    decimals = fam.terms(1, 40, "iter", decimal.Decimal(1))
+    assert next(decimals) == 2  # suspended, its exact context is current here too
+    exact = decimal.getcontext()
+    assert exact.prec == decimal.MAX_PREC and exact.traps[decimal.Inexact]
+    decimals.close()
+    assert decimal.getcontext() is caller
+    assert list(ints) == rec_values(fam.recurrence, 2, 40) and decimal.getcontext() is caller
 
 
 def test_a_far_single_term_is_one_jump():
@@ -416,21 +458,26 @@ def test_seq_iter_prints_a_head_above_50000_bits_in_full(capsys):
 
 
 def test_seq_iter_jumps_to_a_far_range(capsys, monkeypatch):
-    # iter reaches the head of a far range by Decimal jumps, not by a pass from
-    # the family's start: the int pass is never run
+    # iter reaches the head of a far range by Decimal jumps and starts its
+    # forward pass there, never at the family's start
     indices = (200_000, 200_001)
     values = [str(rec_eval_matpow(catalog()["L3"].recurrence, n)) for n in indices]
+    passes = []
 
-    def int_pass(*args):
-        raise AssertionError("rec_values ran")
+    def pass_from_the_head(rec, lo, hi):
+        passes.append((rec.start, lo, hi))
+        if rec.start != 200_000:
+            raise AssertionError(f"a forward pass started at {rec.start}")
+        return rec_terms(rec, lo, hi)
 
-    monkeypatch.setattr(sequences, "rec_values", int_pass)
+    monkeypatch.setattr(sequences, "rec_terms", pass_from_the_head)
     assert _seq_out(capsys, "L3", "200000", "200001") == "".join(
         f"{n}\t{v}\n" for n, v in zip(indices, values)
     )
     assert _seq_out(capsys, "L3", "200000", "200001", "--json") == "".join(
         f'{{"family":"L3","n":{n},"value":"{v}"}}\n' for n, v in zip(indices, values)
     )
+    assert passes == [(200_000, 200_000, 200_001)] * 2
 
 
 def _with_closed_form(monkeypatch, name, form):
