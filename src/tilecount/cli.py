@@ -69,11 +69,11 @@ def cmd_count(args) -> int:
         count = solid3d.count_bricks(region)
     else:
         count = count2d.count_tilings(region)
+    text = identities.decimal_str(count)
     if args.json:
-        record = {"spec": args.spec, "cells": region.cell_count, "count": str(count)}
-        print(_json_line(record))
+        print(_json_line({"spec": args.spec, "cells": region.cell_count, "count": text}))
     else:
-        print(count)
+        print(text)
     return 0
 
 
@@ -190,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # counts routinely exceed the default int-to-str conversion limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -392,21 +392,29 @@ def catalog() -> dict[str, Family]:
     return {f.name: f for f in families}
 
 
+def _at(lookup, i: int) -> int:
+    """lookup(i), with index -1 read as 0: the backward extension F(-1) = B(-1) = 0."""
+    return 0 if i == -1 else lookup(i)
+
+
 def l2_formula(f, n: int, k: int) -> int:
-    """F(n) F(k-1) + F(n-1) F(k), each F(i) read from the lookup f(i)."""
-    return f(n) * f(k - 1) + f(n - 1) * f(k)
+    """F(n) F(k-1) + F(n-1) F(k), each F(i) read from the lookup f(i), F(-1) as 0."""
+    return f(n) * _at(f, k - 1) + _at(f, n - 1) * f(k)
 
 
 def l3_formula(a, b, c, n: int, k: int) -> int:
-    """A(n) A(k) + C(n-1) B(k-1) + B(n-2) B(k-1), each term read from the lookups a, b, c."""
-    return a(n) * a(k) + c(n - 1) * b(k - 1) + b(n - 2) * b(k - 1)
+    """A(n) A(k) + C(n-1) B(k-1) + B(n-2) B(k-1), each term read from the lookups a, b, c.
+
+    B(-1) = 0, the backward extension forced by 4 B(0) - B(1) = 0, is read as 0.
+    """
+    return a(n) * a(k) + c(n - 1) * b(k - 1) + _at(b, n - 2) * b(k - 1)
 
 
 def fibonacci(n: int) -> int:
     """Shifted Fibonacci: F(0) = F(1) = 1, extended backward with F(-1) = 0."""
     if n < -1:
         raise ValueError(f"fibonacci defined for n >= -1, got {n}")
-    return 0 if n == -1 else catalog()["F"].eval(n)
+    return _at(catalog()["F"].eval, n)
 
 
 def l2(n: int, k: int) -> int:
@@ -417,15 +425,12 @@ def l2(n: int, k: int) -> int:
     """
     if n < 1 or k < 0:
         raise ValueError(f"l2 needs n >= 1 and k >= 0, got ({n}, {k})")
-    return l2_formula(fibonacci, n, k)
+    return l2_formula(catalog()["F"].eval, n, k)
 
 
 def l3(n: int, k: int) -> int:
-    """Tilings of the width-3 right angle with arms 2n and 2k, by ``l3_formula``.
-
-    B(-1) = 0 is the backward extension forced by 4 B(0) - B(1) = 0.
-    """
+    """Tilings of the width-3 right angle with arms 2n and 2k, by ``l3_formula``."""
     if n < 1 or k < 1:
         raise ValueError(f"l3 needs n, k >= 1, got ({n}, {k})")
     a, b, c = (catalog()[name].eval for name in ("A", "B", "C"))
-    return l3_formula(a, lambda i: 0 if i == -1 else b(i), c, n, k)
+    return l3_formula(a, b, c, n, k)

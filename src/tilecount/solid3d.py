@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cache
 
 from .count2d import BudgetError, count_tilings, perfect_matchings
@@ -104,7 +105,10 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
     cross = sorted(prism.cross_section)
     work = prism.layers * 3 ** len(cross) * (_BIG_INT_CELLS + prism.cell_count) // _BIG_INT_CELLS
     if work > _MAX_WORK:
-        raise BudgetError(f"estimated layer-DP work {work:,} exceeds the budget of {_MAX_WORK:,}")
+        # a Decimal prints past the int -> str digit limit, as a tower of 3,000 digits needs
+        raise BudgetError(
+            f"estimated layer-DP work {Decimal(work):,} exceeds the budget of {_MAX_WORK:,}"
+        )
     bit = {cell: 1 << i for i, cell in enumerate(cross)}
     masks = [(1 << len(cross)) - 1] * prism.layers + [0]
     for r, c, z in prism.deleted:

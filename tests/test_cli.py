@@ -88,6 +88,37 @@ def test_count_errors_exit_2(capsys):
     assert err.startswith("error: [Errno ") and "/no/such/file" in err
 
 
+def test_count_prints_past_the_int_str_digit_limit_and_leaves_it_alone():
+    # a fresh interpreter, where nothing has lifted the process-wide limit
+    # (4,300 digits by default): T(27000) has about 15,400 digits
+    script = """
+import contextlib, io, json, sys
+from tilecount.cli import main
+limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+code, seq, _ = run("seq", "T", "27000", "27000")
+value = seq.split()[1]
+assert run("count", "tower:27000") == (0, value + "\\n", "")
+code, out, err = run("count", "tower:27000", "--json")
+assert (code, err) == (0, "") and json.loads(out)["count"] == value
+code, out, err = run("count", "tower:" + "9" * 5000)
+assert (code, out) == (2, "") and err.startswith("error: "), err
+assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+"""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _seq_refusal(name: str, lo: int, hi: int) -> str:
     return f"estimated work for {name}({lo}..{hi}) exceeds the budget of 1,500,000,000"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tilecount
-from tilecount import sequences
+from tilecount import identities, sequences
 from tilecount.count2d import count_tilings
 from tilecount.identities import (
     BOUNDS,
@@ -149,8 +149,9 @@ def test_crux_passes():
     assert by_param[(4,)].left == 29681
 
 
-def test_crux_and_the_tauraso_diagonal_make_no_jump_per_index(monkeypatch):
-    # each family's terms come from one pass, whose head is at most order jumps
+def test_every_suite_makes_as_many_jumps_at_its_limits_as_at_its_defaults(monkeypatch):
+    # each family's terms come from one pass, whose head is at most order jumps;
+    # the 2D counts make no jump, so they are stubbed out to keep this fast
     jumps = []
 
     def counted(rec, n):
@@ -158,15 +159,15 @@ def test_crux_and_the_tauraso_diagonal_make_no_jump_per_index(monkeypatch):
         return rec_eval_matpow(rec, n)
 
     monkeypatch.setattr(sequences, "rec_eval_matpow", counted)
-    counts = []
-    for n in (10, 300):
-        jumps.clear()
-        assert verify_crux(n).all_passed
-        crux = len(jumps)
-        jumps.clear()
-        assert verify_tauraso(1, 1, diag_max=n).all_passed
-        counts.append((crux, len(jumps)))
-    assert counts[0] == counts[1]
+    monkeypatch.setattr(identities, "count_tilings", lambda region: 0)
+    counts = {}
+    for suite, verify in SUITES.items():
+        for bounds in ({}, BOUNDS[suite]):
+            jumps.clear()
+            verify(**bounds)
+            counts.setdefault(suite, []).append(len(jumps))
+    assert counts == {suite: [n, n] for suite, (n, _) in counts.items()}
+    assert counts["thm21"] == [6, 6] and counts["tauraso"] == [2, 2]
 
 
 def test_thm32_passes():

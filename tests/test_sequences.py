@@ -18,7 +18,9 @@ from tilecount.sequences import (
     closed_eval,
     fibonacci,
     l2,
+    l2_formula,
     l3,
+    l3_formula,
     rec_eval_matpow,
     rec_terms,
     rec_values,
@@ -399,6 +401,16 @@ def test_l3_values():
     assert l3(2, 1) == l3(1, 2)
     with pytest.raises(ValueError):
         l3(0, 1)
+
+
+def test_the_angle_formulas_read_index_minus_one_as_zero():
+    # tables with no index -1, like the verify suites' pass tables: a lookup of -1 raises
+    f, b, c = (dict(enumerate(catalog()[name].terms(0, 8))).__getitem__ for name in "FBC")
+    a = dict(enumerate(catalog()["A"].terms(1, 8), start=1)).__getitem__
+    for n in range(1, 8):
+        assert l2_formula(f, n, 0) == l2(n, 0) == fibonacci(n - 1)
+    for k in range(1, 8):
+        assert l3_formula(a, b, c, 1, k) == l3(1, k) == 3 * a(k) + 2 * b(k - 1)
 
 
 def test_l3_diagonal_matches_closed_form():
