@@ -69,7 +69,7 @@ def cmd_count(args) -> int:
         count = solid3d.count_bricks(region)
     else:
         count = count2d.count_tilings(region)
-    text = identities.decimal_str(count)
+    text = sequences.decimal_str(count)
     if args.json:
         print(_json_line({"spec": args.spec, "cells": region.cell_count, "count": text}))
     else:

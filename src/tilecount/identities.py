@@ -7,11 +7,10 @@ and tower families are frozen here; everything else is recomputed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 from .count2d import count_tilings
 from .regions2d import a_grid, b_grid, c_grid, l2_region, l3_region
-from .sequences import catalog, l2_formula, l3_formula
+from .sequences import catalog, decimal_str, l2_formula, l3_formula
 from .solid3d import layer_counts, tower
 
 # Reference values, n = 1..10.
@@ -51,20 +50,9 @@ BOUNDS = {
     "thm21": {"max_n": 40, "max_k": 40},
     "crux": {"max_n": 3000},
     "thm32": {"max_n": 4000},
-    "tauraso": {"max_n": 50, "max_k": 50, "diag_max": 2000},
+    "tauraso": {"max_n": 50, "max_k": 50},
     "recurrences": {"max_n": 4000},
 }
-
-
-def decimal_str(count: int) -> str:
-    """``count`` in decimal, past the int -> str digit limit too: Decimal is exempt from it.
-
-    Below the limit this is ``str(count)``; the process-wide limit is left as it is.
-    """
-    try:
-        return str(count)
-    except ValueError:
-        return str(Decimal(count))
 
 
 @dataclass(frozen=True)
@@ -246,17 +234,17 @@ def verify_thm32(max_n: int = 200) -> Report:
     return Report(checks)
 
 
-def verify_tauraso(max_n: int = 8, max_k: int = 8, diag_max: int = 200) -> Report:
+def verify_tauraso(max_n: int = 8, max_k: int = 8) -> Report:
     """Width-2 angle: 2D count against the Fibonacci product formula, plus the
-    diagonal against its alternating closed form."""
-    _check_bounds("tauraso", max_n=max_n, max_k=max_k, diag_max=diag_max)
-    f = _family_values("F", 0, max(max_n, max_k, diag_max)).__getitem__
+    diagonal n = 1..200 against its alternating closed form."""
+    _check_bounds("tauraso", max_n=max_n, max_k=max_k)
+    f = _family_values("F", 0, max(max_n, max_k, 200)).__getitem__
     checks = []
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
             count, formula = count_tilings(l2_region(n, k)), l2_formula(f, n, k)
             checks.append(CheckResult("tauraso.region_vs_formula", (n, k), count, formula))
-    closed = catalog()["L2D"].terms(1, diag_max, "closed")
+    closed = catalog()["L2D"].terms(1, 200, "closed")
     for n, value in enumerate(closed, start=1):
         formula = l2_formula(f, n, n - 1)
         checks.append(CheckResult("tauraso.diagonal_closed", (n,), value, formula))

@@ -12,15 +12,17 @@ Both run in whatever numbers the initial terms are: ints, or Decimals, whose
 big multiplies are subquadratic and whose result needs no conversion to
 print. ``rec_values`` is the pass as a list of ints. A closed form is stored
 as integer data: each coefficient and base is an element of Z[sqrt(d)] over
-one of two common denominators. It is evaluated exactly, in ints or from a
-Decimal unit: the bases are powered with three big multiplies per squaring,
-and the terms are summed over one denominator, whose power of two is divided
-out by a shift, or for Decimals by a power of five and a decimal shift. The
-irrational part must cancel and the rational remainder must be a nonnegative
-integer; a failure of either condition raises, since it can only mean a
-mistranscribed formula. ``Family.terms`` serves every range of a family's
-terms, with the method dispatch, the budget and, for Decimals, the exact
-context; the rest of the package reaches the kernels only through it.
+one of two common denominators, and each base is an algebraic integer, as
+every root of an integer recurrence is. It is evaluated exactly, in ints or
+from a Decimal unit: each base is powered modulo its integer minimal
+polynomial with three big multiplies per squaring, and the terms are summed
+over one constant denominator. The irrational part must cancel and the
+rational remainder must be a nonnegative integer; a failure of either
+condition raises, since it can only mean a mistranscribed formula. Messages
+print big numbers by ``decimal_str``. ``Family.terms`` serves every range
+of a family's terms, with the method dispatch, the budget and, for
+Decimals, the exact context; the rest of the package reaches the kernels
+only through it.
 """
 from __future__ import annotations
 
@@ -33,6 +35,19 @@ from functools import lru_cache
 from math import isqrt, log10
 
 from .count2d import BudgetError
+
+
+def decimal_str(number: int | Fraction) -> str:
+    """``str(number)`` for an int or a Fraction, past the int -> str digit limit too.
+
+    Decimal is exempt from the limit; the process-wide limit is left as it is.
+    """
+    try:
+        return str(number)
+    except ValueError:
+        q = Fraction(number)
+        text = str(decimal.Decimal(q.numerator))
+        return text if q.denominator == 1 else f"{text}/{decimal.Decimal(q.denominator)}"
 
 
 class ClosedFormCancellationError(ArithmeticError):
@@ -53,9 +68,10 @@ class ClosedForm:
     (cp + cr sqrt d) / coeff_den * ((p + r sqrt d) / base_den)^n.
 
     Every number is an integer of Z[sqrt(d)] over one of two common
-    denominators, the form ``closed_eval`` reads. Alternating components are
-    ordinary terms with base -base_den, so one evaluation path covers
-    everything.
+    denominators, the form ``closed_eval`` reads. Each base must be an
+    algebraic integer, with 2p / base_den and (p^2 - d r^2) / base_den^2 integers.
+    Alternating components are ordinary terms with base -base_den, so one
+    evaluation path covers everything.
     """
 
     d: int
@@ -71,66 +87,60 @@ class ClosedForm:
             )
         if not self.terms:
             raise ValueError("closed form needs at least one term")
+        b, d = self.base_den, self.d
+        for _, _, p, r in self.terms:
+            if 2 * p % b or (p * p - d * r * r) % (b * b):
+                raise ValueError(f"base ({p} + {r} sqrt {d}) / {b} is not an algebraic integer")
 
 
-def _quad_pow(p: int, r: int, d: int, n: int, unit=1) -> tuple:
-    """(u, v) with u + v sqrt(d) = unit * (p + r sqrt(d))^n, by left-to-right binary powering.
+def _quad_pow(P: int, N: int, n: int, unit=1) -> tuple:
+    """(s, t) with unit * x^n = s x + t mod x^2 - P x + N, by left-to-right binary powering.
 
-    u and v are numbers of the unit's type. A squaring costs three big
-    multiplies; a set bit multiplies by the small base only.
+    s and t are numbers of the unit's type. A squaring costs three big
+    multiplies; a set bit multiplies by the small P and N only.
     """
-    u, v = unit, 0 * unit
+    s, t = 0 * unit, unit
     for bit in bin(n)[2:]:
-        uv = u * v
-        u, v = u * u + d * (v * v), uv + uv
+        ss, st = s * s, s * t
+        s, t = P * ss + st + st, t * t - N * ss
         if bit == "1":
-            u, v = u * p + d * r * v, u * r + v * p
-    return u, v
+            s, t = P * s + t, -N * s
+    return s, t
 
 
 def closed_eval(cf: ClosedForm, n: int, unit=1):
     """Evaluate a closed form at n >= 0, checking exactness on the way out.
 
     The value is an int for the unit 1, and an integral Decimal for the unit
-    Decimal(1), computed in the current decimal context. Each distinct base is
-    powered once in Z[sqrt(d)], and the power of its conjugate is read off the
-    same result. The terms are summed over the common denominator
-    coeff_den * base_den^n; its power of two is divided out by a shift.
+    Decimal(1), computed in the current decimal context. Each distinct base
+    beta = (p + r sqrt d) / b is powered once modulo its minimal polynomial:
+    x^n = s x + t gives b beta^n = (s p + b t) + s r sqrt d, and its
+    conjugate's power from the same s and t. The terms are summed over the
+    constant denominator coeff_den * b.
     """
     if n < 0:
         raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
-    d, coeff_den, base_den = cf.d, cf.coeff_den, cf.base_den
+    d, b = cf.d, cf.base_den
+    den = cf.coeff_den * b
     powers: dict[tuple[int, int], tuple] = {}
     num_a = num_b = 0
     for cp, cr, p, r in cf.terms:
         if (p, r) not in powers:
-            u, v = _quad_pow(p, r, d, n, unit)
-            powers[p, -r] = (u, -v)
-            powers[p, r] = (u, v)
+            s, t = _quad_pow(2 * p // b, (p * p - d * r * r) // (b * b), n, unit)
+            u = s * p + b * t
+            powers[p, -r] = (u, -r * s)
+            powers[p, r] = (u, r * s)
         u, v = powers[p, r]
         num_a += cp * u + d * cr * v
         num_b += cp * v + cr * u
-    # base_den^n = 2^shift * odd^n: the power of two divides out by a shift
-    # of num_a, whose low bits must be zero, instead of a long division. A
-    # Decimal is multiplied by 5^shift and shifted in base ten, and must be
-    # integral: a divmod of the unrounded value would be far slower.
-    twos = (base_den & -base_den).bit_length() - 1
-    shift = twos * n
-    den = coeff_den * (base_den >> twos) ** n
     if num_b:
         raise ClosedFormCancellationError(
-            f"irrational part {Fraction(int(num_b), den << shift)}*sqrt({d}) left over at n={n}"
+            f"irrational part {decimal_str(Fraction(num_b) / den)}*sqrt({d}) left over at n={n}"
         )
-    if isinstance(num_a, int):
-        halved, inexact = num_a >> shift, num_a & ((1 << shift) - 1)
-    else:
-        scaled = (num_a * (5 * unit) ** shift).scaleb(-shift)
-        halved = scaled.to_integral_value()
-        inexact = halved != scaled
-    value, remainder = divmod(halved, den)
-    if remainder or inexact or value < 0:
+    value, remainder = divmod(num_a, den)
+    if remainder or value < 0:
         raise ClosedFormCancellationError(
-            f"closed form produced non-count value {Fraction(int(num_a), den << shift)} at n={n}"
+            f"closed form produced non-count value {decimal_str(Fraction(num_a) / den)} at n={n}"
         )
     return value
 
@@ -257,8 +267,8 @@ def _check_work(family: Family, lo: int, hi: int, method: str) -> None:
         work = jump * (digits * index_sum + _JUMP_FLOOR * count)
     if work > _SEQ_MAX_WORK:
         raise BudgetError(
-            f"estimated work for {family.name}({lo}..{hi}) exceeds the budget of "
-            f"{_SEQ_MAX_WORK:,}"
+            f"estimated work for {family.name}({decimal_str(lo)}..{decimal_str(hi)}) exceeds "
+            f"the budget of {_SEQ_MAX_WORK:,}"
         )
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-import sys
 
 from tilecount.regions2d import (
     Region2D,
@@ -15,10 +14,6 @@ from tilecount.regions2d import (
     transpose,
 )
 from tilecount.solid3d import Prism3D, m_tower, tower
-
-# big counts must be printable in full
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
 
 
 def random_connected_region(rng: random.Random, n_cells: int) -> Region2D:

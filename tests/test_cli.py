@@ -14,7 +14,7 @@ from tilecount.cli import main, parse_region_spec
 from tilecount.count2d import BudgetError
 from tilecount.identities import BOUNDS, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
-from tilecount.sequences import catalog, l3, rec_eval_matpow, rec_values
+from tilecount.sequences import catalog, decimal_str, l3, rec_eval_matpow, rec_values
 from tilecount.solid3d import Prism3D
 
 
@@ -303,7 +303,7 @@ class _Sink:
 
 
 def test_bfile_holds_only_a_window_of_terms(monkeypatch):
-    expected = f"6000 {rec_eval_matpow(catalog()['L3'].recurrence, 6000)}"
+    expected = f"6000 {decimal_str(rec_eval_matpow(catalog()['L3'].recurrence, 6000))}"
     sink = _Sink()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
@@ -389,7 +389,7 @@ def test_seq_iter_jumps_once_to_a_single_term(capsys, monkeypatch, name):
         return rec_eval_matpow(rec, n)
 
     monkeypatch.setattr(sequences, "rec_eval_matpow", counted)
-    value = rec_eval_matpow(catalog()[name].recurrence, 5000)
+    value = decimal_str(rec_eval_matpow(catalog()[name].recurrence, 5000))
     assert run(capsys, "seq", name, "5000", "5000") == (0, f"5000\t{value}\n", "")
     assert calls == [5000]
 

@@ -190,17 +190,17 @@ def test_thm32_tower_rows_stop_at_the_last_computed_term(max_n):
 
 
 def test_tauraso_passes():
-    report = verify_tauraso(6, 6, diag_max=80)
+    report = verify_tauraso(6, 6)
     assert report.all_passed
     region_checks = {
         c.params: c for c in report.checks if c.name == "tauraso.region_vs_formula"
     }
     assert region_checks[(3, 2)].left == 7
-    for bounds in ({"max_n": 0}, {"max_k": 0}, {"diag_max": 0}):
+    for bounds in ({"max_n": 0}, {"max_k": 0}):
         with pytest.raises(ValueError):
             verify_tauraso(**bounds)
-    with pytest.raises(ValueError, match="diag_max must be at most 2000, got 2001"):
-        verify_tauraso(diag_max=2001)
+    with pytest.raises(TypeError, match="diag_max"):
+        verify_tauraso(diag_max=200)
 
 
 def test_coupled_recurrences_pass():

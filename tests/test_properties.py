@@ -267,19 +267,24 @@ def positive_quads(draw, d: int, max_rational: int = 60) -> tuple[int, int]:
 
 @st.composite
 def conjugate_pair_forms(draw):
-    """d and integers (cp, cr, p, r) for (cp + cr sqrt d)(p + r sqrt d)^n + conjugate."""
-    d = draw(st.sampled_from((2, 3, 5, 6, 7)))
+    """d, b and integers (cp, cr, p, r) for (cp + cr sqrt d)((p + r sqrt d) / b)^n + conjugate.
+
+    Over b = 2 the base is an algebraic integer: d = 1 mod 4 and p = r mod 2.
+    """
+    b = draw(st.sampled_from((1, 2)))
+    d = draw(st.sampled_from((2, 3, 5, 6, 7) if b == 1 else (5, 13, 17)))
     cp, cr = draw(positive_quads(d))
-    p, r = draw(positive_quads(d))
-    return d, cp, cr, p, r
+    p, r = draw(positive_quads(d).filter(lambda base: (base[0] - base[1]) % b == 0))
+    return d, b, cp, cr, p, r
 
 
 @PROPERTY
 @given(conjugate_pair_forms())
 def test_conjugate_pair_closed_form_follows_its_order_2_recurrence(form):
-    d, cp, cr, p, r = form
-    cf = ClosedForm(d, 1, 1, ((cp, cr, p, r), (cp, -cr, p, -r)))
-    expected = [2 * cp, 2 * (cp * p + d * cr * r)]
+    d, b, cp, cr, p, r = form
+    cf = ClosedForm(d, 1, b, ((cp, cr, p, r), (cp, -cr, p, -r)))
+    trace, norm = 2 * p // b, (p * p - d * r * r) // (b * b)
+    expected = [2 * cp, 2 * (cp * p + d * cr * r) // b]
     while len(expected) <= 200:
-        expected.append(2 * p * expected[-1] - (p * p - d * r * r) * expected[-2])
+        expected.append(trace * expected[-1] - norm * expected[-2])
     assert [closed_eval(cf, n) for n in range(201)] == expected
