@@ -35,23 +35,18 @@ _REGION_TOKENS = {
     "l3": (regions2d, "l3_region", 2),  # and an optional orientation
     "tower": (solid3d, "tower", 1),
     "mtower": (solid3d, "m_tower", 1),
+    "box": (solid3d, "box", 3),
 }
 
 
-def parse_region_spec(spec: str) -> Region2D | Prism3D:
-    """Turn a builder token like ``rect:3,4`` or ``@shape.txt`` into a region.
-
-    Tokens: rect:R,C  a:n  b:n  c:n  l2:n,k  l3:n,k[,orient]  tower:n
-    mtower:n, plus ``@path`` for an ASCII region file.
-    """
-    if spec.startswith("@"):
-        return regions2d.from_ascii(Path(spec[1:]).read_text())
+def _split_spec(spec: str) -> tuple[str, list]:
+    """The token of a builder spec like ``rect:3,4`` and its builder's arguments."""
     token, sep, argtext = spec.partition(":")
     if not sep:
         raise ValueError(f"malformed region spec {spec!r}; expected token:args")
     if token not in _REGION_TOKENS:
         raise ValueError(f"unknown region token {token!r}; known: {' '.join(_REGION_TOKENS)}")
-    module, builder, count = _REGION_TOKENS[token]
+    count = _REGION_TOKENS[token][2]
     args = argtext.split(",") if argtext else []
     orientation = [args.pop().upper()] if token == "l3" and len(args) == 3 else []
     if len(args) != count:
@@ -60,10 +55,25 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
         numbers = [int(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer argument in spec {spec!r}") from None
-    return getattr(module, builder)(*numbers, *orientation)
+    return token, numbers + orientation
+
+
+def parse_region_spec(spec: str) -> Region2D | Prism3D:
+    """Turn a builder token like ``rect:3,4`` or ``@shape.txt`` into a region.
+
+    Tokens: rect:R,C  a:n  b:n  c:n  l2:n,k  l3:n,k[,orient]  tower:n
+    mtower:n  box:R,C,N, plus ``@path`` for an ASCII region file.
+    """
+    if spec.startswith("@"):
+        return regions2d.from_ascii(Path(spec[1:]).read_text())
+    token, arguments = _split_spec(spec)
+    module, builder, _ = _REGION_TOKENS[token]
+    return getattr(module, builder)(*arguments)
 
 
 def cmd_count(args) -> int:
+    if args.spec.startswith("rect:"):  # refused on its size, before its cells are built
+        count2d.check_rect_work(*_split_spec(args.spec)[1])
     region = parse_region_spec(args.spec)
     if isinstance(region, Prism3D):
         count = solid3d.count_bricks(region)
@@ -149,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count tilings of a region or prism")
-    p_count.add_argument("spec", help="region spec, e.g. rect:3,4 a:2 l3:2,2 tower:5 @file")
+    p_count.add_argument(
+        "spec", help="region spec, e.g. rect:3,4 a:2 l3:2,2 tower:5 box:2,3,10 @file"
+    )
     p_count.add_argument("--json", action="store_true")
     p_count.set_defaults(func=cmd_count)
 

@@ -91,11 +91,7 @@ def count_tilings(region: Region2D) -> int:
         ((s, Counter(r + s * c for r, c in cells).values()) for s in (1, -1)),
         key=lambda pair: sum(n * n for n in pair[1]),
     )
-    work = sum(n**3 for n in sizes) * (_BIG_INT_CELLS + len(cells)) ** 2 // _BIG_INT_CELLS**2
-    if work > _MAX_WORK:
-        raise BudgetError(
-            f"estimated elimination work {work:,} exceeds the budget of {_MAX_WORK:,}"
-        )
+    _check_work(sum(n**3 for n in sizes), len(cells))
     order = sorted(cells, key=lambda cell: (cell[0] + s * cell[1], cell))
     black = [cell for cell in order if not sum(cell) % 2]
     white = {cell: j for j, cell in enumerate(cell for cell in order if sum(cell) % 2)}
@@ -115,6 +111,33 @@ def count_tilings(region: Region2D) -> int:
         )
         rows.append({white[cell]: sign for cell, sign in edges if cell in white})
     return _abs_det(rows)
+
+
+def _check_work(cube_sum: int, cells: int) -> None:
+    """Raise ``BudgetError`` if the elimination's work estimate is over ``_MAX_WORK``.
+
+    ``cube_sum`` is the sum of the cubes of the anti-diagonal level sizes.
+    """
+    work = cube_sum * (_BIG_INT_CELLS + cells) ** 2 // _BIG_INT_CELLS**2
+    if work > _MAX_WORK:
+        raise BudgetError(
+            f"estimated elimination work {work:,} exceeds the budget of {_MAX_WORK:,}"
+        )
+
+
+def check_rect_work(rows: int, cols: int) -> None:
+    """Raise the ``BudgetError`` that ``count_tilings`` would raise for the full
+    rows x cols rectangle, from its size alone, so before its cells are built.
+
+    Its level sizes are min(i + 1, rows, cols, rows + cols - 1 - i): 1, ..., m - 1
+    at each end and the short side m on the other M - m + 1 levels, M the long
+    side. A rectangle with no cells or an odd number of them is not refused,
+    as ``count_tilings`` settles it before its estimate.
+    """
+    m, big = sorted((rows, cols))
+    if m < 1 or rows * cols % 2:
+        return
+    _check_work(2 * (m * (m - 1) // 2) ** 2 + (big - m + 1) * m**3, rows * cols)
 
 
 def _abs_det(rows: list[dict[int, int]]) -> int:

@@ -27,7 +27,7 @@ only through it.
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,6 +234,74 @@ def rec_eval_matpow(rec: LinearRecurrence, n: int):
         if bit == "1":
             rem = _reduce([0] + rem, rec.coeffs)
     return sum(r * a for r, a in zip(rem, rec.initial))
+
+
+# Berlekamp-Massey runs modulo this prime, 2^61 - 1; the exact check over Z decides.
+_BM_PRIME = 2**61 - 1
+
+
+def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
+    """Connection polynomial [1, c_1, ..., c_L] of the shortest recurrence
+    a(n) + c_1 a(n-1) + ... + c_L a(n-L) = 0 mod p of ``terms`` (Massey 1969)."""
+    s = [t % p for t in terms]
+    conn, prev = [1], [1]
+    order, gap, last = 0, 1, 1
+    for n, term in enumerate(s):
+        misfit = (term + sum(c * s[n - i] for i, c in enumerate(conn[1:], start=1))) % p
+        if not misfit:
+            gap += 1
+            continue
+        scale = misfit * pow(last, -1, p) % p
+        old = conn[:]
+        conn += [0] * (len(prev) + gap - len(conn))
+        for i, b in enumerate(prev):
+            conn[i + gap] = (conn[i + gap] - scale * b) % p
+        if 2 * order <= n:
+            order, prev, last, gap = n + 1 - order, old, misfit, 1
+        else:
+            gap += 1
+    return (conn + [0] * order)[: order + 1]
+
+
+def certified_recurrence(terms: Iterable[int], dimension: int) -> LinearRecurrence | None:
+    """The recurrence of a(0), a(1), ... proved for every index, or None.
+
+    ``terms`` yields a(0), a(1), ... of a sequence a(j) = u M^j w whose row
+    vectors u M^j all lie in a space of dimension at most D = ``dimension``:
+    for a transfer, the number of states reachable from u's. Terms are read
+    only as far as needed. Each time their number doubles, Berlekamp-Massey
+    modulo a 61-bit prime fits a candidate of order L, its coefficients lifted
+    as symmetric residues. Once D + L terms are in, and one more than the fit
+    used, the candidate is checked exactly on all of them. That proves it for
+    all j: q(shift) a is u M^j q(M) w, a sequence of the same dimension, whose
+    first D terms being 0 make it 0 (Cayley-Hamilton). Such a sequence's
+    minimal recurrence has order at most D, so a longer candidate is dropped,
+    and so is one that fails its check, until the next doubling: a wrong lift
+    or a sequence that is not C-finite never passes, and the check always
+    covers a term the fit did not see. None when the terms run out first. The
+    recurrence starts at index 0; a sequence of zeros gets a(n) = 0 a(n-1).
+    """
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
+    seen: list[int] = []
+    coeffs: tuple[int, ...] | None = None
+    for n, term in enumerate(terms, start=1):
+        seen.append(term)
+        if not n & (n - 1):
+            conn = _berlekamp_massey(seen, _BM_PRIME)
+            coeffs = tuple(-c if c <= _BM_PRIME // 2 else _BM_PRIME - c for c in conn[1:]) or (0,)
+            fitted = n
+            if len(coeffs) > dimension:
+                coeffs = None
+        if coeffs is not None and n > fitted and n >= dimension + len(coeffs):
+            order = len(coeffs)
+            if all(
+                seen[k] == sum(c * seen[k - i] for i, c in enumerate(coeffs, start=1))
+                for k in range(order, n)
+            ):
+                return LinearRecurrence(coeffs, tuple(seen[:order]))
+            coeffs = None
+    return None
 
 
 # Family.terms refuses a range whose estimated work is over _SEQ_MAX_WORK,

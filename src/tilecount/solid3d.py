@@ -6,13 +6,22 @@ layers: a state is the set of cells whose bricks stand upright into the next
 layer, and a move is an upright set with its number of flat completions,
 counted by the 2D domino counter, so both dimensions share one tested
 kernel. ``layer_counts`` yields the count of every prefix of layers from one
-pass; ``count_bricks`` is its last value. A 2D region of width W is a
-1 x W prism with one layer per row and its missing cells deleted, so the
-same transfer is the tests' cross-check of the 2D counter.
+pass of that DP. A 2D region of width W is a 1 x W prism with one layer per
+row and its missing cells deleted, so the same transfer is the tests'
+cross-check of the 2D counter.
+
+``count_bricks`` jumps over the prism's longest run of full layers instead
+of stepping through each. Cut to j layers, the run gives a sequence a(j) =
+entry M^j exit of the run's transfer M, which the DP builds term by term
+until ``sequences.certified_recurrence`` proves a recurrence for it
+(Berlekamp-Massey, then an exact check on D + L terms, D the states the run
+reaches); ``Family.eval`` then jumps to the run's length. A run that ends
+before its certificate is finished by the DP, so every count is the DP's or
+proved equal to it.
 
 A layer of a k-cell cross-section has up to 3^k (state, move) pairs, so a
 prism whose estimated work, layers * 3^k scaled by its cell count, is over
-budget raises ``BudgetError`` before the first layer.
+budget raises ``BudgetError`` before the first layer, jump or not.
 """
 from __future__ import annotations
 
@@ -23,12 +32,14 @@ from functools import cache
 
 from .count2d import BudgetError, count_tilings, perfect_matchings
 from .regions2d import Cell, Region2D
+from .sequences import Family, certified_recurrence
 
 # The layer DP's work estimate is layers * 3^k * (1 + cells / _BIG_INT_CELLS) for a
 # cross-section of k cells: a layer tries at most 3^k (from below, upright, flat)
 # splits, each dearer as the counts grow. At 9-101 ns a unit (CPython 3.11, Xeon;
-# the dearest are 2x2 towers, whose time goes to big-int sums) the budget stops
-# work of over about 3 s.
+# the dearest are long 2x2 prisms whose deleted cells cut them into short runs,
+# of which only the longest is jumped, and whose time goes to big-int sums) the
+# budget stops work of over about 3 s. Full boxes jump and take far less.
 _BIG_INT_CELLS = 25_000
 _MAX_WORK = 3 * 10**7
 MAX_BRUTEFORCE_CELLS = 24
@@ -90,17 +101,30 @@ def m_tower(n: int) -> Prism3D:
     )
 
 
-def layer_counts(prism: Prism3D) -> Iterator[int]:
-    """Yield, after each layer z, the number of brick tilings of layers 0..z.
+def box(rows: int, cols: int, layers: int) -> Prism3D:
+    """The full rows x cols x layers box.
 
-    Sparse transfer: states are protrusion masks (cells covered from below),
-    and ``moves(free, above)`` lists, for a layer's free cells, each upright
-    set that also exists in the layer above with its nonzero flat count from
-    the 2D kernel. Moves and flat counts are cached for the call. The count
-    after layer z is the weight of the state with nothing protruding.
+    A cross-section of k cells whose 3^k splits of a layer are over the
+    layer-DP budget at any length raises ``BudgetError`` before it is built.
+    """
+    if min(rows, cols, layers) < 1:
+        raise ValueError(f"box needs positive dimensions, got {rows}x{cols}x{layers}")
+    if 3 ** min(rows * cols, 64) > _MAX_WORK:
+        raise BudgetError(
+            f"estimated layer-DP work of a {rows} x {cols} cross-section exceeds the budget "
+            f"of {_MAX_WORK:,} at any length"
+        )
+    return Prism3D({(r, c) for r in range(rows) for c in range(cols)}, layers)
 
-    A prism whose work estimate exceeds ``_MAX_WORK`` raises
-    ``BudgetError`` on the first ``next()``, before any flat count.
+
+def _transfer(prism: Prism3D):
+    """The prism's layer masks and its cached ``moves``, once its work is within budget.
+
+    A mask holds a layer's present cells, one bit per cross-section cell, and
+    a last mask of 0 stands for the empty layer above the top. ``moves(free,
+    above)`` lists, for a layer's free cells, each upright set that also exists
+    in the layer above with its nonzero flat count from the 2D kernel. Moves
+    and flat counts are cached for the call.
     """
     cross = sorted(prism.cross_section)
     work = prism.layers * 3 ** len(cross) * (_BIG_INT_CELLS + prism.cell_count) // _BIG_INT_CELLS
@@ -131,23 +155,119 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
                 return tuple(found)
             up = (up - 1) & allowed_up
 
-    states: dict[int, int] = {0: 1}
+    return masks, moves
+
+
+def _step(moves, states: dict[int, int], present: int, above: int) -> dict[int, int]:
+    """The state weights after one layer: states map a protrusion mask to its count."""
+    nxt: dict[int, int] = {}
+    for protruding, ways in states.items():
+        for up, flat in moves(present & ~protruding, above):
+            nxt[up] = nxt.get(up, 0) + ways * flat
+    return nxt
+
+
+def layer_counts(prism: Prism3D) -> Iterator[int]:
+    """Yield, after each layer z, the number of brick tilings of layers 0..z.
+
+    Sparse transfer: states are protrusion masks (cells covered from below),
+    stepped through every layer by the moves of ``_transfer``. The count after
+    layer z is the weight of the state with nothing protruding.
+
+    A prism whose work estimate exceeds ``_MAX_WORK`` raises
+    ``BudgetError`` on the first ``next()``, before any flat count.
+    """
+    masks, moves = _transfer(prism)
+    states = {0: 1}
     for present, above in zip(masks, masks[1:]):
-        nxt: dict[int, int] = {}
-        for protruding, ways in states.items():
-            for up, flat in moves(present & ~protruding, above):
-                nxt[up] = nxt.get(up, 0) + ways * flat
-        states = nxt
+        states = _step(moves, states, present, above)
         yield states.get(0, 0)
 
 
-def count_bricks(prism: Prism3D) -> int:
-    """Exact number of perfect 1x1x2 brick tilings of a prism: the last
-    value ``layer_counts`` yields, or 1 for a prism of no layers."""
-    count = 1
-    for count in layer_counts(prism):
+def _exit_weights(moves, layers: list[tuple[int, int]], entering: set[int]) -> dict[int, int]:
+    """For each state entering ``layers``, its number of completions through them.
+
+    One forward pass of state sets gives each layer's states, then one
+    backward pass weighs them, from the empty protrusion above the top.
+    """
+    reached = [entering]
+    for present, above in layers[:-1]:
+        reached.append({up for p in reached[-1] for up, _ in moves(present & ~p, above)})
+    weights = {0: 1}
+    for (present, above), states in zip(reversed(layers), reversed(reached)):
+        weights = {
+            p: sum(flat * weights.get(up, 0) for up, flat in moves(present & ~p, above))
+            for p in states
+        }
+    return weights
+
+
+def _run_count(moves, states, run, length, exit_layers, reach) -> int:
+    """a(N) for a(j) = entry M^j exit, the count with the run cut to j layers.
+
+    ``states`` is the entry vector, ``run`` the run's (present, above) masks,
+    N = ``length``, and ``reach`` the states reachable from the entry under M.
+    The DP steps through the run, yielding a(0), a(1), ... to
+    ``certified_recurrence``. A proved recurrence jumps to a(N) by
+    ``Family.eval``; a run that ends first, or a jump over the sequence
+    budget, gives a(N) from the DP.
+    """
+    weights = _exit_weights(moves, exit_layers, reach)
+    last = 0
+
+    def terms(states: dict[int, int]) -> Iterator[int]:
+        nonlocal last
+        for j in range(length + 1):
+            if j:
+                states = _step(moves, states, *run)
+            last = sum(ways * weights[p] for p, ways in states.items())
+            yield last
+
+    pending = terms(states)
+    rec = certified_recurrence(pending, len(reach))
+    if rec is not None:
+        family = Family("run", "the prism with its run cut to n layers", rec)
+        try:
+            return family.eval(length, "matpow")
+        except BudgetError:  # a jump over the sequence budget: the DP finishes the run
+            pass
+    for _ in pending:
         pass
-    return count
+    return last
+
+
+def count_bricks(prism: Prism3D) -> int:
+    """Exact number of perfect 1x1x2 brick tilings of a prism.
+
+    The layer budget is checked first, as in ``layer_counts``. The prism's
+    longest run of full layers, each under a full one, is one transfer M
+    repeated N times. The DP steps through the layers below it. If the D
+    states reachable from there under M are no more than N, a certificate
+    can fit in the run's N + 1 terms, and ``_run_count`` counts the rest.
+    Otherwise, and for a prism with no run, the DP steps through every layer.
+    """
+    masks, moves = _transfer(prism)
+    layers = list(zip(masks, masks[1:]))
+    full = ((1 << len(prism.cross_section)) - 1,) * 2  # a full layer under a full one
+    start = length = run = 0
+    for z, pair in enumerate(layers):
+        run = run + 1 if pair == full else 0
+        if run > length:
+            start, length = z + 1 - run, run
+    states = {0: 1}
+    for present, above in layers[:start]:
+        states = _step(moves, states, present, above)
+    reach, todo = set(states), list(states)
+    while length and todo:
+        for up, _ in moves(full[0] & ~todo.pop(), full[1]):
+            if up not in reach:
+                reach.add(up)
+                todo.append(up)
+    if 0 < len(reach) <= length:  # the run's N + 1 terms can hold a certificate
+        return _run_count(moves, states, full, length, layers[start + length :], reach)
+    for present, above in layers[start:]:
+        states = _step(moves, states, present, above)
+    return states.get(0, 0)
 
 
 def count_bricks_bruteforce(prism: Prism3D) -> int:

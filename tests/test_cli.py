@@ -38,6 +38,8 @@ def test_parse_region_specs():
     prism = parse_region_spec("tower:5")
     assert isinstance(prism, Prism3D) and prism.layers == 5
     assert parse_region_spec("mtower:2").cell_count == 6
+    two_by_three = {(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)}
+    assert parse_region_spec("box:2,3,4") == Prism3D(two_by_three, 4)
 
 
 def test_parse_region_spec_from_file(tmp_path):
@@ -50,7 +52,7 @@ def test_parse_region_spec_from_file(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    ["rect", "rect:3", "rect:a,b", "blob:3", "l3:2", "a:1,2", "tower:x"],
+    ["rect", "rect:3", "rect:a,b", "blob:3", "l3:2", "a:1,2", "tower:x", "box:2,2", "box:0,2,2"],
 )
 def test_parse_region_spec_rejects(bad):
     with pytest.raises(ValueError):
@@ -65,6 +67,18 @@ def test_count_known_values(capsys):
     assert run(capsys, "count", "a:2") == (0, "11\n", "")
     assert run(capsys, "count", "rect:3,3") == (0, "0\n", "")
     assert run(capsys, "count", "tower:10") == (0, "326041\n", "")
+    assert run(capsys, "count", "box:2,2,10") == (0, "326041\n", "")
+    assert run(capsys, "count", "box:2,3,10", "--json") == (
+        0,
+        '{"cells":60,"count":"422983905","spec":"box:2,3,10"}\n',
+        "",
+    )
+
+
+def test_count_box_is_the_tower_far_out(capsys):
+    # the run of a long box is jumped, and every count equals the tower's term
+    code, out, err = run(capsys, "count", "box:2,2,4000")
+    assert (code, err) == (0, "") and out == run(capsys, "count", "tower:4000")[1]
 
 
 def test_count_json(capsys):
@@ -79,13 +93,26 @@ def test_count_errors_exit_2(capsys):
     assert run(capsys, "count", "blob:3") == (
         2,
         "",
-        "error: unknown region token 'blob'; known: rect a b c l2 l3 tower mtower\n",
+        "error: unknown region token 'blob'; known: rect a b c l2 l3 tower mtower box\n",
     )
     code, _, err = run(capsys, "count", "rect:200,200")
     assert code == 2 and "exceeds the budget of 100,000,000" in err
     code, out, err = run(capsys, "count", "@/no/such/file")
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno ") and "/no/such/file" in err
+
+
+def test_an_over_budget_rect_is_refused_before_it_is_built(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a cell was built before the refusal")
+
+    monkeypatch.setattr(cli.regions2d, "rect", no_build)
+    for spec in ("rect:1000,1000", "rect:100000,100000", "rect:58,58"):
+        code, out, err = run(capsys, "count", spec)
+        assert (code, out) == (2, "") and "estimated elimination work" in err, spec
+    # usage errors keep their order: the builder's own check comes after the parse
+    message = "error: spec 'rect' takes 2 argument(s), got 1\n"
+    assert run(capsys, "count", "rect:1000") == (2, "", message)
 
 
 def test_count_prints_past_the_int_str_digit_limit_and_leaves_it_alone():
@@ -135,6 +162,17 @@ def _seq_refusal(name: str, lo: int, hi: int) -> str:
             ("count", "rect:200,200"),
             "estimated elimination work 1,344,833,620,000 exceeds the budget of 100,000,000",
             id="rect:200,200",
+        ),
+        pytest.param(
+            ("count", "rect:1000,1000"),
+            "estimated elimination work 501,001,001,000,500,000 exceeds the budget of 100,000,000",
+            id="rect:1000,1000",
+        ),
+        pytest.param(
+            ("count", "box:1000,1000,1000"),
+            "estimated layer-DP work of a 1000 x 1000 cross-section exceeds the budget of "
+            "30,000,000 at any length",
+            id="box:1000,1000,1000",
         ),
         pytest.param(
             ("count", "tower:1000000"),

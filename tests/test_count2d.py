@@ -4,10 +4,12 @@ import time
 import pytest
 
 from conftest import random_connected_region, region_corpus_2d, strip_prism
+from tilecount import count2d
 from tilecount.cli import main
 from tilecount.count2d import (
     BudgetError,
     Tiling,
+    check_rect_work,
     count_tilings,
     count_tilings_bruteforce,
     enumerate_tilings,
@@ -165,6 +167,31 @@ def test_width_guard():
     # zero counts come first, however large the region
     assert count_tilings(rect(201, 201)) == 0
     assert count_tilings(Region2D(rect(200, 200).cells - {(0, 0), (1, 1)})) == 0
+
+
+def _refusal(count, *args):
+    try:
+        count(*args)
+    except BudgetError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_rect_estimate_from_its_size_is_the_determinants(monkeypatch):
+    # on both sides of the budget's edge, for squares, near-squares and strips;
+    # an admitted rectangle skips its elimination here
+    monkeypatch.setattr(count2d, "_abs_det", lambda rows: 0)
+    sizes = [(m, m + d) for m in range(50, 62) for d in (0, 1, 2)]
+    sizes += [(m, 2000 // m) for m in (8, 9, 10, 11, 12, 24)] + [(1, 4), (2, 2), (3, 3), (7, 9)]
+    refused = 0
+    for rows, cols in sizes:
+        for r, c in ((rows, cols), (cols, rows)):
+            message = _refusal(check_rect_work, r, c)
+            assert message == _refusal(count_tilings, rect(r, c)), (r, c)
+            refused += message is not None
+    assert 0 < refused < 2 * len(sizes)
+    for rows, cols in ((0, 5), (-3, 4), (1001, 1001)):  # left to the builder and the parity check
+        check_rect_work(rows, cols)
 
 
 def test_long_thin_and_wide_regions_match_their_formulas():

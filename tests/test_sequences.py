@@ -15,6 +15,7 @@ from tilecount.sequences import (
     LinearRecurrence,
     _quad_pow,
     catalog,
+    certified_recurrence,
     closed_eval,
     decimal_str,
     fibonacci,
@@ -174,6 +175,76 @@ def test_characteristic_polynomial_annihilates(name, poly):
 
 # ---------------------------------------------------------------------------
 # Closed forms
+
+
+# ---------------------------------------------------------------------------
+# Certified recurrences
+
+
+@pytest.mark.parametrize("name", ["F", "A", "T", "L2D"])
+def test_certified_recurrence_recovers_each_catalog_recurrence(name):
+    rec = catalog()[name].recurrence
+    dimension = rec.order  # each is the companion transfer of its own recurrence
+    terms = rec_values(rec, rec.start, rec.start + 2 * dimension + 5)
+    found = certified_recurrence(terms, dimension)
+    assert found == LinearRecurrence(rec.coeffs, rec.initial, 0)
+
+
+def test_certified_recurrence_reads_only_the_terms_it_needs():
+    read = []
+
+    def tribonacci_like():
+        for term in rec_terms(catalog()["T"].recurrence, 1, 10**6):
+            read.append(term)
+            yield term
+
+    assert certified_recurrence(tribonacci_like(), 6).coeffs == (3, 3, -1)
+    assert len(read) == 6 + 3  # D + L
+
+
+def test_certified_recurrence_needs_d_plus_l_terms():
+    terms = rec_values(catalog()["T"].recurrence, 1, 30)
+    assert certified_recurrence(terms[:6], 6) is None  # no more than D terms
+    assert certified_recurrence(terms[:8], 6) is None  # an order-3 candidate, 8 < D + L
+    assert certified_recurrence(terms[:9], 6).coeffs == (3, 3, -1)
+    # a prefix that looks geometric is no certificate without its D + L terms
+    assert certified_recurrence([1, 2, 4, 8, 16, 33], 5) is None
+    assert certified_recurrence([1, 2, 4, 8, 16, 32, 64], 5).coeffs == (2,)
+
+
+def test_certified_recurrence_rejects_a_sequence_that_is_not_c_finite():
+    factorials = [1]
+    for n in range(1, 200):
+        factorials.append(factorials[-1] * n)
+    # Berlekamp-Massey always proposes a candidate; the exact check refuses
+    # those of order up to D, and no longer one is tried
+    for dimension in (4, 5, 60):
+        assert certified_recurrence(factorials, dimension) is None
+    assert certified_recurrence([2**n * n**n for n in range(100)], 3) is None
+
+
+def test_certified_recurrence_rejects_a_wrong_lift():
+    # a(n) = 2^61 a(n-1): modulo 2^61 - 1 the ratio is 1, whose lift is wrong
+    assert certified_recurrence([2 ** (61 * j) for j in range(40)], 2) is None
+    # a(n) = 3 a(n-1) - (2^61 - 1 + 5) a(n-2) lifts its second coefficient to -5
+    terms = [1, 1]
+    for _ in range(60):
+        terms.append(3 * terms[-1] - (2**61 + 4) * terms[-2])
+    assert certified_recurrence(terms, 2) is None
+    # with a coefficient inside the symmetric range the same shape is found
+    terms = [1, 1]
+    for _ in range(60):
+        terms.append(3 * terms[-1] - (2**59 + 4) * terms[-2])
+    assert certified_recurrence(terms, 2).coeffs == (3, -(2**59 + 4))
+
+
+def test_certified_recurrence_of_zeros_and_of_a_nilpotent_transfer():
+    assert certified_recurrence([0] * 5, 3) == LinearRecurrence((0,), (0,))
+    # a shift of dimension 4: a(3) = 1 and every other term 0
+    found = certified_recurrence([0, 0, 0, 1] + [0] * 20, 4)
+    assert found == LinearRecurrence((0, 0, 0, 0), (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        certified_recurrence([1, 1, 1], 0)
 
 
 def test_closed_eval_known_values():

@@ -1,11 +1,13 @@
 import pytest
 
 from conftest import prism_corpus
-from tilecount import solid3d
+from tilecount import sequences, solid3d
 from tilecount.count2d import BudgetError, count_tilings
-from tilecount.sequences import catalog, rec_values
+from tilecount.regions2d import rect
+from tilecount.sequences import catalog, certified_recurrence, rec_values
 from tilecount.solid3d import (
     Prism3D,
+    box,
     count_bricks,
     count_bricks_bruteforce,
     layer_counts,
@@ -174,3 +176,120 @@ def test_flat_only_prism_matches_2d():
     assert count_bricks(Prism3D(cross, 1)) == count_tilings(rect(2, 4))
     lshape = {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)}
     assert count_bricks(Prism3D(lshape, 1)) == count_tilings(Region2D(lshape))
+
+
+# (rows, cols) -> layers at which the box's run first yields a certificate: at
+# least D + L terms, D the states the run reaches and L the order of its
+# recurrence, and one more than Berlekamp-Massey fitted the candidate on
+_CERTIFICATE_POINTS = {
+    (1, 1): 5,
+    (1, 2): 5,
+    (1, 3): 10,
+    (1, 4): 10,
+    (1, 5): 28,
+    (1, 6): 28,
+    (1, 7): 86,
+    (1, 8): 86,
+    (2, 2): 9,
+    (2, 3): 33,
+    (2, 4): 91,
+    (3, 3): 290,
+}
+
+
+def _spy_certificates(monkeypatch):
+    found = []
+
+    def spy(terms, dimension):
+        rec = certified_recurrence(terms, dimension)
+        found.append(rec)
+        return rec
+
+    monkeypatch.setattr(solid3d, "certified_recurrence", spy)
+    return found
+
+
+@pytest.mark.parametrize("rows, cols", sorted(_CERTIFICATE_POINTS))
+def test_jump_equals_the_layer_dp_on_both_sides_of_the_certificate(monkeypatch, rows, cols):
+    point = _CERTIFICATE_POINTS[rows, cols]
+    lengths = sorted({1, 2, 3, point - 1, point, point + 1, 2 * point + 3} - {0})
+    counts = list(layer_counts(box(rows, cols, lengths[-1])))
+    found = _spy_certificates(monkeypatch)
+    for n in lengths:
+        found.clear()
+        assert count_bricks(box(rows, cols, n)) == counts[n - 1], n
+        jumped = any(rec is not None for rec in found)
+        assert jumped == (n >= point), n
+
+
+@pytest.mark.parametrize(
+    "deleted",
+    [
+        {(0, 0, 0), (0, 1, 0)},  # below the run
+        {(1, 2, 3), (1, 3, 3)},  # at the run's foot: an entry of four layers
+        {(0, 0, 60), (1, 0, 60)},  # inside: the longer side is the run
+        {(0, 1, 248), (0, 2, 248)},  # above, under the top layer
+        {(0, 3, 249), (1, 3, 249)},  # in the top layer
+        {(0, 0, 0), (0, 1, 0), (1, 1, 40), (1, 2, 40), (0, 3, 249), (1, 3, 249)},
+        {(0, 0, 5)},  # odd: no tiling, though the entry has some
+        {(0, 0, 0), (1, 1, 0)},  # the entry layer has no flat tiling of its own
+    ],
+)
+def test_jump_equals_the_layer_dp_with_deleted_cells(monkeypatch, deleted):
+    cross = {(r, c) for r in range(2) for c in range(4)}
+    prism = Prism3D(cross, 250, deleted)
+    found = _spy_certificates(monkeypatch)
+    assert count_bricks(prism) == list(layer_counts(prism))[-1]
+    assert found and found[-1] is not None  # every such run is long enough to jump
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 4), (4, 2)])
+def test_jump_equals_the_layer_dp_on_the_long_box(monkeypatch, rows, cols):
+    found = _spy_certificates(monkeypatch)
+    assert count_bricks(box(rows, cols, 300)) == list(layer_counts(box(rows, cols, 300)))[-1]
+    assert [rec.order for rec in found] == [21]
+
+
+def test_a_jump_over_the_sequence_budget_is_finished_by_the_dp(monkeypatch):
+    monkeypatch.setattr(sequences, "_SEQ_MAX_WORK", 0)
+    found = _spy_certificates(monkeypatch)
+    for prism in (box(2, 3, 100), m_tower(60)):
+        assert count_bricks(prism) == list(layer_counts(prism))[-1]
+    assert len(found) == 2 and None not in found
+
+
+def _layer_dp_edge(cells: int) -> int:
+    """The most layers the layer budget admits for a full box of ``cells`` cross cells."""
+    lo, hi = 1, 10**6
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        work = mid * 3**cells * (solid3d._BIG_INT_CELLS + cells * mid) // solid3d._BIG_INT_CELLS
+        lo, hi = (mid, hi) if work <= solid3d._MAX_WORK else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (3, 3), (1, 8)])
+def test_the_jump_is_admitted_at_every_layer_dp_edge(monkeypatch, rows, cols):
+    edge = _layer_dp_edge(rows * cols)
+    found = _spy_certificates(monkeypatch)
+    count = count_bricks(box(rows, cols, edge))
+    assert found[-1] is not None  # the edge jumps and Family.terms admits the jump
+    if (rows, cols) == (2, 2):
+        assert count == catalog()["T"].eval(edge)
+    with pytest.raises(BudgetError, match="^estimated layer-DP work [0-9,]+ exceeds"):
+        count_bricks(box(rows, cols, edge + 1))
+
+
+def test_box_geometry_and_width_guard():
+    assert box(2, 3, 4) == Prism3D({(r, c) for r in range(2) for c in range(3)}, 4)
+    assert count_bricks(box(2, 2, 10)) == count_bricks(tower(10))
+    with pytest.raises(ValueError, match="box needs positive dimensions"):
+        box(2, 0, 3)
+    with pytest.raises(ValueError, match="box needs positive dimensions"):
+        box(2, 2, 0)
+    # 3^16 splits a layer are over budget at one layer, so no such box is built
+    with pytest.raises(BudgetError, match="of a 4 x 4 cross-section exceeds"):
+        box(4, 4, 1)
+    with pytest.raises(BudgetError, match="of a 100000 x 100000 cross-section exceeds"):
+        box(10**5, 10**5, 1)
+    assert count_bricks(box(3, 5, 1)) == count_tilings(rect(3, 5))  # 15 cells: 3^15 fits
