@@ -236,8 +236,9 @@ def rec_eval_matpow(rec: LinearRecurrence, n: int):
     return sum(r * a for r, a in zip(rem, rec.initial))
 
 
-# Berlekamp-Massey runs modulo this prime, 2^61 - 1; the exact check over Z decides.
-_BM_PRIME = 2**61 - 1
+# Berlekamp-Massey runs modulo this prime, the Mersenne prime 2^127 - 1, wide enough to
+# lift the 68-bit coefficients of the 2 x 5 prism's recurrence; the exact check over Z decides.
+_BM_PRIME = 2**127 - 1
 
 
 def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
@@ -245,19 +246,19 @@ def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
     a(n) + c_1 a(n-1) + ... + c_L a(n-L) = 0 mod p of ``terms`` (Massey 1969)."""
     s = [t % p for t in terms]
     conn, prev = [1], [1]
-    order, gap, last = 0, 1, 1
+    order, gap, inverse = 0, 1, 1  # inverse: 1 / the misfit when prev was current
     for n, term in enumerate(s):
         misfit = (term + sum(c * s[n - i] for i, c in enumerate(conn[1:], start=1))) % p
         if not misfit:
             gap += 1
             continue
-        scale = misfit * pow(last, -1, p) % p
+        scale = misfit * inverse % p
         old = conn[:]
         conn += [0] * (len(prev) + gap - len(conn))
         for i, b in enumerate(prev):
             conn[i + gap] = (conn[i + gap] - scale * b) % p
         if 2 * order <= n:
-            order, prev, last, gap = n + 1 - order, old, misfit, 1
+            order, prev, inverse, gap = n + 1 - order, old, pow(misfit, -1, p), 1
         else:
             gap += 1
     return (conn + [0] * order)[: order + 1]
@@ -270,16 +271,17 @@ def certified_recurrence(terms: Iterable[int], dimension: int) -> LinearRecurren
     vectors u M^j all lie in a space of dimension at most D = ``dimension``:
     for a transfer, the number of states reachable from u's. Terms are read
     only as far as needed. Each time their number doubles, Berlekamp-Massey
-    modulo a 61-bit prime fits a candidate of order L, its coefficients lifted
-    as symmetric residues. Once D + L terms are in, and one more than the fit
-    used, the candidate is checked exactly on all of them. That proves it for
-    all j: q(shift) a is u M^j q(M) w, a sequence of the same dimension, whose
-    first D terms being 0 make it 0 (Cayley-Hamilton). Such a sequence's
-    minimal recurrence has order at most D, so a longer candidate is dropped,
-    and so is one that fails its check, until the next doubling: a wrong lift
-    or a sequence that is not C-finite never passes, and the check always
-    covers a term the fit did not see. None when the terms run out first. The
-    recurrence starts at index 0; a sequence of zeros gets a(n) = 0 a(n-1).
+    modulo the prime 2^127 - 1 fits a candidate of order L, its coefficients
+    lifted as symmetric residues. Once D + L terms are in, and one more than
+    the fit used, the candidate is checked exactly on all of them. That
+    proves it for all j: q(shift) a is u M^j q(M) w, a sequence of the same
+    dimension, whose first D terms being 0 make it 0 (Cayley-Hamilton). Such
+    a sequence's minimal recurrence has order at most D, so a longer candidate
+    is dropped, and so is one that fails its check, until the next doubling: a
+    wrong lift or a sequence that is not C-finite never passes, and the check
+    always covers a term the fit did not see. None when the terms run out
+    first. The recurrence starts at index 0; a sequence of zeros gets a(n) =
+    0 a(n-1).
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")

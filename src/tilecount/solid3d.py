@@ -12,12 +12,14 @@ cross-check of the 2D counter.
 
 ``count_bricks`` jumps over the prism's longest run of full layers instead
 of stepping through each. Cut to j layers, the run gives a sequence a(j) =
-entry M^j exit of the run's transfer M, which the DP builds term by term
-until ``sequences.certified_recurrence`` proves a recurrence for it
+entry M^j exit of the run's transfer M. The entry is the DP stepped up through
+the layers below the run, the exit the same step run down from the top, as a
+tiling read upside down is one. The DP builds a(j) term by term until
+``sequences.certified_recurrence`` proves a recurrence for it
 (Berlekamp-Massey, then an exact check on D + L terms, D the states the run
 reaches); ``Family.eval`` then jumps to the run's length. A run that ends
-before its certificate is finished by the DP, so every count is the DP's or
-proved equal to it.
+before its certificate, or none at all (N = 0), is finished by the DP, so every
+count is the DP's or proved equal to it.
 
 A layer of a k-cell cross-section has up to 3^k (state, move) pairs, so a
 prism whose estimated work, layers * 3^k scaled by its cell count, is over
@@ -184,67 +186,18 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
         yield states.get(0, 0)
 
 
-def _exit_weights(moves, layers: list[tuple[int, int]], entering: set[int]) -> dict[int, int]:
-    """For each state entering ``layers``, its number of completions through them.
-
-    One forward pass of state sets gives each layer's states, then one
-    backward pass weighs them, from the empty protrusion above the top.
-    """
-    reached = [entering]
-    for present, above in layers[:-1]:
-        reached.append({up for p in reached[-1] for up, _ in moves(present & ~p, above)})
-    weights = {0: 1}
-    for (present, above), states in zip(reversed(layers), reversed(reached)):
-        weights = {
-            p: sum(flat * weights.get(up, 0) for up, flat in moves(present & ~p, above))
-            for p in states
-        }
-    return weights
-
-
-def _run_count(moves, states, run, length, exit_layers, reach) -> int:
-    """a(N) for a(j) = entry M^j exit, the count with the run cut to j layers.
-
-    ``states`` is the entry vector, ``run`` the run's (present, above) masks,
-    N = ``length``, and ``reach`` the states reachable from the entry under M.
-    The DP steps through the run, yielding a(0), a(1), ... to
-    ``certified_recurrence``. A proved recurrence jumps to a(N) by
-    ``Family.eval``; a run that ends first, or a jump over the sequence
-    budget, gives a(N) from the DP.
-    """
-    weights = _exit_weights(moves, exit_layers, reach)
-    last = 0
-
-    def terms(states: dict[int, int]) -> Iterator[int]:
-        nonlocal last
-        for j in range(length + 1):
-            if j:
-                states = _step(moves, states, *run)
-            last = sum(ways * weights[p] for p, ways in states.items())
-            yield last
-
-    pending = terms(states)
-    rec = certified_recurrence(pending, len(reach))
-    if rec is not None:
-        family = Family("run", "the prism with its run cut to n layers", rec)
-        try:
-            return family.eval(length, "matpow")
-        except BudgetError:  # a jump over the sequence budget: the DP finishes the run
-            pass
-    for _ in pending:
-        pass
-    return last
-
-
 def count_bricks(prism: Prism3D) -> int:
     """Exact number of perfect 1x1x2 brick tilings of a prism.
 
     The layer budget is checked first, as in ``layer_counts``. The prism's
     longest run of full layers, each under a full one, is one transfer M
-    repeated N times. The DP steps through the layers below it. If the D
-    states reachable from there under M are no more than N, a certificate
-    can fit in the run's N + 1 terms, and ``_run_count`` counts the rest.
-    Otherwise, and for a prism with no run, the DP steps through every layer.
+    repeated N times, N = 0 if there is none. The entry vector is ``_step`` up
+    through the layers below the run, the exit weights ``_step`` down from the
+    top to the first layer above it: a downward state is the set of cells
+    below covered from above, at the run's top the forward state. The DP
+    yields a(j) = entry M^j exit, j = 0..N, to ``certified_recurrence`` with D
+    the states the entry reaches under M. A proved recurrence jumps to a(N) by
+    ``Family.eval``; otherwise, or over the sequence budget, a(N) is the DP's.
     """
     masks, moves = _transfer(prism)
     layers = list(zip(masks, masks[1:]))
@@ -257,17 +210,36 @@ def count_bricks(prism: Prism3D) -> int:
     states = {0: 1}
     for present, above in layers[:start]:
         states = _step(moves, states, present, above)
+    weights = {0: 1}
+    for z in reversed(range(start + length, prism.layers)):  # the layer below layer 0 is empty
+        weights = _step(moves, weights, masks[z], masks[z - 1] if z else 0)
     reach, todo = set(states), list(states)
     while length and todo:
         for up, _ in moves(full[0] & ~todo.pop(), full[1]):
             if up not in reach:
                 reach.add(up)
                 todo.append(up)
-    if 0 < len(reach) <= length:  # the run's N + 1 terms can hold a certificate
-        return _run_count(moves, states, full, length, layers[start + length :], reach)
-    for present, above in layers[start:]:
-        states = _step(moves, states, present, above)
-    return states.get(0, 0)
+    last = 0
+
+    def terms(states: dict[int, int]) -> Iterator[int]:
+        nonlocal last
+        for j in range(length + 1):
+            if j:
+                states = _step(moves, states, *full)
+            last = sum(ways * weights[p] for p, ways in states.items() if p in weights)
+            yield last
+
+    pending = terms(states)
+    rec = certified_recurrence(pending, len(reach) or 1)  # no entry state: zeros, dimension 1
+    if rec is not None:
+        family = Family("run", "the prism with its run cut to n layers", rec)
+        try:
+            return family.eval(length, "matpow")
+        except BudgetError:  # a jump over the sequence budget: the DP finishes the run
+            pass
+    for _ in pending:
+        pass
+    return last
 
 
 def count_bricks_bruteforce(prism: Prism3D) -> int:

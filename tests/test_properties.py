@@ -27,6 +27,7 @@ from tilecount.solid3d import (
     Prism3D,
     count_bricks,
     count_bricks_bruteforce,
+    layer_counts,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -167,6 +168,24 @@ def test_layer_dp_is_invariant_under_cross_section_symmetries(prism, move):
         ((*move(r, c), z) for r, c, z in prism.deleted),
     )
     assert count_bricks(image) == count_bricks(prism)
+
+
+@st.composite
+def thin_prisms(draw) -> Prism3D:
+    """A connected cross-section of up to 4 cells, 1-30 layers, and up to 8
+    deleted cells anywhere: the longest full run lies below, between or above
+    the deleted cells, or there is none."""
+    cross = draw(connected_regions(max_cells=4)).cells
+    layers = draw(st.integers(1, 30))
+    cells = sorted((r, c, z) for r, c in cross for z in range(layers))
+    deleted = draw(st.sets(st.sampled_from(cells), max_size=8))
+    return Prism3D(cross, layers, deleted)
+
+
+@PROPERTY
+@given(thin_prisms())
+def test_count_bricks_is_the_last_layer_count(prism):
+    assert count_bricks(prism) == list(layer_counts(prism))[-1]
 
 
 @PROPERTY

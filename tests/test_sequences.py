@@ -224,18 +224,19 @@ def test_certified_recurrence_rejects_a_sequence_that_is_not_c_finite():
 
 
 def test_certified_recurrence_rejects_a_wrong_lift():
-    # a(n) = 2^61 a(n-1): modulo 2^61 - 1 the ratio is 1, whose lift is wrong
-    assert certified_recurrence([2 ** (61 * j) for j in range(40)], 2) is None
-    # a(n) = 3 a(n-1) - (2^61 - 1 + 5) a(n-2) lifts its second coefficient to -5
+    p = sequences._BM_PRIME
+    # a(n) = (p + 1) a(n-1): modulo p the ratio is 1, whose lift is wrong
+    assert certified_recurrence([(p + 1) ** j for j in range(40)], 2) is None
+    # a(n) = 3 a(n-1) - (p + 5) a(n-2) lifts its second coefficient to -5
     terms = [1, 1]
     for _ in range(60):
-        terms.append(3 * terms[-1] - (2**61 + 4) * terms[-2])
+        terms.append(3 * terms[-1] - (p + 5) * terms[-2])
     assert certified_recurrence(terms, 2) is None
     # with a coefficient inside the symmetric range the same shape is found
     terms = [1, 1]
     for _ in range(60):
-        terms.append(3 * terms[-1] - (2**59 + 4) * terms[-2])
-    assert certified_recurrence(terms, 2).coeffs == (3, -(2**59 + 4))
+        terms.append(3 * terms[-1] - (p // 4 + 5) * terms[-2])
+    assert certified_recurrence(terms, 2).coeffs == (3, -(p // 4 + 5))
 
 
 def test_certified_recurrence_of_zeros_and_of_a_nilpotent_transfer():

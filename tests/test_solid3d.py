@@ -4,7 +4,7 @@ from conftest import prism_corpus
 from tilecount import sequences, solid3d
 from tilecount.count2d import BudgetError, count_tilings
 from tilecount.regions2d import rect
-from tilecount.sequences import catalog, certified_recurrence, rec_values
+from tilecount.sequences import Family, catalog, certified_recurrence, rec_values
 from tilecount.solid3d import (
     Prism3D,
     box,
@@ -193,6 +193,7 @@ _CERTIFICATE_POINTS = {
     (2, 2): 9,
     (2, 3): 33,
     (2, 4): 91,
+    (2, 5): 328,
     (3, 3): 290,
 }
 
@@ -212,7 +213,8 @@ def _spy_certificates(monkeypatch):
 @pytest.mark.parametrize("rows, cols", sorted(_CERTIFICATE_POINTS))
 def test_jump_equals_the_layer_dp_on_both_sides_of_the_certificate(monkeypatch, rows, cols):
     point = _CERTIFICATE_POINTS[rows, cols]
-    lengths = sorted({1, 2, 3, point - 1, point, point + 1, 2 * point + 3} - {0})
+    far = min(2 * point + 3, _layer_dp_edge(rows * cols))  # the 2 x 5 box stops at its edge
+    lengths = sorted({1, 2, 3, point - 1, point, point + 1, far} - {0})
     counts = list(layer_counts(box(rows, cols, lengths[-1])))
     found = _spy_certificates(monkeypatch)
     for n in lengths:
@@ -243,6 +245,17 @@ def test_jump_equals_the_layer_dp_with_deleted_cells(monkeypatch, deleted):
     assert found and found[-1] is not None  # every such run is long enough to jump
 
 
+def test_a_varied_top_above_a_jumped_run(monkeypatch):
+    # the run is layers 0-148; an adjacent pair, moving along the row, is
+    # deleted every 7 layers from 150 on, so the downward step crosses 100 layers
+    cross = {(r, c) for r in range(2) for c in range(4)}
+    deleted = {(z % 2, c, z) for z in range(150, 250, 7) for c in (z % 3, z % 3 + 1)}
+    prism = Prism3D(cross, 250, deleted)
+    found = _spy_certificates(monkeypatch)
+    assert count_bricks(prism) == list(layer_counts(prism))[-1]
+    assert found and found[-1] is not None
+
+
 @pytest.mark.parametrize("rows, cols", [(2, 4), (4, 2)])
 def test_jump_equals_the_layer_dp_on_the_long_box(monkeypatch, rows, cols):
     found = _spy_certificates(monkeypatch)
@@ -268,12 +281,14 @@ def _layer_dp_edge(cells: int) -> int:
     return lo
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (3, 3), (1, 8)])
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (1, 8)])
 def test_the_jump_is_admitted_at_every_layer_dp_edge(monkeypatch, rows, cols):
     edge = _layer_dp_edge(rows * cols)
     found = _spy_certificates(monkeypatch)
     count = count_bricks(box(rows, cols, edge))
     assert found[-1] is not None  # the edge jumps and Family.terms admits the jump
+    # the run is every layer but the top; the 2 x 5 jump is estimated at ~1.39e9 of 1.5e9
+    sequences._check_work(Family("run", "", found[-1]), edge - 1, edge - 1, "matpow")
     if (rows, cols) == (2, 2):
         assert count == catalog()["T"].eval(edge)
     with pytest.raises(BudgetError, match="^estimated layer-DP work [0-9,]+ exceeds"):
