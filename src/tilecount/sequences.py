@@ -4,35 +4,42 @@ Every sequence family in the catalog carries an integer linear recurrence,
 and most also carry a closed form whose terms live in Q(sqrt(d)).
 
 A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
-modulo the characteristic polynomial by binary powering, and the remainder's
-coefficients weight the initial terms, so a jump costs O(d^2 log n) big
-multiplies. A range of terms comes from one forward pass, ``rec_terms``,
-which holds only the last d terms and yields each term of the range in turn.
-Both run in whatever numbers the initial terms are: ints, or Decimals, whose
-big multiplies are subquadratic and whose result needs no conversion to
-print. ``rec_values`` is the pass as a list of ints. A closed form is stored
-as integer data: each coefficient and base is an element of Z[sqrt(d)] over
-one of two common denominators, and each base is an algebraic integer, as
-every root of an integer recurrence is. It is evaluated exactly, in ints or
-from a Decimal unit: each base is powered modulo its integer minimal
-polynomial with three big multiplies per squaring, and the terms are summed
-over one constant denominator. The irrational part must cancel and the
-rational remainder must be a nonnegative integer; a failure of either
-condition raises, since it can only mean a mistranscribed formula. Messages
-print big numbers by ``decimal_str``. ``Family.terms`` serves every range
-of a family's terms, with the method dispatch, the budget and, for
-Decimals, the exact context; the rest of the package reaches the kernels
-only through it.
+modulo the characteristic polynomial by binary powering, one kernel
+(``_x_power``), and the remainder's coefficients weight the initial terms, so
+a jump costs O(d^2 log n) big multiplies. A range of terms comes from one
+forward pass, ``rec_terms``, which holds only the last d terms and yields
+each term of the range in turn. Both run in whatever numbers the initial
+terms are: ints, or Decimals, whose big multiplies are subquadratic and whose
+result needs no conversion to print. ``rec_values`` is the pass as a list of
+ints. The same kernel jumps a sequence of vectors v_j = v_0 B^j
+(``vector_jump``) once ``certified_recurrence`` has proved its recurrence:
+Berlekamp-Massey on a projection of the vectors (Wiedemann 1986), then one
+exact vector identity v_K = sum c_i v_(K-i), which holds at every shift. It
+reads 2K + 1 vectors and needs no bound on their dimension.
+
+A closed form is stored as integer data: each coefficient and base is an
+element of Z[sqrt(d)] over one of two common denominators, and each base is
+an algebraic integer, as every root of an integer recurrence is. It is
+evaluated exactly, in ints or from a Decimal unit: each base is powered
+modulo its integer minimal polynomial with three big multiplies per
+squaring, and the terms are summed over one constant denominator. The
+irrational part must cancel and the rational remainder must be a nonnegative
+integer; a failure of either condition raises, since it can only mean a
+mistranscribed formula. Messages print big numbers by ``decimal_str``.
+``Family.terms`` serves every range of a family's terms, with the method
+dispatch, the budget and, for Decimals, the exact context; the rest of the
+package reaches the scalar kernels only through it.
 """
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log10
+from operator import mul
 
 from .count2d import BudgetError
 
@@ -149,7 +156,8 @@ def closed_eval(cf: ClosedForm, n: int, unit=1):
 class LinearRecurrence:
     """Order-d recurrence a(n) = sum coeffs[i-1] * a(n-i), with initial terms.
 
-    ``initial`` holds a(start), ..., a(start+d-1).
+    ``initial`` holds a(start), ..., a(start+d-1): numbers, or, from
+    ``certified_recurrence``, vectors as mappings.
     """
 
     coeffs: tuple[int, ...]
@@ -206,103 +214,175 @@ def _reduce(poly: list[int], coeffs: tuple[int, ...]) -> list[int]:
     return poly
 
 
-def rec_eval_matpow(rec: LinearRecurrence, n: int):
-    """nth term by Fiduccia's jump: O(d^2 log n) big multiplies.
+def _x_power(coeffs: tuple[int, ...], n: int, unit=1) -> list:
+    """unit * x^n modulo x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1], as d coefficients.
 
-    x^(n - start) is reduced modulo the characteristic polynomial
-    x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1] by left-to-right binary
-    powering. A bit costs one squaring, d(d+1)/2 big multiplies reduced by the
-    small coefficients, and a set bit a shift by x. The remainder
-    sum r_j x^j gives a(n) = sum r_j a(start + j). The jump runs in the type
-    of ``rec.initial``: ints or Decimals.
+    Left-to-right binary powering: a bit costs one squaring, d(d+1)/2 big
+    multiplies reduced by the small coefficients, and a set bit a shift by x.
+    The coefficients are numbers of the unit's type: ints, or Decimals.
     """
-    if n < rec.start:
-        raise ValueError(f"index {n} below starting index {rec.start}")
-    idx = n - rec.start
-    d = rec.order
-    if idx < d:
-        return rec.initial[idx]
-    rem = [type(rec.initial[0])(1)] + [0] * (d - 1)
-    for bit in bin(idx)[2:]:
+    d = len(coeffs)
+    rem = [unit] + [0] * (d - 1)
+    for bit in bin(n)[2:]:
         square = [0] * (2 * d - 1)
         for i, ri in enumerate(rem):
             square[2 * i] += ri * ri
             for j in range(i + 1, d):
                 cross = ri * rem[j]
                 square[i + j] += cross + cross
-        rem = _reduce(square, rec.coeffs)
+        rem = _reduce(square, coeffs)
         if bit == "1":
-            rem = _reduce([0] + rem, rec.coeffs)
+            rem = _reduce([0] + rem, coeffs)
+    return rem
+
+
+def rec_eval_matpow(rec: LinearRecurrence, n: int):
+    """nth term by Fiduccia's jump: O(d^2 log n) big multiplies.
+
+    x^(n - start) reduced modulo the characteristic polynomial by ``_x_power``
+    is sum r_j x^j, and a(n) = sum r_j a(start + j). The jump runs in the type
+    of ``rec.initial``: ints or Decimals.
+    """
+    if n < rec.start:
+        raise ValueError(f"index {n} below starting index {rec.start}")
+    idx = n - rec.start
+    if idx < rec.order:
+        return rec.initial[idx]
+    rem = _x_power(rec.coeffs, idx, type(rec.initial[0])(1))
     return sum(r * a for r, a in zip(rem, rec.initial))
 
 
-# Berlekamp-Massey runs modulo this prime, the Mersenne prime 2^127 - 1, wide enough to
-# lift the 68-bit coefficients of the 2 x 5 prism's recurrence; the exact check over Z decides.
-_BM_PRIME = 2**127 - 1
+def vector_jump(rec: LinearRecurrence, n: int) -> dict[int, int]:
+    """v_n of a recurrence on vectors, such as ``certified_recurrence`` returns.
 
-
-def _berlekamp_massey(terms: list[int], p: int) -> list[int]:
-    """Connection polynomial [1, c_1, ..., c_L] of the shortest recurrence
-    a(n) + c_1 a(n-1) + ... + c_L a(n-L) = 0 mod p of ``terms`` (Massey 1969)."""
-    s = [t % p for t in terms]
-    conn, prev = [1], [1]
-    order, gap, inverse = 0, 1, 1  # inverse: 1 / the misfit when prev was current
-    for n, term in enumerate(s):
-        misfit = (term + sum(c * s[n - i] for i, c in enumerate(conn[1:], start=1))) % p
-        if not misfit:
-            gap += 1
-            continue
-        scale = misfit * inverse % p
-        old = conn[:]
-        conn += [0] * (len(prev) + gap - len(conn))
-        for i, b in enumerate(prev):
-            conn[i + gap] = (conn[i + gap] - scale * b) % p
-        if 2 * order <= n:
-            order, prev, inverse, gap = n + 1 - order, old, pow(misfit, -1, p), 1
-        else:
-            gap += 1
-    return (conn + [0] * order)[: order + 1]
-
-
-def certified_recurrence(terms: Iterable[int], dimension: int) -> LinearRecurrence | None:
-    """The recurrence of a(0), a(1), ... proved for every index, or None.
-
-    ``terms`` yields a(0), a(1), ... of a sequence a(j) = u M^j w whose row
-    vectors u M^j all lie in a space of dimension at most D = ``dimension``:
-    for a transfer, the number of states reachable from u's. Terms are read
-    only as far as needed. Each time their number doubles, Berlekamp-Massey
-    modulo the prime 2^127 - 1 fits a candidate of order L, its coefficients
-    lifted as symmetric residues. Once D + L terms are in, and one more than
-    the fit used, the candidate is checked exactly on all of them. That
-    proves it for all j: q(shift) a is u M^j q(M) w, a sequence of the same
-    dimension, whose first D terms being 0 make it 0 (Cayley-Hamilton). Such
-    a sequence's minimal recurrence has order at most D, so a longer candidate
-    is dropped, and so is one that fails its check, until the next doubling: a
-    wrong lift or a sequence that is not C-finite never passes, and the check
-    always covers a term the fit did not see. None when the terms run out
-    first. The recurrence starts at index 0; a sequence of zeros gets a(n) =
-    0 a(n-1).
+    Fiduccia's jump on vectors: v_n = sum r_i v_i over the initial vectors,
+    with sum r_i x^i = x^n reduced by ``_x_power``, in ints. It is charged as
+    a ``matpow`` jump to term n of a sequence with the same coefficients, and
+    over that budget raises ``BudgetError`` before any work.
     """
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    seen: list[int] = []
-    coeffs: tuple[int, ...] | None = None
-    for n, term in enumerate(terms, start=1):
-        seen.append(term)
-        if not n & (n - 1):
-            conn = _berlekamp_massey(seen, _BM_PRIME)
-            coeffs = tuple(-c if c <= _BM_PRIME // 2 else _BM_PRIME - c for c in conn[1:]) or (0,)
-            fitted = n
-            if len(coeffs) > dimension:
-                coeffs = None
-        if coeffs is not None and n > fitted and n >= dimension + len(coeffs):
-            order = len(coeffs)
-            if all(
-                seen[k] == sum(c * seen[k - i] for i, c in enumerate(coeffs, start=1))
-                for k in range(order, n)
-            ):
-                return LinearRecurrence(coeffs, tuple(seen[:order]))
-            coeffs = None
+    _check_work(Family("vectors", "a certified vector recurrence", rec), n, n, "matpow")
+    if n < rec.order:
+        return dict(rec.initial[n])
+    jumped: dict[int, int] = {}
+    for r, vector in zip(_x_power(rec.coeffs, n), rec.initial):
+        if r:
+            for key, value in vector.items():
+                jumped[key] = jumped.get(key, 0) + r * value
+    return jumped
+
+
+# Berlekamp-Massey runs modulo these primes, the first at first and the next after each
+# failed check, and lifts its coefficients as symmetric residues; the exact check over Z
+# decides. The first, the largest prime below 2^30, is one CPython digit, so reducing a
+# projection of huge counts and the fit's own arithmetic are cheap; it lifts the 19-bit
+# coefficients of the 2 x 4 prism's full layers. The Mersenne primes after it lift wider
+# ones: 2^127 - 1 the 68-bit coefficients of the 2 x 5 prism's full layers, and a block
+# of several layers has its layers' coefficients about as many times wider (a 2 x 4
+# prism with a pair deleted every 10 layers needs 2^521 - 1).
+_BM_PRIMES = (2**30 - 35, 2**61 - 1, 2**127 - 1, 2**521 - 1, 2**1279 - 1, 2**4253 - 1)
+# A projection weights coordinate s of a vector by x^s modulo the first prime, x = _BASE
+# + attempt: a one-digit weight multiplies a big entry fast, and the weighted sum is
+# reduced once. A projection hides part of the vectors' recurrence only if its weights
+# fall on the zero set of a nonzero polynomial of degree at most the order, which fixed
+# pseudo-random weights all but never do; an unlucky projection costs a refit on the
+# next, never a wrong count.
+_BASE = 0x9E3779B9
+
+
+@lru_cache(maxsize=1 << 16)  # the masks of a 15-cell cross-section, for a few attempts
+def _weight(attempt: int, coordinate: int) -> int:
+    return pow(_BASE + attempt, coordinate, _BM_PRIMES[0])
+
+
+class _Fit:
+    """Berlekamp-Massey on projected vectors, fed one at a time (Massey 1969).
+
+    Attempt t projects and fits modulo the prime ``_BM_PRIMES[t]``. ``conn``
+    is the connection polynomial [1, c_1, ..., c_L] of the shortest
+    recurrence a(n) + c_1 a(n-1) + ... + c_L a(n-L) = 0 mod p of the
+    projections fed so far, L = ``order``.
+    """
+
+    def __init__(self, attempt: int, vectors: Iterable[Mapping[int, int]] = ()) -> None:
+        self.attempt, self.prime = attempt, _BM_PRIMES[attempt]
+        self.terms: list[int] = []
+        self.conn, self.prev = [1], [1]
+        # inverse: 1 / the misfit when prev was current
+        self.order, self.gap, self.inverse = 0, 1, 1
+        for vector in vectors:
+            self.feed(vector)
+
+    def feed(self, vector: Mapping[int, int]) -> None:
+        p, s, conn, gap, t = self.prime, self.terms, self.conn, self.gap, self.attempt
+        s.append(sum(value * _weight(t, key) for key, value in vector.items()) % p)
+        n = len(s) - 1
+        misfit = sum(map(mul, conn, s[::-1])) % p  # conn[i] * s[n - i]
+        if not misfit:
+            self.gap += 1
+            return
+        scale = misfit * self.inverse % p
+        old = conn[:]
+        conn += [0] * (len(self.prev) + gap - len(conn))
+        conn[gap : gap + len(self.prev)] = [
+            (c - scale * b) % p for c, b in zip(conn[gap:], self.prev)
+        ]
+        if 2 * self.order <= n:
+            self.order, self.prev, self.gap = n + 1 - self.order, old, 1
+            self.inverse = pow(misfit, -1, p)
+        else:
+            self.gap += 1
+
+    def lifted(self) -> tuple[int, ...]:
+        """The recurrence's coefficients (-c_1, ..., -c_L) as symmetric residues."""
+        p, conn = self.prime, (self.conn + [0] * self.order)[1 : self.order + 1]
+        return tuple(-c if c <= p // 2 else p - c for c in conn)
+
+
+def _annihilates(coeffs: tuple[int, ...], vectors: list[Mapping[int, int]]) -> bool:
+    """Exactly v_L = sum c_i v_(L-i), L = len(coeffs), on every coordinate of v_0..v_L."""
+    order = len(coeffs)
+    window = vectors[: order + 1]
+    return all(
+        window[order].get(s, 0)
+        == sum(c * window[order - i].get(s, 0) for i, c in enumerate(coeffs, start=1))
+        for s in set().union(*window)
+    )
+
+
+def certified_recurrence(vectors: Iterable[Mapping[int, int]]) -> LinearRecurrence | None:
+    """The recurrence v_j = c_1 v_(j-1) + ... + c_K v_(j-K), proved for every j, or None.
+
+    ``vectors`` yields v_0, v_1, ... with v_j = v_0 B^j for one linear map B,
+    each a mapping from int coordinates to ints, a missing coordinate 0. They
+    are read only as far as needed. Berlekamp-Massey runs online on a
+    projection of each vector modulo a prime below 2^30 (Wiedemann 1986);
+    its candidate of order L has its coefficients lifted as symmetric
+    residues. Once v_0..v_2L are in, the candidate is checked exactly: v_L =
+    sum c_i v_(L-i) on every coordinate present in v_0..v_L. That is v_0 q(B)
+    = 0, so it holds at every shift, v_(L+m) = sum c_i v_(L+m-i) for all m,
+    and no dimension bound is needed. A failed check (a wrong lift, an
+    unlucky projection, too few vectors, or vectors of no one map) refits the
+    stored vectors on a fresh projection modulo the next, wider prime, and a
+    rejected candidate is never checked again. None when the vectors run out
+    first, or a check fails modulo the widest prime. The recurrence starts at
+    index 0 with v_0..v_(K-1) as its initial terms; zero vectors get v_j = 0
+    v_(j-1).
+    """
+    seen: list[Mapping[int, int]] = []
+    attempt, rejected = 0, None
+    fit = _Fit(attempt)
+    for j, vector in enumerate(vectors):
+        seen.append(vector)
+        fit.feed(vector)
+        while j >= 2 * fit.order and (coeffs := fit.lifted()) != rejected:
+            if _annihilates(coeffs, seen):
+                if not coeffs:
+                    return LinearRecurrence((0,), (seen[0],))
+                return LinearRecurrence(coeffs, tuple(seen[: len(coeffs)]))
+            rejected, attempt = coeffs, attempt + 1
+            if attempt == len(_BM_PRIMES):
+                return None
+            fit = _Fit(attempt, seen)
     return None
 
 

@@ -10,16 +10,18 @@ pass of that DP. A 2D region of width W is a 1 x W prism with one layer per
 row and its missing cells deleted, so the same transfer is the tests'
 cross-check of the 2D counter.
 
-``count_bricks`` jumps over the prism's longest run of full layers instead
-of stepping through each. Cut to j layers, the run gives a sequence a(j) =
-entry M^j exit of the run's transfer M. The entry is the DP stepped up through
-the layers below the run, the exit the same step run down from the top, as a
-tiling read upside down is one. The DP builds a(j) term by term until
-``sequences.certified_recurrence`` proves a recurrence for it
-(Berlekamp-Massey, then an exact check on D + L terms, D the states the run
-reaches); ``Family.eval`` then jumps to the run's length. A run that ends
-before its certificate, or none at all (N = 0), is finished by the DP, so every
-count is the DP's or proved equal to it.
+``count_bricks`` is one upward sweep over the prism's layer word, the
+(present, above) pair of each layer, run-length encoded from the deleted
+cells alone. Each stretch where the word repeats is one block, a period of
+layers repeated N times, and a run of full layers is a block of period 1.
+Its transfer B maps the entry vector v_0, the states below it, to v_j = v_0
+B^j; the DP steps j up until ``sequences.certified_recurrence`` proves a
+recurrence for the vectors (Berlekamp-Massey on a projection, then an exact
+check of v_K = sum c_i v_(K-i) on every state), and ``vector_jump`` jumps to
+v_N. The certificate reads 2K + 1 vectors: 7 for the 2 x 2 tower, 43 for the
+2 x 4 box, 77 for the 3 x 3 and 153 for the 2 x 5. A block that ends before
+its certificate, or whose jump is over the sequence budget, is stepped, so
+every count is the DP's or proved equal to it.
 
 A layer of a k-cell cross-section has up to 3^k (state, move) pairs, so a
 prism whose estimated work, layers * 3^k scaled by its cell count, is over
@@ -30,18 +32,19 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cache
+from functools import cache, partial
+from itertools import accumulate, islice, repeat
 
 from .count2d import BudgetError, count_tilings, perfect_matchings
 from .regions2d import Cell, Region2D
-from .sequences import Family, certified_recurrence
+from .sequences import certified_recurrence, vector_jump
 
 # The layer DP's work estimate is layers * 3^k * (1 + cells / _BIG_INT_CELLS) for a
 # cross-section of k cells: a layer tries at most 3^k (from below, upright, flat)
 # splits, each dearer as the counts grow. At 9-101 ns a unit (CPython 3.11, Xeon;
-# the dearest are long 2x2 prisms whose deleted cells cut them into short runs,
-# of which only the longest is jumped, and whose time goes to big-int sums) the
-# budget stops work of over about 3 s. Full boxes jump and take far less.
+# the dearest are long 2x2 prisms whose deleted cells cut them into short runs that
+# do not repeat, stepped layer by layer with their time in big-int sums) the budget
+# stops work of over about 3 s. Prisms whose layers repeat jump and take far less.
 _BIG_INT_CELLS = 25_000
 _MAX_WORK = 3 * 10**7
 MAX_BRUTEFORCE_CELLS = 24
@@ -120,10 +123,12 @@ def box(rows: int, cols: int, layers: int) -> Prism3D:
 
 
 def _transfer(prism: Prism3D):
-    """The prism's layer masks and its cached ``moves``, once its work is within budget.
+    """The prism's full mask, its other layers' masks and its cached ``moves``,
+    once its work is within budget.
 
-    A mask holds a layer's present cells, one bit per cross-section cell, and
-    a last mask of 0 stands for the empty layer above the top. ``moves(free,
+    A mask holds a layer's present cells, one bit per cross-section cell.
+    ``masks`` holds the layers with deleted cells and, as 0, the empty layer
+    above the top; a layer absent from it is full. ``moves(free,
     above)`` lists, for a layer's free cells, each upright set that also exists
     in the layer above with its nonzero flat count from the 2D kernel. Moves
     and flat counts are cached for the call.
@@ -136,9 +141,10 @@ def _transfer(prism: Prism3D):
             f"estimated layer-DP work {Decimal(work):,} exceeds the budget of {_MAX_WORK:,}"
         )
     bit = {cell: 1 << i for i, cell in enumerate(cross)}
-    masks = [(1 << len(cross)) - 1] * prism.layers + [0]
+    full = (1 << len(cross)) - 1
+    masks = {prism.layers: 0}
     for r, c, z in prism.deleted:
-        masks[z] &= ~bit[r, c]
+        masks[z] = masks.get(z, full) & ~bit[r, c]
 
     @cache
     def flat_count(mask: int) -> int:
@@ -157,7 +163,7 @@ def _transfer(prism: Prism3D):
                 return tuple(found)
             up = (up - 1) & allowed_up
 
-    return masks, moves
+    return full, masks, moves
 
 
 def _step(moves, states: dict[int, int], present: int, above: int) -> dict[int, int]:
@@ -179,67 +185,120 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
     A prism whose work estimate exceeds ``_MAX_WORK`` raises
     ``BudgetError`` on the first ``next()``, before any flat count.
     """
-    masks, moves = _transfer(prism)
+    full, masks, moves = _transfer(prism)
     states = {0: 1}
-    for present, above in zip(masks, masks[1:]):
-        states = _step(moves, states, present, above)
+    for z in range(prism.layers):
+        states = _step(moves, states, masks.get(z, full), masks.get(z + 1, full))
         yield states.get(0, 0)
+
+
+# The longest period, in layers, that the block scan tries. A block steps 2K + 1 whole
+# periods before its jump, so a long period pays only if it repeats many times; past
+# this bound its runs are blocks of their own, each jumped alone. The bound also keeps
+# the scan, which tries the candidate periods at each run, linear in the deleted cells.
+_MAX_PERIOD = 32
+
+Pair = tuple[int, int]  # a layer's present cells and those of the layer above
+
+
+Block = tuple[tuple[Pair, ...], int]  # a period of layer pairs and its repetitions
+
+
+def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
+    """Yield the prism's layers bottom up as blocks.
+
+    The layer word is built in O(deleted cells) from ``_transfer``'s masks:
+    only a layer with deleted cells, the one below it and the top layer
+    differ from a full layer under a full one, and the rest are runs of that
+    pair. Equal neighbouring pairs merge into runs. Then one left-to-right
+    scan takes at each run the smallest period of runs, up to
+    ``_MAX_PERIOD`` layers, that repeats at once and whose first run comes
+    again one period later still, and as many whole repetitions of it as
+    follow; a run with no such period is a block of its own, one pair
+    repeated. A period whose first run recurs within it is found from a later
+    run; one whose first run does not come a third time makes a block too
+    short to jump.
+    """
+    runs: list[list] = []  # [pair, layers]
+    z = 0
+    for top in sorted({y for d in masks for y in (d - 1, d) if 0 <= y < layers}):
+        pair = (masks.get(top, full), masks.get(top + 1, full))
+        if top > z:
+            runs.append([(full, full), top - z])
+        if runs and runs[-1][0] == pair:
+            runs[-1][1] += 1
+        else:
+            runs.append([pair, 1])
+        z = top + 1
+    ends = list(accumulate((n for _, n in runs), initial=0))  # layers below each run
+    ids: dict[tuple[Pair, int], int] = {}
+    code = [ids.setdefault((pair, n), len(ids)) for pair, n in runs]  # equal runs, equal numbers
+    later: list[int | None] = [None] * len(runs)  # the next run equal to each, if any
+    seen: dict[int, int] = {}
+    for k in reversed(range(len(runs))):
+        later[k], seen[code[k]] = seen.get(code[k]), k
+    i, count = 0, len(runs)
+    while i < count:
+        q = later[i]  # a period's next repetition starts at a run equal to run i
+        while q is not None and ends[q] - ends[i] <= _MAX_PERIOD and 2 * q - i <= count:
+            if later[q] == 2 * q - i and code[i:q] == code[q : 2 * q - i]:
+                break
+            q = later[q]
+        else:
+            yield (runs[i][0],), runs[i][1]
+            i += 1
+            continue
+        period = q - i
+        reps = 2
+        while code[i + reps * period : i + (reps + 1) * period] == code[i:q]:
+            reps += 1
+        yield tuple(pair for pair, n in runs[i:q] for _ in range(n)), reps
+        i += reps * period
+
+
+def _step_period(moves, states: dict[int, int], period: tuple[Pair, ...]) -> dict[int, int]:
+    """The state weights after the layer pairs of one period."""
+    for present, above in period:
+        states = _step(moves, states, present, above)
+    return states
 
 
 def count_bricks(prism: Prism3D) -> int:
     """Exact number of perfect 1x1x2 brick tilings of a prism.
 
-    The layer budget is checked first, as in ``layer_counts``. The prism's
-    longest run of full layers, each under a full one, is one transfer M
-    repeated N times, N = 0 if there is none. The entry vector is ``_step`` up
-    through the layers below the run, the exit weights ``_step`` down from the
-    top to the first layer above it: a downward state is the set of cells
-    below covered from above, at the run's top the forward state. The DP
-    yields a(j) = entry M^j exit, j = 0..N, to ``certified_recurrence`` with D
-    the states the entry reaches under M. A proved recurrence jumps to a(N) by
-    ``Family.eval``; otherwise, or over the sequence budget, a(N) is the DP's.
+    The layer budget is checked first, as in ``layer_counts``. One upward
+    sweep runs the DP through the prism's blocks (``_blocks``). A block of a
+    period repeated N times is a linear map B applied N times to the entry
+    vector v_0, the states below it. Stepping gives v_j = v_0 B^j, j < N / 2,
+    to ``certified_recurrence``; a certified recurrence jumps to v_N by
+    ``vector_jump``. The certificate reads at most the first half of the
+    block, so a jump skips at least as many steps as the fit read, and a
+    block too short for its certificate spends a fit on half its steps at
+    most. Otherwise, when those vectors run out first or the jump is over
+    the sequence budget, the DP steps the rest of the block, so no count
+    rests on an unchecked identity. The count is the weight of the empty
+    state after the top layer.
     """
-    masks, moves = _transfer(prism)
-    layers = list(zip(masks, masks[1:]))
-    full = ((1 << len(prism.cross_section)) - 1,) * 2  # a full layer under a full one
-    start = length = run = 0
-    for z, pair in enumerate(layers):
-        run = run + 1 if pair == full else 0
-        if run > length:
-            start, length = z + 1 - run, run
+    full, masks, moves = _transfer(prism)
     states = {0: 1}
-    for present, above in layers[:start]:
-        states = _step(moves, states, present, above)
-    weights = {0: 1}
-    for z in reversed(range(start + length, prism.layers)):  # the layer below layer 0 is empty
-        weights = _step(moves, weights, masks[z], masks[z - 1] if z else 0)
-    reach, todo = set(states), list(states)
-    while length and todo:
-        for up, _ in moves(full[0] & ~todo.pop(), full[1]):
-            if up not in reach:
-                reach.add(up)
-                todo.append(up)
-    last = 0
-
-    def terms(states: dict[int, int]) -> Iterator[int]:
-        nonlocal last
-        for j in range(length + 1):
-            if j:
-                states = _step(moves, states, *full)
-            last = sum(ways * weights[p] for p, ways in states.items() if p in weights)
-            yield last
-
-    pending = terms(states)
-    rec = certified_recurrence(pending, len(reach) or 1)  # no entry state: zeros, dimension 1
-    if rec is not None:
-        family = Family("run", "the prism with its run cut to n layers", rec)
-        try:
-            return family.eval(length, "matpow")
-        except BudgetError:  # a jump over the sequence budget: the DP finishes the run
+    for period, reps in _blocks(prism.layers, full, masks):
+        if not states:  # no tiling of the layers below, so none of the prism
+            return 0
+        if reps < 6:  # no half of the block holds the 3 vectors of the shortest certificate
+            for _ in range(reps):
+                states = _step_period(moves, states, period)
+            continue
+        vectors = accumulate(repeat(period, reps), partial(_step_period, moves), initial=states)
+        rec = certified_recurrence(islice(vectors, reps // 2))
+        if rec is not None:
+            try:
+                states = vector_jump(rec, reps)
+                continue
+            except BudgetError:  # a jump over the sequence budget: the DP finishes the block
+                pass
+        for states in vectors:  # the vectors the certificate left, up to v_N
             pass
-    for _ in pending:
-        pass
-    return last
+    return states.get(0, 0)
 
 
 def count_bricks_bruteforce(prism: Prism3D) -> int:

@@ -172,10 +172,20 @@ def test_layer_dp_is_invariant_under_cross_section_symmetries(prism, move):
 
 @st.composite
 def thin_prisms(draw) -> Prism3D:
-    """A connected cross-section of up to 4 cells, 1-30 layers, and up to 8
-    deleted cells anywhere: the longest full run lies below, between or above
-    the deleted cells, or there is none."""
+    """A connected cross-section of up to 4 cells and either of two deletions.
+
+    Periodic: up to 80 layers, one or two cells deleted every e layers, e from
+    2 to 6, so the repeated word of layers is a block that jumps. Scattered:
+    1-30 layers and up to 8 deleted cells anywhere, so the full runs lie
+    below, between or above them, or there is none.
+    """
     cross = draw(connected_regions(max_cells=4)).cells
+    if draw(st.booleans()):
+        layers, every = draw(st.integers(1, 80)), draw(st.integers(2, 6))
+        first = draw(st.integers(0, every - 1))
+        cells = draw(st.lists(st.sampled_from(sorted(cross)), min_size=1, max_size=2, unique=True))
+        deleted = {(r, c, z) for z in range(first, layers, every) for r, c in cells}
+        return Prism3D(cross, layers, deleted)
     layers = draw(st.integers(1, 30))
     cells = sorted((r, c, z) for r, c in cross for z in range(layers))
     deleted = draw(st.sets(st.sampled_from(cells), max_size=8))

@@ -26,6 +26,7 @@ from tilecount.sequences import (
     rec_eval_matpow,
     rec_terms,
     rec_values,
+    vector_jump,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,71 +182,104 @@ def test_characteristic_polynomial_annihilates(name, poly):
 # Certified recurrences
 
 
+def _windows(rec, count):
+    """The windows (a(j), ..., a(j + d - 1)), j < count, of rec as vectors: the
+    Krylov sequence of its companion map."""
+    terms = rec_values(rec, rec.start, rec.start + count + rec.order - 2)
+    return [dict(enumerate(terms[j : j + rec.order])) for j in range(count)]
+
+
 @pytest.mark.parametrize("name", ["F", "A", "T", "L2D"])
 def test_certified_recurrence_recovers_each_catalog_recurrence(name):
     rec = catalog()[name].recurrence
-    dimension = rec.order  # each is the companion transfer of its own recurrence
-    terms = rec_values(rec, rec.start, rec.start + 2 * dimension + 5)
-    found = certified_recurrence(terms, dimension)
-    assert found == LinearRecurrence(rec.coeffs, rec.initial, 0)
+    windows = _windows(rec, 41)
+    found = certified_recurrence(windows)
+    assert found == LinearRecurrence(rec.coeffs, tuple(windows[: rec.order]))
+    assert [vector_jump(found, j) for j in (0, 1, 40)] == [windows[0], windows[1], windows[40]]
 
 
 def test_certified_recurrence_reads_only_the_terms_it_needs():
     read = []
 
-    def tribonacci_like():
-        for term in rec_terms(catalog()["T"].recurrence, 1, 10**6):
-            read.append(term)
-            yield term
+    def windows():
+        for window in _windows(catalog()["T"].recurrence, 100):
+            read.append(window)
+            yield window
 
-    assert certified_recurrence(tribonacci_like(), 6).coeffs == (3, 3, -1)
-    assert len(read) == 6 + 3  # D + L
+    assert certified_recurrence(windows()).coeffs == (3, 3, -1)
+    assert len(read) == 2 * 3 + 1  # v_0 .. v_2L
 
 
-def test_certified_recurrence_needs_d_plus_l_terms():
-    terms = rec_values(catalog()["T"].recurrence, 1, 30)
-    assert certified_recurrence(terms[:6], 6) is None  # no more than D terms
-    assert certified_recurrence(terms[:8], 6) is None  # an order-3 candidate, 8 < D + L
-    assert certified_recurrence(terms[:9], 6).coeffs == (3, 3, -1)
-    # a prefix that looks geometric is no certificate without its D + L terms
-    assert certified_recurrence([1, 2, 4, 8, 16, 33], 5) is None
-    assert certified_recurrence([1, 2, 4, 8, 16, 32, 64], 5).coeffs == (2,)
+def test_certified_recurrence_needs_2l_plus_1_vectors():
+    windows = _windows(catalog()["T"].recurrence, 7)
+    assert certified_recurrence(windows[:6]) is None
+    assert certified_recurrence(windows[:7]).coeffs == (3, 3, -1)
+
+
+def test_certified_recurrence_checks_what_a_projection_hides():
+    p, x = sequences._BM_PRIMES[0], sequences._BASE
+    # the second coordinate is 0 modulo 2^127 - 1, so the first projection reads
+    # 2^j; the check on every coordinate refuses order 1, and the refit modulo
+    # the next prime finds (x - 2)(x - 3)
+    vectors = [{0: 2**j, 1: p * 3**j} for j in range(5)]
+    assert certified_recurrence(vectors[:3]) is None
+    assert certified_recurrence(vectors).coeffs == (5, -6)
+    # coordinates weighted 1, x and x^2: the first projection cancels the 3^j part
+    vectors = [{0: 2**j, 1: (p - x) * 3**j, 2: 3**j} for j in range(5)]
+    assert certified_recurrence(vectors).coeffs == (5, -6)
 
 
 def test_certified_recurrence_rejects_a_sequence_that_is_not_c_finite():
-    factorials = [1]
+    factorials = [{0: 1}]
     for n in range(1, 200):
-        factorials.append(factorials[-1] * n)
-    # Berlekamp-Massey always proposes a candidate; the exact check refuses
-    # those of order up to D, and no longer one is tried
-    for dimension in (4, 5, 60):
-        assert certified_recurrence(factorials, dimension) is None
-    assert certified_recurrence([2**n * n**n for n in range(100)], 3) is None
+        factorials.append({0: factorials[-1][0] * n})
+    # Berlekamp-Massey always proposes a candidate; the exact check refuses it
+    # modulo every prime, and the certificate gives up
+    assert certified_recurrence(factorials) is None
+    assert certified_recurrence({0: 2**n * n**n, 1: n} for n in range(100)) is None
 
 
 def test_certified_recurrence_rejects_a_wrong_lift():
-    p = sequences._BM_PRIME
-    # a(n) = (p + 1) a(n-1): modulo p the ratio is 1, whose lift is wrong
-    assert certified_recurrence([(p + 1) ** j for j in range(40)], 2) is None
-    # a(n) = 3 a(n-1) - (p + 5) a(n-2) lifts its second coefficient to -5
-    terms = [1, 1]
-    for _ in range(60):
-        terms.append(3 * terms[-1] - (p + 5) * terms[-2])
-    assert certified_recurrence(terms, 2) is None
-    # with a coefficient inside the symmetric range the same shape is found
-    terms = [1, 1]
-    for _ in range(60):
-        terms.append(3 * terms[-1] - (p // 4 + 5) * terms[-2])
-    assert certified_recurrence(terms, 2).coeffs == (3, -(p // 4 + 5))
+    first, widest = sequences._BM_PRIMES[0], sequences._BM_PRIMES[-1]
+    # v_j = (p + 1) v_(j-1): modulo the widest prime p the ratio is 1, and every
+    # narrower prime lifts it wrong as well
+    assert certified_recurrence({0: (widest + 1) ** j} for j in range(12)) is None
+    # a(n) = 3 a(n-1) - (q + 5) a(n-2), q = 2^127 - 1, lifts to -5 modulo q;
+    # the next prime lifts it right
+    rec = LinearRecurrence((3, -(first + 5)), (1, 1))
+    assert certified_recurrence(_windows(rec, 60)).coeffs == (3, -(first + 5))
+    # with a coefficient inside the symmetric range the first prime finds it
+    rec = LinearRecurrence((3, -(first // 4 + 5)), (1, 1))
+    assert certified_recurrence(_windows(rec, 5)).coeffs == (3, -(first // 4 + 5))
 
 
 def test_certified_recurrence_of_zeros_and_of_a_nilpotent_transfer():
-    assert certified_recurrence([0] * 5, 3) == LinearRecurrence((0,), (0,))
-    # a shift of dimension 4: a(3) = 1 and every other term 0
-    found = certified_recurrence([0, 0, 0, 1] + [0] * 20, 4)
-    assert found == LinearRecurrence((0, 0, 0, 0), (0, 0, 0, 1))
-    with pytest.raises(ValueError, match="dimension must be >= 1"):
-        certified_recurrence([1, 1, 1], 0)
+    assert certified_recurrence([{}] * 5) == LinearRecurrence((0,), ({},))
+    assert certified_recurrence([{0: 0, 1: 0}]) == LinearRecurrence((0,), ({0: 0, 1: 0},))
+    # the shift e_0 -> e_1 -> e_2 -> e_3 -> 0, of dimension 4
+    shift = [{j: 1} for j in range(4)] + [{}] * 20
+    found = certified_recurrence(shift)
+    assert found == LinearRecurrence((0, 0, 0, 0), tuple(shift[:4]))
+    assert vector_jump(found, 3) == {3: 1}
+    assert vector_jump(found, 10**6) == {}
+
+
+def test_vector_jump_is_refused_over_the_budget_before_any_work(monkeypatch):
+    found = certified_recurrence(_windows(catalog()["T"].recurrence, 7))
+
+    def powered(*args):
+        raise AssertionError("the jump ran before the refusal")
+
+    monkeypatch.setattr(sequences, "_x_power", powered)
+    with pytest.raises(BudgetError, match="exceeds the budget"):
+        vector_jump(found, 10**9)
+
+
+def test_the_jump_kernel_runs_in_the_unit_type():
+    with decimal.localcontext(sequences._EXACT):
+        rem = sequences._x_power((3, 3, -1), 1000, decimal.Decimal(1))
+    assert all(isinstance(r, decimal.Decimal) for r in rem)
+    assert [int(r) for r in rem] == sequences._x_power((3, 3, -1), 1000)
 
 
 def test_closed_eval_known_values():

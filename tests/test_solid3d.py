@@ -4,7 +4,7 @@ from conftest import prism_corpus
 from tilecount import sequences, solid3d
 from tilecount.count2d import BudgetError, count_tilings
 from tilecount.regions2d import rect
-from tilecount.sequences import Family, catalog, certified_recurrence, rec_values
+from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
     Prism3D,
     box,
@@ -178,45 +178,48 @@ def test_flat_only_prism_matches_2d():
     assert count_bricks(Prism3D(lshape, 1)) == count_tilings(Region2D(lshape))
 
 
-# (rows, cols) -> layers at which the box's run first yields a certificate: at
-# least D + L terms, D the states the run reaches and L the order of its
-# recurrence, and one more than Berlekamp-Massey fitted the candidate on
+# (rows, cols) -> layers at which the box first jumps. The first half of its run
+# of full layers, all but the top one, must hold the 2K + 1 vectors v_0 .. v_2K
+# the certificate reads, K the order of the run's vector recurrence, so the
+# point is 4K + 3.
 _CERTIFICATE_POINTS = {
-    (1, 1): 5,
-    (1, 2): 5,
-    (1, 3): 10,
-    (1, 4): 10,
-    (1, 5): 28,
-    (1, 6): 28,
-    (1, 7): 86,
-    (1, 8): 86,
-    (2, 2): 9,
-    (2, 3): 33,
-    (2, 4): 91,
-    (2, 5): 328,
-    (3, 3): 290,
+    (1, 1): 11,
+    (1, 2): 11,
+    (1, 3): 19,
+    (1, 4): 19,
+    (1, 5): 35,
+    (1, 6): 35,
+    (1, 7): 67,
+    (1, 8): 67,
+    (2, 2): 15,
+    (2, 3): 43,
+    (2, 4): 87,
+    (2, 5): 307,
+    (3, 3): 155,
 }
 
 
-def _spy_certificates(monkeypatch):
+def _spy(monkeypatch, name):
+    """Record, in call order, what each call of ``solid3d``'s ``name`` returns."""
     found = []
+    real = getattr(solid3d, name)
 
-    def spy(terms, dimension):
-        rec = certified_recurrence(terms, dimension)
-        found.append(rec)
-        return rec
+    def spy(*args):
+        result = real(*args)
+        found.append(result)
+        return result
 
-    monkeypatch.setattr(solid3d, "certified_recurrence", spy)
+    monkeypatch.setattr(solid3d, name, spy)
     return found
 
 
 @pytest.mark.parametrize("rows, cols", sorted(_CERTIFICATE_POINTS))
 def test_jump_equals_the_layer_dp_on_both_sides_of_the_certificate(monkeypatch, rows, cols):
     point = _CERTIFICATE_POINTS[rows, cols]
-    far = min(2 * point + 3, _layer_dp_edge(rows * cols))  # the 2 x 5 box stops at its edge
+    far = min(2 * point + 3, _layer_dp_edge(rows * cols))
     lengths = sorted({1, 2, 3, point - 1, point, point + 1, far} - {0})
     counts = list(layer_counts(box(rows, cols, lengths[-1])))
-    found = _spy_certificates(monkeypatch)
+    found = _spy(monkeypatch, "certified_recurrence")
     for n in lengths:
         found.clear()
         assert count_bricks(box(rows, cols, n)) == counts[n - 1], n
@@ -224,51 +227,88 @@ def test_jump_equals_the_layer_dp_on_both_sides_of_the_certificate(monkeypatch, 
         assert jumped == (n >= point), n
 
 
+# An entry vector past deleted cells spans more states than the box's {0: 1},
+# so its run has a longer recurrence (order 34 to 54 here, against 21) and
+# needs a longer run before its first half holds the certificate.
 @pytest.mark.parametrize(
-    "deleted",
+    "deleted, jumps",
     [
-        {(0, 0, 0), (0, 1, 0)},  # below the run
-        {(1, 2, 3), (1, 3, 3)},  # at the run's foot: an entry of four layers
-        {(0, 0, 60), (1, 0, 60)},  # inside: the longer side is the run
-        {(0, 1, 248), (0, 2, 248)},  # above, under the top layer
-        {(0, 3, 249), (1, 3, 249)},  # in the top layer
-        {(0, 0, 0), (0, 1, 0), (1, 1, 40), (1, 2, 40), (0, 3, 249), (1, 3, 249)},
-        {(0, 0, 5)},  # odd: no tiling, though the entry has some
-        {(0, 0, 0), (1, 1, 0)},  # the entry layer has no flat tiling of its own
+        ({(0, 0, 0), (0, 1, 0)}, True),  # below the run
+        ({(1, 2, 3), (1, 3, 3)}, True),  # at the run's foot: an entry of four layers
+        ({(0, 0, 60), (1, 0, 60)}, True),  # inside: the longer run above jumps
+        ({(0, 1, 248), (0, 2, 248)}, True),  # above, under the top layer
+        ({(0, 3, 249), (1, 3, 249)}, True),  # in the top layer
+        # runs of 39 and 208 layers: neither half holds a certificate of order 54
+        ({(0, 0, 0), (0, 1, 0), (1, 1, 40), (1, 2, 40), (0, 3, 249), (1, 3, 249)}, False),
+        ({(0, 0, 5)}, False),  # odd: no tiling, though the entry has some
+        ({(0, 0, 0), (1, 1, 0)}, True),  # the entry layer has no flat tiling of its own
     ],
 )
-def test_jump_equals_the_layer_dp_with_deleted_cells(monkeypatch, deleted):
+def test_jump_equals_the_layer_dp_with_deleted_cells(monkeypatch, deleted, jumps):
     cross = {(r, c) for r in range(2) for c in range(4)}
     prism = Prism3D(cross, 250, deleted)
-    found = _spy_certificates(monkeypatch)
+    found = _spy(monkeypatch, "certified_recurrence")
     assert count_bricks(prism) == list(layer_counts(prism))[-1]
-    assert found and found[-1] is not None  # every such run is long enough to jump
+    assert any(rec is not None for rec in found) == jumps
 
 
 def test_a_varied_top_above_a_jumped_run(monkeypatch):
     # the run is layers 0-148; an adjacent pair, moving along the row, is
-    # deleted every 7 layers from 150 on, so the downward step crosses 100 layers
+    # deleted every 7 layers from 150 on, a word whose period of 42 layers is
+    # over the block scan's bound, so its short runs are stepped
     cross = {(r, c) for r in range(2) for c in range(4)}
     deleted = {(z % 2, c, z) for z in range(150, 250, 7) for c in (z % 3, z % 3 + 1)}
     prism = Prism3D(cross, 250, deleted)
-    found = _spy_certificates(monkeypatch)
+    found = _spy(monkeypatch, "certified_recurrence")
     assert count_bricks(prism) == list(layer_counts(prism))[-1]
-    assert found and found[-1] is not None
+    assert found[0] is not None and not any(found[1:])
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 4), (4, 2)])
 def test_jump_equals_the_layer_dp_on_the_long_box(monkeypatch, rows, cols):
-    found = _spy_certificates(monkeypatch)
+    found = _spy(monkeypatch, "certified_recurrence")
     assert count_bricks(box(rows, cols, 300)) == list(layer_counts(box(rows, cols, 300)))[-1]
+    # the run of 299 full layers jumps; the top layer is one step, with no fit
     assert [rec.order for rec in found] == [21]
 
 
 def test_a_jump_over_the_sequence_budget_is_finished_by_the_dp(monkeypatch):
     monkeypatch.setattr(sequences, "_SEQ_MAX_WORK", 0)
-    found = _spy_certificates(monkeypatch)
+    found = _spy(monkeypatch, "certified_recurrence")
+    jumps = _spy(monkeypatch, "vector_jump")
     for prism in (box(2, 3, 100), m_tower(60)):
         assert count_bricks(prism) == list(layer_counts(prism))[-1]
-    assert len(found) == 2 and None not in found
+    # each run certifies, and its jump is refused
+    assert [rec.order for rec in found] == [10, 3]
+    assert jumps == []
+
+
+@pytest.mark.parametrize(
+    "rows, cols, layers, every",
+    [(2, 2, 2000, 10), (2, 4, 600, 7)],
+)
+def test_a_periodic_prism_jumps_its_block(monkeypatch, rows, cols, layers, every):
+    # an adjacent pair deleted every few layers leaves short runs; the word of
+    # layer pairs repeats, and the whole repetition is one jumped block
+    cross = {(r, c) for r in range(rows) for c in range(cols)}
+    deleted = {(1, c, z) for z in range(every - 1, layers, every) for c in (0, 1)}
+    prism = Prism3D(cross, layers, deleted)
+    steps = _spy(monkeypatch, "_step")
+    count = count_bricks(prism)
+    assert 2 * len(steps) < layers
+    steps.clear()
+    assert count == list(layer_counts(prism))[-1]
+    assert len(steps) == layers
+
+
+def test_the_layer_word_is_read_from_the_deleted_cells(monkeypatch):
+    # a tower's word is one run and the top layer, whatever its length
+    steps = _spy(monkeypatch, "_step")
+    count_bricks(tower(300))
+    short = len(steps)
+    steps.clear()
+    assert count_bricks(tower(45000)) == catalog()["T"].eval(45000)
+    assert len(steps) == short
 
 
 def _layer_dp_edge(cells: int) -> int:
@@ -284,11 +324,11 @@ def _layer_dp_edge(cells: int) -> int:
 @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (1, 8)])
 def test_the_jump_is_admitted_at_every_layer_dp_edge(monkeypatch, rows, cols):
     edge = _layer_dp_edge(rows * cols)
-    found = _spy_certificates(monkeypatch)
+    jumps = _spy(monkeypatch, "vector_jump")
     count = count_bricks(box(rows, cols, edge))
-    assert found[-1] is not None  # the edge jumps and Family.terms admits the jump
-    # the run is every layer but the top; the 2 x 5 jump is estimated at ~1.39e9 of 1.5e9
-    sequences._check_work(Family("run", "", found[-1]), edge - 1, edge - 1, "matpow")
+    # the run, every layer but the top, jumps within the sequence budget; the
+    # 2 x 5 jump is estimated at ~1.39e9 of 1.5e9
+    assert len(jumps) == 1
     if (rows, cols) == (2, 2):
         assert count == catalog()["T"].eval(edge)
     with pytest.raises(BudgetError, match="^estimated layer-DP work [0-9,]+ exceeds"):
