@@ -243,6 +243,7 @@ def test_jump_equals_the_layer_dp_on_both_sides_of_the_certificate(monkeypatch, 
         ({(0, 0, 5)}, False),  # odd: no tiling, though the entry has some
         ({(0, 0, 0), (1, 1, 0)}, True),  # the entry layer has no flat tiling of its own
     ],
+    ids=[f"deleted{i}" for i in range(8)],
 )
 def test_jump_equals_the_layer_dp_with_deleted_cells(monkeypatch, deleted, jumps):
     cross = {(r, c) for r in range(2) for c in range(4)}
