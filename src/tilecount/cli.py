@@ -72,8 +72,10 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
 
 
 def cmd_count(args) -> int:
-    if args.spec.startswith("rect:"):  # refused on its size, before its cells are built
-        count2d.check_rect_work(*_split_spec(args.spec)[1])
+    if args.spec.startswith(("rect:", "a:")):  # refused on its size, before its cells are built
+        token, numbers = _split_spec(args.spec)
+        rows, cols = numbers if token == "rect" else (3, 2 * numbers[0])  # a:n is 3 x 2n
+        count2d.check_rect_work(rows, cols)
     region = parse_region_spec(args.spec)
     if isinstance(region, Prism3D):
         count = solid3d.count_bricks(region)

@@ -214,6 +214,16 @@ def perfect_matchings(cells: frozenset, steps) -> Iterator[tuple]:
                 yield ((first, other), *rest)
 
 
+def _guarded_matchings(cells: frozenset, steps, max_cells: int, budget: str) -> Iterator[tuple]:
+    """``perfect_matchings`` behind the oracles' guards, which run on the call:
+    over ``max_cells`` cells raise ``BudgetError`` against the named budget,
+    and an odd number of cells yields no matching without a search.
+    """
+    if len(cells) > max_cells:
+        raise BudgetError(f"{len(cells)} cells exceed the {max_cells}-cell {budget} budget")
+    return iter(()) if len(cells) % 2 else perfect_matchings(cells, steps)
+
+
 def count_tilings_bruteforce(region: Region2D) -> int:
     """Oracle counter: backtracking on the first uncovered cell.
 
@@ -221,13 +231,8 @@ def count_tilings_bruteforce(region: Region2D) -> int:
     free cell with its right neighbour, then its lower one. Over
     ``MAX_ORACLE_CELLS`` cells it raises ``BudgetError``, to bound the search.
     """
-    if len(region.cells) > MAX_ORACLE_CELLS:
-        raise BudgetError(
-            f"{len(region.cells)} cells exceed the {MAX_ORACLE_CELLS}-cell oracle budget"
-        )
-    if len(region.cells) % 2:
-        return 0
-    return sum(1 for _ in perfect_matchings(region.cells, STEPS_2D))
+    matchings = _guarded_matchings(region.cells, STEPS_2D, MAX_ORACLE_CELLS, "oracle")
+    return sum(1 for _ in matchings)
 
 
 def enumerate_tilings(region: Region2D, limit: int) -> list[Tiling]:
@@ -238,14 +243,8 @@ def enumerate_tilings(region: Region2D, limit: int) -> list[Tiling]:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    if len(region.cells) > MAX_ORACLE_CELLS:
-        raise BudgetError(
-            f"{len(region.cells)} cells exceed the {MAX_ORACLE_CELLS}-cell enumeration budget"
-        )
-    if len(region.cells) % 2:
-        return []
-    matchings = islice(perfect_matchings(region.cells, STEPS_2D), limit)
-    return [Tiling(frozenset(dominoes)) for dominoes in matchings]
+    matchings = _guarded_matchings(region.cells, STEPS_2D, MAX_ORACLE_CELLS, "enumeration")
+    return [Tiling(frozenset(dominoes)) for dominoes in islice(matchings, limit)]
 
 
 def render_tiling_ascii(tiling: Tiling) -> str:

@@ -240,15 +240,13 @@ def rec_eval_matpow(rec: LinearRecurrence, n: int):
     """nth term by Fiduccia's jump: O(d^2 log n) big multiplies.
 
     x^(n - start) reduced modulo the characteristic polynomial by ``_x_power``
-    is sum r_j x^j, and a(n) = sum r_j a(start + j). The jump runs in the type
-    of ``rec.initial``: ints or Decimals.
+    is sum r_j x^j, and a(n) = sum r_j a(start + j); below the order, x^(n -
+    start) is its own remainder and picks one initial term. The jump runs in
+    the type of ``rec.initial``: ints or Decimals.
     """
     if n < rec.start:
         raise ValueError(f"index {n} below starting index {rec.start}")
-    idx = n - rec.start
-    if idx < rec.order:
-        return rec.initial[idx]
-    rem = _x_power(rec.coeffs, idx, type(rec.initial[0])(1))
+    rem = _x_power(rec.coeffs, n - rec.start, type(rec.initial[0])(1))
     return sum(r * a for r, a in zip(rem, rec.initial))
 
 
@@ -260,9 +258,7 @@ def vector_jump(rec: LinearRecurrence, n: int) -> dict[int, int]:
     a ``matpow`` jump to term n of a sequence with the same coefficients, and
     over that budget raises ``BudgetError`` before any work.
     """
-    _check_work(Family("vectors", "a certified vector recurrence", rec), n, n, "matpow")
-    if n < rec.order:
-        return dict(rec.initial[n])
+    _check_work("vectors", rec, n, n, "matpow")
     jumped: dict[int, int] = {}
     for r, vector in zip(_x_power(rec.coeffs, n), rec.initial):
         if r:
@@ -289,7 +285,7 @@ _BM_PRIMES = (2**30 - 35, 2**61 - 1, 2**127 - 1, 2**521 - 1, 2**1279 - 1, 2**425
 _BASE = 0x9E3779B9
 
 
-@lru_cache(maxsize=1 << 16)  # the masks of a 15-cell cross-section, for a few attempts
+@lru_cache(maxsize=1 << 16)  # the 2^15 masks of a 15-cell cross-section, for two attempts
 def _weight(attempt: int, coordinate: int) -> int:
     return pow(_BASE + attempt, coordinate, _BM_PRIMES[0])
 
@@ -402,8 +398,7 @@ _JUMP = 27
 _JUMP_FLOOR = 50
 
 
-def _check_work(family: Family, lo: int, hi: int, method: str) -> None:
-    rec = family.recurrence
+def _check_work(name: str, rec: LinearRecurrence, lo: int, hi: int, method: str) -> None:
     digits = log10(1 + max(map(abs, rec.coeffs)))  # per index
     top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
     bottom = min(lo, top)
@@ -417,7 +412,7 @@ def _check_work(family: Family, lo: int, hi: int, method: str) -> None:
         work = jump * (digits * index_sum + _JUMP_FLOOR * count)
     if work > _SEQ_MAX_WORK:
         raise BudgetError(
-            f"estimated work for {family.name}({decimal_str(lo)}..{decimal_str(hi)}) exceeds "
+            f"estimated work for {name}({decimal_str(lo)}..{decimal_str(hi)}) exceeds "
             f"the budget of {_SEQ_MAX_WORK:,}"
         )
 
@@ -469,7 +464,7 @@ class Family:
             raise ValueError(f"family {self.name} starts at index {self.start}")
         if hi < lo:
             raise ValueError("empty range")
-        _check_work(self, lo, hi, method)
+        _check_work(self.name, self.recurrence, lo, hi, method)
         return self._computed(lo, hi, method, unit)
 
     def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:

@@ -35,7 +35,7 @@ from decimal import Decimal
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 
-from .count2d import BudgetError, count_tilings, perfect_matchings
+from .count2d import BudgetError, _guarded_matchings, count_tilings
 from .regions2d import Cell, Region2D
 from .sequences import certified_recurrence, vector_jump
 
@@ -210,38 +210,36 @@ def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
     The layer word is built in O(deleted cells) from ``_transfer``'s masks:
     only a layer with deleted cells, the one below it and the top layer
     differ from a full layer under a full one, and the rest are runs of that
-    pair. Equal neighbouring pairs merge into runs. Then one left-to-right
-    scan takes at each run the smallest period of runs, up to
-    ``_MAX_PERIOD`` layers, that repeats at once and whose first run comes
-    again one period later still, and as many whole repetitions of it as
-    follow; a run with no such period is a block of its own, one pair
-    repeated. A period whose first run recurs within it is found from a later
-    run; one whose first run does not come a third time makes a block too
-    short to jump.
+    pair. Equal neighbouring pairs merge into runs, (pair, layers) tuples,
+    and runs are compared as those tuples. Then one left-to-right scan takes
+    at each run the smallest period of runs, up to ``_MAX_PERIOD`` layers,
+    that repeats at once and whose first run comes again one period later
+    still, and as many whole repetitions of it as follow; a run with no such
+    period is a block of its own, one pair repeated. A period whose first run
+    recurs within it is found from a later run; one whose first run does not
+    come a third time makes a block too short to jump.
     """
-    runs: list[list] = []  # [pair, layers]
+    runs: list[tuple[Pair, int]] = []  # (pair, layers)
     z = 0
     for top in sorted({y for d in masks for y in (d - 1, d) if 0 <= y < layers}):
         pair = (masks.get(top, full), masks.get(top + 1, full))
         if top > z:
-            runs.append([(full, full), top - z])
+            runs.append(((full, full), top - z))
         if runs and runs[-1][0] == pair:
-            runs[-1][1] += 1
+            runs[-1] = (pair, runs[-1][1] + 1)
         else:
-            runs.append([pair, 1])
+            runs.append((pair, 1))
         z = top + 1
     ends = list(accumulate((n for _, n in runs), initial=0))  # layers below each run
-    ids: dict[tuple[Pair, int], int] = {}
-    code = [ids.setdefault((pair, n), len(ids)) for pair, n in runs]  # equal runs, equal numbers
     later: list[int | None] = [None] * len(runs)  # the next run equal to each, if any
-    seen: dict[int, int] = {}
+    seen: dict[tuple[Pair, int], int] = {}
     for k in reversed(range(len(runs))):
-        later[k], seen[code[k]] = seen.get(code[k]), k
+        later[k], seen[runs[k]] = seen.get(runs[k]), k
     i, count = 0, len(runs)
     while i < count:
         q = later[i]  # a period's next repetition starts at a run equal to run i
         while q is not None and ends[q] - ends[i] <= _MAX_PERIOD and 2 * q - i <= count:
-            if later[q] == 2 * q - i and code[i:q] == code[q : 2 * q - i]:
+            if later[q] == 2 * q - i and runs[i:q] == runs[q : 2 * q - i]:
                 break
             q = later[q]
         else:
@@ -250,7 +248,7 @@ def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
             continue
         period = q - i
         reps = 2
-        while code[i + reps * period : i + (reps + 1) * period] == code[i:q]:
+        while runs[i + reps * period : i + (reps + 1) * period] == runs[i:q]:
             reps += 1
         yield tuple(pair for pair, n in runs[i:q] for _ in range(n)), reps
         i += reps * period
@@ -269,27 +267,23 @@ def count_bricks(prism: Prism3D) -> int:
     The layer budget is checked first, as in ``layer_counts``. One upward
     sweep runs the DP through the prism's blocks (``_blocks``). A block of a
     period repeated N times is a linear map B applied N times to the entry
-    vector v_0, the states below it. Stepping gives v_j = v_0 B^j, j < N / 2,
-    to ``certified_recurrence``; a certified recurrence jumps to v_N by
-    ``vector_jump``. The certificate reads at most the first half of the
-    block, so a jump skips at least as many steps as the fit read, and a
-    block too short for its certificate spends a fit on half its steps at
-    most. Otherwise, when those vectors run out first or the jump is over
-    the sequence budget, the DP steps the rest of the block, so no count
-    rests on an unchecked identity. The count is the weight of the empty
-    state after the top layer.
+    vector v_0, the states below it, and every block is stepped as the one
+    sequence of vectors v_j = v_0 B^j. From N = 6 on, its first half goes to
+    ``certified_recurrence``, and a certified recurrence jumps to v_N by
+    ``vector_jump``, so a jump skips at least as many steps as the fit read.
+    Otherwise, when the block is shorter, the vectors run out first or the
+    jump is over the sequence budget, the DP steps the rest of the block, so
+    no count rests on an unchecked identity. The count is the weight of the
+    empty state after the top layer.
     """
     full, masks, moves = _transfer(prism)
     states = {0: 1}
     for period, reps in _blocks(prism.layers, full, masks):
         if not states:  # no tiling of the layers below, so none of the prism
             return 0
-        if reps < 6:  # no half of the block holds the 3 vectors of the shortest certificate
-            for _ in range(reps):
-                states = _step_period(moves, states, period)
-            continue
         vectors = accumulate(repeat(period, reps), partial(_step_period, moves), initial=states)
-        rec = certified_recurrence(islice(vectors, reps // 2))
+        # under 6 repetitions no half of the block holds the 3 vectors of the shortest certificate
+        rec = certified_recurrence(islice(vectors, reps // 2)) if reps >= 6 else None
         if rec is not None:
             try:
                 states = vector_jump(rec, reps)
@@ -307,15 +301,5 @@ def count_bricks_bruteforce(prism: Prism3D) -> int:
     Placements are tried in a fixed order: along the column, along the row,
     then up one layer. Over ``MAX_BRUTEFORCE_CELLS`` cells it raises ``BudgetError``.
     """
-    if prism.cell_count > MAX_BRUTEFORCE_CELLS:
-        raise BudgetError(
-            f"{prism.cell_count} cells exceed the {MAX_BRUTEFORCE_CELLS}-cell oracle budget"
-        )
-    cells = frozenset(
-        (z, r, c)
-        for z in range(prism.layers)
-        for (r, c) in prism.layer_cells(z)
-    )
-    if len(cells) % 2:
-        return 0
-    return sum(1 for _ in perfect_matchings(cells, STEPS_3D))
+    cells = frozenset((z, r, c) for z in range(prism.layers) for r, c in prism.layer_cells(z))
+    return sum(1 for _ in _guarded_matchings(cells, STEPS_3D, MAX_BRUTEFORCE_CELLS, "oracle"))

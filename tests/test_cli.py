@@ -107,9 +107,13 @@ def test_an_over_budget_rect_is_refused_before_it_is_built(capsys, monkeypatch):
         raise AssertionError("a cell was built before the refusal")
 
     monkeypatch.setattr(cli.regions2d, "rect", no_build)
-    for spec in ("rect:1000,1000", "rect:100000,100000", "rect:58,58"):
+    monkeypatch.setattr(cli.regions2d, "a_grid", no_build)
+    for spec in ("rect:1000,1000", "rect:100000,100000", "rect:58,58", "a:300000"):
         code, out, err = run(capsys, "count", spec)
         assert (code, out) == (2, "") and "estimated elimination work" in err, spec
+    # a:n is the 3 x 2n rectangle, so it is refused from n alike
+    refusal = run(capsys, "count", "rect:3,20000000")
+    assert refusal[0] == 2 and run(capsys, "count", "a:10000000") == refusal
     # usage errors keep their order: the builder's own check comes after the parse
     message = "error: spec 'rect' takes 2 argument(s), got 1\n"
     assert run(capsys, "count", "rect:1000") == (2, "", message)
@@ -496,17 +500,21 @@ def test_an_internal_error_in_a_suite_is_not_a_usage_error(capsys, monkeypatch):
 def test_a_closed_pipe_exits_0_not_2():
     # BrokenPipeError is an OSError: main must catch it before the usage errors
     src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tilecount.cli", "bfile", "L3", "--to", "3000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.stdout.readline() == b"1 11\n"
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 0
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    for argv, first in [
+        (("bfile", "L3", "--to", "3000"), b"1 11\n"),
+        (("seq", "F", "0", "20000"), b"0\t1\n"),
+    ]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tilecount.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0, argv
+        assert proc.stderr.read() == b"", argv
+        proc.stderr.close()
 
 
 _CLI_OPTIONS = {"max_n": "--max-n", "max_k": "--max-k"}

@@ -328,9 +328,15 @@ def test_render_square_both_ways():
 
 
 def test_render_parse_round_trip():
-    for region in [rect(2, 3), rect(3, 4), b_grid(1), c_grid(1)]:
+    for region in [Region2D(), rect(2, 3), rect(3, 4), b_grid(1), c_grid(1)]:
         for tiling in enumerate_tilings(region, 50):
             assert parse_tiling_ascii(render_tiling_ascii(tiling)) == tiling
+    assert render_tiling_ascii(Tiling(frozenset())) == ""
+
+
+def test_render_rejects_a_pair_that_is_not_adjacent():
+    with pytest.raises(ValueError, match=r"not adjacent: \(0, 0\), \(1, 1\)"):
+        render_tiling_ascii(Tiling(frozenset({((0, 0), (1, 1))})))
 
 
 def test_parse_rejects_broken_pictures():
@@ -340,3 +346,5 @@ def test_parse_rejects_broken_pictures():
         parse_tiling_ascii("^\n.")
     with pytest.raises(ValueError):
         parse_tiling_ascii(">")
+    with pytest.raises(ValueError, match="unexpected character 'x' at row 1, column 1"):
+        parse_tiling_ascii("<>\n.x")

@@ -139,6 +139,15 @@ def test_layer_dp_equals_3d_oracle(prism):
     assert count_bricks(prism) == count_bricks_bruteforce(prism)
 
 
+@PROPERTY
+@given(small_prisms())
+def test_every_layer_count_is_the_oracle_on_its_prefix(prism):
+    # layers 0..z with only the deleted cells that lie in them
+    for z, count in enumerate(layer_counts(prism)):
+        deleted = {cell for cell in prism.deleted if cell[2] <= z}
+        assert count == count_bricks_bruteforce(Prism3D(prism.cross_section, z + 1, deleted)), z
+
+
 _SQUARE_SYMMETRIES = (
     lambda r, c: (c, r),  # transpose
     lambda r, c: (c, -r),  # rotate by a quarter turn

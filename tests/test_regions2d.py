@@ -118,6 +118,22 @@ def test_l3_region_shape_in_each_orientation(orientation, picture):
     assert to_ascii(l3_region(1, 2, orientation)) == picture
 
 
+@pytest.mark.parametrize(
+    "builder, args, message",
+    [
+        (b_grid, (-1,), r"b_grid needs n >= 0, got -1"),
+        (c_grid, (-1,), r"c_grid needs n >= 0, got -1"),
+        (l2_region, (0, 2), r"l2_region needs n, k >= 1, got \(0, 2\)"),
+        (l2_region, (2, 0), r"l2_region needs n, k >= 1, got \(2, 0\)"),
+        (l3_region, (0, 2), r"l3_region needs n, k >= 1, got \(0, 2\)"),
+        (l3_region, (2, 0), r"l3_region needs n, k >= 1, got \(2, 0\)"),
+    ],
+)
+def test_builders_reject_indices_below_their_range(builder, args, message):
+    with pytest.raises(ValueError, match=message):
+        builder(*args)
+
+
 def test_l3_region_rejects_unknown_orientation():
     with pytest.raises(ValueError):
         l3_region(2, 2, "UP")
@@ -144,7 +160,7 @@ def test_builders_are_normalized(builder):
 def test_ascii_round_trip():
     for text in ["##\n##", ".##\n###", "#.#\n###", "#"]:
         region = from_ascii(text)
-        assert to_ascii(region) == text
+        assert to_ascii(region) == str(region) == text
         assert from_ascii(to_ascii(region)) == region
 
 
