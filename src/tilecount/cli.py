@@ -123,8 +123,7 @@ def cmd_verify(args) -> int:
     if not report.checks:
         raise ValueError(f"suite {args.suite} has no checks within these bounds")
     if args.json:
-        for record in report.records():
-            print(_json_line(record))
+        print(report.json_lines())
         failed = len(report.failures)
         print(_json_line({"suite": args.suite, "checks": len(report.checks), "failed": failed}))
     else:

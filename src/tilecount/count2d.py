@@ -25,8 +25,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
-from operator import add
+from itertools import islice, starmap
+from operator import add, sub
 
 from .regions2d import Cell, Region2D
 
@@ -80,21 +80,25 @@ def count_tilings(region: Region2D) -> int:
 
     Guards, in order: the empty region counts 1; an odd number of cells or
     unequal colour classes count 0; a work estimate over ``_MAX_WORK``
-    raises ``BudgetError`` before any elimination.
+    raises ``BudgetError`` before any sort, matrix or elimination.
     """
     cells = region.cells
     if not cells:
         return 1
-    if 2 * sum(sum(cell) % 2 for cell in cells) != len(cells):  # odd, or unequal colours
+    odd = [cell for cell in cells if sum(cell) % 2]
+    if 2 * len(odd) != len(cells):  # odd, or unequal colours
         return 0
-    s, sizes = min(
-        ((s, Counter(r + s * c for r, c in cells).values()) for s in (1, -1)),
+    along, sizes = min(  # the level r + s*c of (r, c) is add(r, c) or sub(r, c)
+        ((op, Counter(starmap(op, cells)).values()) for op in (add, sub)),
         key=lambda pair: sum(n * n for n in pair[1]),
     )
     _check_work(sum(n**3 for n in sizes), len(cells))
-    order = sorted(cells, key=lambda cell: (cell[0] + s * cell[1], cell))
-    black = [cell for cell in order if not sum(cell) % 2]
-    white = {cell: j for j, cell in enumerate(cell for cell in order if sum(cell) % 2)}
+
+    def level(cell: Cell) -> tuple:
+        return along(*cell), cell
+
+    black = sorted(cells.difference(odd), key=level)
+    white = {cell: j for j, cell in enumerate(sorted(odd, key=level))}
     right_sign: dict[Cell, int] = {}  # (r, c) -> sign of the edge (r, c)-(r, c+1)
     below: Counter[int] = Counter()  # column -> its cells passed so far, bottom up
     for r, c in sorted(cells, reverse=True):

@@ -6,7 +6,12 @@ and tower families are frozen here; everything else is recomputed.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 from .count2d import count_tilings
 from .regions2d import a_grid, b_grid, c_grid, l2_region, l3_region
@@ -55,8 +60,7 @@ BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     params: tuple[int, ...]
     left: int
@@ -72,10 +76,9 @@ class Report:
     checks: tuple[CheckResult, ...]
 
     def __init__(self, checks) -> None:
-        ordered = tuple(sorted(checks, key=lambda c: (c.name, c.params)))
-        object.__setattr__(self, "checks", ordered)
+        object.__setattr__(self, "checks", tuple(sorted(checks, key=itemgetter(0, 1))))
 
-    @property
+    @cached_property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
@@ -83,28 +86,31 @@ class Report:
     def all_passed(self) -> bool:
         return not self.failures
 
-    def records(self) -> list[dict]:
-        """Machine format: one record per check, counts as decimal strings."""
-        return [
-            {
-                "check": c.name,
-                "params": list(c.params),
-                "left": decimal_str(c.left),
-                "right": decimal_str(c.right),
-                "pass": c.passed,
-            }
-            for c in self.checks
-        ]
+    def json_lines(self) -> str:
+        """Machine format: one JSON object per check and line, counts as decimal strings.
+
+        Each line is ``json.dumps`` of the record {check, left, params, pass,
+        right} with sorted keys and no spaces, rendered here directly: only
+        the check name can need escaping, so it is encoded once per name.
+        """
+        names: dict[str, str] = {}
+        lines = []
+        for name, params, left, right in self.checks:
+            check = names.get(name)
+            if check is None:
+                check = names[name] = json.dumps(name)
+            lines.append(
+                f'{{"check":{check},"left":"{decimal_str(left)}",'
+                f'"params":[{",".join(map(str, params))}],'
+                f'"pass":{"true" if left == right else "false"},"right":"{decimal_str(right)}"}}'
+            )
+        return "\n".join(lines)
 
     def to_text(self) -> str:
         lines = []
-        by_name: dict[str, list[CheckResult]] = {}
-        for c in self.checks:
-            by_name.setdefault(c.name, []).append(c)
-        for name in sorted(by_name):
-            group = by_name[name]
-            ok = sum(1 for c in group if c.passed)
-            lines.append(f"{name}: {ok}/{len(group)} pass")
+        for name, group in groupby(self.checks, key=itemgetter(0)):  # checks are sorted by name
+            passed = [c.passed for c in group]
+            lines.append(f"{name}: {sum(passed)}/{len(passed)} pass")
         for c in self.failures:
             lines.append(
                 f"FAIL {c.name}{c.params}: left={decimal_str(c.left)} right={decimal_str(c.right)}"

@@ -33,6 +33,7 @@ package reaches the scalar kernels only through it.
 from __future__ import annotations
 
 import decimal
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -188,10 +189,10 @@ def rec_terms(rec: LinearRecurrence, lo: int, hi: int) -> Iterator:
     if hi < lo:
         return
     yield from rec.initial[lo - rec.start : hi - rec.start + 1]
-    window = list(rec.initial)  # window[-1] is the newest term
+    window = deque(rec.initial, maxlen=rec.order)  # oldest term first
+    weights = rec.coeffs[::-1]  # weights[i] multiplies window[i]
     for n in range(rec.start + rec.order, hi + 1):
-        nxt = sum(c * window[-i] for i, c in enumerate(rec.coeffs, start=1))
-        window.pop(0)
+        nxt = sum(map(mul, weights, window))
         window.append(nxt)
         if n >= lo:
             yield nxt

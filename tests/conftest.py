@@ -1,6 +1,8 @@
-"""Shared corpus builders for oracle-equivalence and property tests."""
+"""Shared corpus builders for oracle-equivalence and property tests, and the
+reference rendering of verify records."""
 from __future__ import annotations
 
+import json
 import random
 
 from tilecount.regions2d import (
@@ -13,7 +15,23 @@ from tilecount.regions2d import (
     rect,
     transpose,
 )
+from tilecount.sequences import decimal_str
 from tilecount.solid3d import Prism3D, m_tower, tower
+
+
+def dumped_records(report) -> list[str]:
+    """Each check of ``report`` as ``json.dumps`` renders its record, sorted keys, no spaces."""
+    records = (
+        {
+            "check": c.name,
+            "params": list(c.params),
+            "left": decimal_str(c.left),
+            "right": decimal_str(c.right),
+            "pass": c.passed,
+        }
+        for c in report.checks
+    )
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
 
 
 def random_connected_region(rng: random.Random, n_cells: int) -> Region2D:

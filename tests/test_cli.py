@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dumped_records
 from tilecount import cli, identities, sequences
 from tilecount.cli import main, parse_region_spec
 from tilecount.count2d import BudgetError
-from tilecount.identities import BOUNDS, Report
+from tilecount.identities import BOUNDS, CheckResult, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
 from tilecount.sequences import catalog, decimal_str, l3, rec_eval_matpow, rec_values
 from tilecount.solid3d import Prism3D
@@ -464,6 +465,42 @@ def test_verify_json_is_deterministic_and_well_formed(capsys):
     record = json.loads(lines[0])
     assert set(record) == {"check", "params", "left", "right", "pass"}
     assert record["pass"] is True
+
+
+def _dumped_lines(report, suite):
+    """``verify --json`` output as ``json.dumps`` renders each record and the summary."""
+    summary = {"suite": suite, "checks": len(report.checks), "failed": len(report.failures)}
+    lines = [*dumped_records(report), json.dumps(summary, sort_keys=True, separators=(",", ":"))]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_verify_all_json_is_json_dumps_of_each_record(capsys):
+    code, out, err = run(capsys, "verify", "all", "--json")
+    assert (code, err) == (0, "")
+    assert out == _dumped_lines(identities.verify_all(), "all")
+    assert out.endswith('\n{"checks":3738,"failed":0,"suite":"all"}\n')
+
+
+def test_a_failing_check_prints_pass_false_and_exits_1(capsys, monkeypatch):
+    # a count past the default int -> str digit limit, and a name json.dumps escapes
+    big = 10**5000
+    report = Report(
+        [
+            CheckResult('crux."quoted"\\name', (2,), big, big + 1),
+            CheckResult("crux.fine", (1,), 3, 3),
+        ]
+    )
+    monkeypatch.setitem(identities.SUITES, "crux", lambda max_n=200: report)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "verify", "crux", "--json")
+    assert (code, err) == (1, "")
+    assert out == _dumped_lines(report, "crux")
+    assert '"pass":false' in out and out.endswith('{"checks":2,"failed":1,"suite":"crux"}\n')
+    code, out, err = run(capsys, "verify", "crux")
+    assert (code, err) == (1, "")
+    assert f"FAIL crux.\"quoted\"\\name(2,): left={decimal_str(big)} right=" in out
+    assert out.endswith("total: 2 checks, 1 failed\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_verify_rejects_bad_bounds(capsys):

@@ -239,6 +239,22 @@ def test_an_over_budget_region_is_refused_before_any_elimination():
     assert time.perf_counter() - start < 1
 
 
+def test_the_colour_check_comes_before_the_budget_and_the_budget_before_any_sort(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the region was sorted or eliminated")
+
+    monkeypatch.setattr(count2d, "sorted", refused, raising=False)
+    monkeypatch.setattr(count2d, "_abs_det", refused)
+    big = rect(200, 200).cells
+    # unequal colour classes count 0 at once, however large the region
+    assert count_tilings(Region2D(big - {(0, 0), (1, 1)})) == 0
+    assert count_tilings(Region2D(big - {(0, 1), (1, 0)})) == 0
+    # a balanced region over the budget is refused before any sort or build
+    for cells in (big, big - {(0, 0), (0, 1)}, big - {(5, 5), (7, 8)}):
+        with pytest.raises(BudgetError, match="estimated elimination work"):
+            count_tilings(Region2D(cells))
+
+
 def test_oracle_size_guard():
     with pytest.raises(BudgetError):
         count_tilings_bruteforce(rect(4, 8))

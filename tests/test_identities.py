@@ -1,4 +1,5 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dumped_records
 import tilecount
 from tilecount import identities, sequences
 from tilecount.count2d import count_tilings
@@ -47,6 +49,7 @@ def test_report_is_sorted_and_sorted_stably():
     keys = [(c.name, c.params) for c in report.checks]
     assert keys == sorted(keys)
     assert report.failures == (raw[2],)
+    assert report.failures is report.failures  # scanned once per report
     assert not report.all_passed
     assert Report(raw).checks == report.checks
 
@@ -56,8 +59,8 @@ def test_report_text_and_records():
     text = report.to_text()
     assert "demo: 0/1 pass" in text
     assert "left=4 right=5" in text
-    (record,) = report.records()
-    assert record == {
+    (line,) = report.json_lines().splitlines()
+    assert json.loads(line) == {
         "check": "demo",
         "params": [3],
         "left": "4",
@@ -66,19 +69,42 @@ def test_report_text_and_records():
     }
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_json_lines_are_json_dumps_of_each_record_for_every_suite(suite):
+    report = SUITES[suite]()
+    assert report.json_lines() == "\n".join(dumped_records(report))
+
+
+def test_json_lines_escape_names_and_render_failures_as_json_dumps():
+    report = Report(
+        [
+            CheckResult('quote"and\\backslash', (1, 20), 4, 5),
+            CheckResult("caf\u00e9\ttab", (), 7, 7),
+            CheckResult('quote"and\\backslash', (2, 3), 10**40, 10**40),
+            CheckResult("negative", (0,), -3, 3),
+        ]
+    )
+    lines = report.json_lines()
+    assert lines == "\n".join(dumped_records(report))
+    assert [json.loads(line)["pass"] for line in lines.splitlines()] == [True, False, False, True]
+    assert '"check":"quote\\"and\\\\backslash"' in lines
+
+
 def test_reports_render_counts_past_the_int_str_digit_limit():
     # a fresh interpreter, where no earlier cli.main call can have lifted the
     # process-wide limit (4,300 digits by default); verify_thm32(4000) reports
     # T(8001), which has about 4,576 digits
     script = """
 import sys
+import json
 from tilecount.identities import CheckResult, Report
 limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
 big = 10**5000
 report = Report([CheckResult("big", (1,), big, big + 1)])
-(record,) = report.records()
-assert (record["left"], record["right"]) == ("1" + "0" * 5000, "1" + "0" * 4999 + "1")
-assert f"left={record['left']} right={record['right']}" in report.to_text()
+left, right = "1" + "0" * 5000, "1" + "0" * 4999 + "1"
+record = {"check": "big", "params": [1], "left": left, "right": right, "pass": False}
+assert report.json_lines() == json.dumps(record, sort_keys=True, separators=(",", ":"))
+assert f"left={left} right={right}" in report.to_text()
 assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
@@ -226,7 +252,7 @@ def test_reports_are_deterministic():
     second = verify_thm21(3, 3)
     assert first.checks == second.checks
     assert first.to_text() == second.to_text()
-    assert first.records() == second.records()
+    assert first.json_lines() == second.json_lines()
 
 
 _BOUNDS = [

@@ -142,6 +142,31 @@ def test_rec_values_windows_match_matpow(name):
             ], (lo, hi)
 
 
+_PASS_RECURRENCES = [
+    LinearRecurrence((3,), (2,), start=5),  # order 1: a(n) = 2 * 3^(n - 5)
+    LinearRecurrence((-2,), (7,), start=0),  # order 1, alternating signs
+    LinearRecurrence((3, 3, -1), (2, 9, 32), start=1),  # T
+    LinearRecurrence((0, 0, 0, 1), (1, -1, 0, 4), start=2),  # zero weights
+]
+
+
+@pytest.mark.parametrize("rec", _PASS_RECURRENCES, ids=["o1", "o1-neg", "T", "o4"])
+@pytest.mark.parametrize("unit", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
+def test_rec_terms_is_the_jump_inside_and_past_the_initial_terms(rec, unit):
+    rec = LinearRecurrence(rec.coeffs, tuple(unit * a for a in rec.initial), rec.start)
+    head_end = rec.start + rec.order - 1  # the last initial term
+    ranges = [(lo, hi) for lo in range(rec.start, head_end + 1) for hi in range(lo, head_end + 1)]
+    ranges += [(lo, hi) for lo in range(rec.start, head_end + 3) for hi in (head_end + 1, 40)]
+    ranges += [(head_end + 5, head_end + 5), (30, 40)]
+    with decimal.localcontext(sequences._EXACT):
+        for lo, hi in ranges:
+            terms = list(rec_terms(rec, lo, hi))
+            expected = [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)]
+            assert terms == expected and len(terms) == hi - lo + 1, (lo, hi)
+            assert all(type(t) is type(unit) for t in terms), (lo, hi)
+        assert list(rec_terms(rec, head_end + 2, head_end + 1)) == []
+
+
 def test_rec_values_holds_only_a_window_below_lo():
     rec = catalog()["L3"].recurrence
     tracemalloc.start()
