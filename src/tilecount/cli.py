@@ -9,6 +9,7 @@ one over budget and computes its terms, here in exact Decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,9 @@ _REGION_TOKENS = {
     "mtower": (solid3d, "m_tower", 1),
     "box": (solid3d, "box", 3),
 }
+# Tokens of a full rectangle -> the function that checks their arguments, as the
+# builder does, and gives the rectangle's (rows, cols) for count2d.count_rectangle.
+_RECT_SIZES = {"rect": regions2d.rect_size, "a": regions2d.a_grid_size}
 
 
 def _split_spec(spec: str) -> tuple[str, list]:
@@ -72,18 +76,20 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
 
 
 def cmd_count(args) -> int:
-    if args.spec.startswith(("rect:", "a:")):  # refused on its size, before its cells are built
-        token, numbers = _split_spec(args.spec)
-        rows, cols = numbers if token == "rect" else (3, 2 * numbers[0])  # a:n is 3 x 2n
-        count2d.check_rect_work(rows, cols)
-    region = parse_region_spec(args.spec)
-    if isinstance(region, Prism3D):
-        count = solid3d.count_bricks(region)
+    token = args.spec.partition(":")[0]
+    if token in _RECT_SIZES:  # counted from its size alone: no cell is built
+        rows, cols = _RECT_SIZES[token](*_split_spec(args.spec)[1])
+        count, cells = count2d.count_rectangle(rows, cols), rows * cols
     else:
-        count = count2d.count_tilings(region)
+        region = parse_region_spec(args.spec)
+        if isinstance(region, Prism3D):
+            count = solid3d.count_bricks(region)
+        else:
+            count = count2d.count_tilings(region)
+        cells = region.cell_count
     text = sequences.decimal_str(count)
     if args.json:
-        print(_json_line({"spec": args.spec, "cells": region.cell_count, "count": text}))
+        print(_json_line({"spec": args.spec, "cells": cells, "count": text}))
     else:
         print(text)
     return 0
@@ -152,7 +158,9 @@ def cmd_bfile(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="tilecount",
         description="Exact domino and brick tiling counts for grid regions and prisms.",

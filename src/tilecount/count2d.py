@@ -1,10 +1,15 @@
-"""Exact domino-tiling counters for arbitrary 2D regions.
+"""Exact domino-tiling counters for 2D regions.
 
-Two counting routes, on purpose:
+Three counting routes, on purpose:
 
-* ``count_tilings`` — the counter every caller uses (the CLI, the identity
-  suites and the flat layers of ``solid3d``): the absolute value of the
-  Kasteleyn determinant, reduced by sparse fraction-free elimination;
+* ``count_tilings`` — the counter for any region (``@file`` pictures, the
+  angles and defect grids, the identity suites and the flat layers of
+  ``solid3d``): the absolute value of the Kasteleyn determinant, reduced by
+  sparse fraction-free elimination;
+* ``count_rectangle`` — the full rows x cols rectangle from its size alone,
+  as the CLI counts ``rect:R,C`` and ``a:n``: the Kasteleyn-Temperley-Fisher
+  product as the norm of one polynomial modulo another, a determinant of
+  size ceil(m/2), m the short side, in place of one over R*C cells;
 * ``count_tilings_bruteforce`` — direct backtracking over placements, the
   oracle the determinant is validated against on small regions. Its search,
   ``perfect_matchings``, also drives ``enumerate_tilings`` and the 3D
@@ -13,12 +18,14 @@ Two counting routes, on purpose:
 The tests cross-check the determinant on larger regions against the layer
 DP of ``solid3d``: a region is a 1 x W prism, W its narrow side, with one
 layer per row and its missing cells deleted. That DP's flat counts are
-one-row regions, which the tests check against the oracle in full.
+one-row regions, which the tests check against the oracle in full. The
+norm is checked against the determinant on every rectangle up to 12 x 12,
+and against the product formula and the strip families at their edges.
 
-The determinant refuses only regions over its work budget, and the search
-regions of more than 30 cells. Each refusal raises ``BudgetError`` before
-any work. All counts are exact Python integers; nothing here touches
-floating point.
+The determinant refuses only regions over its work budget, the norm the
+rectangles the determinant would refuse, and the search regions of more
+than 30 cells. Each refusal raises ``BudgetError`` before any work. All
+counts are exact Python integers; nothing here touches floating point.
 """
 from __future__ import annotations
 
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from itertools import islice, starmap
 from operator import add, sub
 
-from .regions2d import Cell, Region2D
+from .regions2d import Cell, Region2D, rect_size
 
 # The determinant's work estimate is sum(level size^3) * (1 + cells / _BIG_INT_CELLS)^2:
 # a level of n cells costs about n^3 updates of entries that grow with the region.
@@ -132,6 +139,7 @@ def _check_work(cube_sum: int, cells: int) -> None:
 def check_rect_work(rows: int, cols: int) -> None:
     """Raise the ``BudgetError`` that ``count_tilings`` would raise for the full
     rows x cols rectangle, from its size alone, so before its cells are built.
+    It is also the admission of ``count_rectangle``, which builds none.
 
     Its level sizes are min(i + 1, rows, cols, rows + cols - 1 - i): 1, ..., m - 1
     at each end and the short side m on the other M - m + 1 levels, M the long
@@ -142,6 +150,98 @@ def check_rect_work(rows: int, cols: int) -> None:
     if m < 1 or rows * cols % 2:
         return
     _check_work(2 * (m * (m - 1) // 2) ** 2 + (big - m + 1) * m**3, rows * cols)
+
+
+def count_rectangle(rows: int, cols: int) -> int:
+    """Exact number of domino tilings of the full rows x cols rectangle, from
+    its size alone: no cell is built.
+
+    The Kasteleyn-Temperley-Fisher product (Kasteleyn 1961; Temperley &
+    Fisher 1961) as an integer norm. With m the short side and n the long
+    one, the count is prod over j <= ceil(m/2), k <= ceil(n/2) of
+    4cos^2(j pi/(m+1)) + 4cos^2(k pi/(n+1)), which is |Res_y(P_m(y), P_n(-y))|
+    for the monic integer polynomials P of ``_ktf_polynomial``. That is the
+    absolute norm of P_n(-y) in Z[y]/(P_m), taken by ``_ktf_norm``.
+
+    ValueError unless both sides are positive, with ``rect``'s message. The
+    admission is ``check_rect_work``, the determinant's estimate for the same
+    rectangle, so ``count_tilings`` and this route refuse the same sizes. An
+    odd number of cells counts 0 before any work.
+    """
+    m, n = sorted(rect_size(rows, cols))
+    check_rect_work(m, n)
+    return 0 if m * n % 2 else _ktf_norm(m, n)
+
+
+def _ktf_polynomial(m: int) -> list[int]:
+    """P_m, low coefficient first: the monic integer polynomial whose roots are
+    4cos^2(j pi/(m+1)) for j = 1, ..., ceil(m/2).
+
+    P_(k+2) = (y - 2) P_k - P_(k-2), from P_0 = 1 and P_(-2) = -1, or P_1 = y
+    and P_(-1) = 0.
+    """
+    below, poly = ([0], [0, 1]) if m % 2 else ([-1], [1])
+    for _ in range(m // 2):
+        step = [0, *poly]
+        for i, c in enumerate(poly):
+            step[i] -= 2 * c
+        for i, c in enumerate(below):
+            step[i] -= c
+        below, poly = poly, step
+    return poly
+
+
+def _ktf_norm(m: int, n: int) -> int:
+    """|N(P_n(-y))| in Z[y]/(P_m), for any m, n >= 1: the count of the m x n
+    rectangle, or 0 when both are odd. Its cost is set by d = ceil(m/2), the
+    degree of P_m, so ``count_rectangle`` takes m as the short side.
+
+    s_k = P_(2k+r)(-y), r = n mod 2, steps as s_(k+1) = c s_k - s_(k-1) with
+    c = -y - 2. So s_q, q = n // 2, is a s_0 + b s_(-1) for x^(q+1) = a x + b
+    modulo x^2 - c x + 1 (Fiduccia's jump, that is the 2 x 2 step matrix
+    powered as a M + b I), by binary powering in Z[y]/(P_m): a squaring is
+    three products there. The norm is the determinant of multiplication by
+    s_q on the basis 1, y, ..., y^(d-1), taken by ``_abs_det``.
+    """
+    modulus = _ktf_polynomial(m)
+    d = len(modulus) - 1
+
+    def reduce(poly: list[int]) -> list[int]:  # modulo the monic P_m, as d coefficients
+        while len(poly) > d:
+            top = poly.pop()
+            if top:
+                k = len(poly) - d
+                for i, c in enumerate(modulus[:d]):
+                    poly[k + i] -= c * top
+        return poly + [0] * (d - len(poly))
+
+    def times(f: list[int], g: list[int]) -> list[int]:
+        product = [0] * (2 * d - 1)
+        for i, fi in enumerate(f):
+            if fi:
+                for j, gj in enumerate(g):
+                    product[i + j] += fi * gj
+        return reduce(product)
+
+    def times_y(f: list[int]) -> list[int]:
+        return reduce([0, *f])
+
+    def times_c(f: list[int]) -> list[int]:  # c = -y - 2
+        return [-u - 2 * v for u, v in zip(times_y(f), f)]
+
+    a, b = [0] * d, reduce([1])  # x^0 = 0 x + 1
+    for bit in bin(n // 2 + 1)[2:]:
+        aa, ab, bb = times(a, a), times(a, b), times(b, b)
+        a, b = [u + 2 * v for u, v in zip(times_c(aa), ab)], [u - v for u, v in zip(bb, aa)]
+        if bit == "1":
+            a, b = [u + v for u, v in zip(times_c(a), b)], [-u for u in a]
+    # s_0, s_(-1) = 1, -1 for even n and -y, 0 for odd n
+    s_q = [-u for u in times_y(a)] if n % 2 else [u - v for u, v in zip(a, b)]
+    rows = []
+    for _ in range(d):
+        rows.append({j: v for j, v in enumerate(s_q) if v})
+        s_q = times_y(s_q)
+    return _abs_det(rows)
 
 
 def _abs_det(rows: list[dict[int, int]]) -> int:

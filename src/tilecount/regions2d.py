@@ -57,18 +57,29 @@ class Region2D:
         return to_ascii(self)
 
 
-def rect(rows: int, cols: int) -> Region2D:
-    """Full rows x cols rectangle."""
+def rect_size(rows: int, cols: int) -> tuple[int, int]:
+    """(rows, cols), the size of ``rect(rows, cols)``; ValueError unless both are positive."""
     if rows < 1 or cols < 1:
         raise ValueError(f"rectangle needs positive dimensions, got {rows}x{cols}")
+    return rows, cols
+
+
+def rect(rows: int, cols: int) -> Region2D:
+    """Full rows x cols rectangle."""
+    rows, cols = rect_size(rows, cols)
     return Region2D((r, c) for r in range(rows) for c in range(cols))
+
+
+def a_grid_size(n: int) -> tuple[int, int]:
+    """(3, 2n), the size of the rectangle ``a_grid(n)``; ValueError unless n >= 1."""
+    if n < 1:
+        raise ValueError(f"a_grid needs n >= 1, got {n}")
+    return 3, 2 * n
 
 
 def a_grid(n: int) -> Region2D:
     """The 3 x 2n rectangle, n >= 1."""
-    if n < 1:
-        raise ValueError(f"a_grid needs n >= 1, got {n}")
-    return rect(3, 2 * n)
+    return rect(*a_grid_size(n))
 
 
 def b_grid(n: int) -> Region2D:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import dumped_records
-from tilecount import cli, identities, sequences
+from tilecount import cli, count2d, identities, sequences
 from tilecount.cli import main, parse_region_spec
 from tilecount.count2d import BudgetError
 from tilecount.identities import BOUNDS, CheckResult, Report
@@ -118,6 +118,40 @@ def test_an_over_budget_rect_is_refused_before_it_is_built(capsys, monkeypatch):
     # usage errors keep their order: the builder's own check comes after the parse
     message = "error: spec 'rect' takes 2 argument(s), got 1\n"
     assert run(capsys, "count", "rect:1000") == (2, "", message)
+
+
+def test_count_rect_and_a_build_no_region(capsys, monkeypatch):
+    sizes = {"rect:16,16": (16, 16), "rect:12,22": (12, 22), "a:7": (3, 14)}
+    expected = {spec: count2d.count_tilings(rect(*size)) for spec, size in sizes.items()}
+
+    def no_region(*args):
+        raise AssertionError("a region was built or counted cell by cell")
+
+    for name in ("rect", "a_grid", "Region2D"):
+        monkeypatch.setattr(cli.regions2d, name, no_region)
+    monkeypatch.setattr(count2d, "count_tilings", no_region)
+    for spec, count in expected.items():
+        assert run(capsys, "count", spec) == (0, f"{count}\n", "")
+    # --json still reports the rectangle's cells, odd ones too
+    expected["rect:1001,1001"] = 0
+    for spec, cells in (("rect:16,16", 256), ("a:7", 42), ("rect:1001,1001", 1002001)):
+        code, out, err = run(capsys, "count", spec, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"spec": spec, "cells": cells, "count": str(expected[spec])}
+    # non-positive sizes exit 2 with the builders' own messages
+    for spec, message in (
+        ("rect:0,5", "rectangle needs positive dimensions, got 0x5"),
+        ("rect:-3,4", "rectangle needs positive dimensions, got -3x4"),
+        ("a:0", "a_grid needs n >= 1, got 0"),
+    ):
+        assert run(capsys, "count", spec) == (2, "", f"error: {message}\n")
+
+
+def test_main_builds_its_parser_once(capsys):
+    parser = cli.build_parser()
+    misses = cli.build_parser.cache_info().misses
+    assert run(capsys, "count", "a:2") == (0, "11\n", "")
+    assert cli.build_parser() is parser and cli.build_parser.cache_info().misses == misses
 
 
 def test_count_prints_past_the_int_str_digit_limit_and_leaves_it_alone():

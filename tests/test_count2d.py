@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_region, region_corpus_2d, strip_prism
 from tilecount import count2d
@@ -9,7 +11,9 @@ from tilecount.cli import main
 from tilecount.count2d import (
     BudgetError,
     Tiling,
+    _ktf_norm,
     check_rect_work,
+    count_rectangle,
     count_tilings,
     count_tilings_bruteforce,
     enumerate_tilings,
@@ -28,7 +32,7 @@ from tilecount.regions2d import (
     reflect_v,
     rotate90,
 )
-from tilecount.sequences import l2, l3
+from tilecount.sequences import catalog, l2, l3
 from tilecount.solid3d import count_bricks, layer_counts
 
 # frozen oracle values: 2 x n rectangle counts are the shifted Fibonacci run
@@ -192,6 +196,60 @@ def test_the_rect_estimate_from_its_size_is_the_determinants(monkeypatch):
     assert 0 < refused < 2 * len(sizes)
     for rows, cols in ((0, 5), (-3, 4), (1001, 1001)):  # left to the builder and the parity check
         check_rect_work(rows, cols)
+
+
+def test_the_norm_is_the_determinant_on_every_small_rectangle():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert count_rectangle(m, n) == count_tilings(rect(m, n)), (m, n)
+
+
+def test_the_norm_is_the_product_formula_at_the_largest_admitted_squares():
+    assert _refusal(check_rect_work, 58, 58) is not None
+    assert count_rectangle(56, 58) == count_rectangle(58, 56) == ktf_rectangle(56, 58)
+
+
+def _edge(rows: int, step: int) -> int:
+    """The largest n with the rows x (step * n) rectangle admitted: doubling, then bisection."""
+    lo, hi = 1, 2
+    while _refusal(check_rect_work, rows, step * hi) is None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _refusal(check_rect_work, rows, step * mid) is None else (lo, mid)
+    return lo
+
+
+def test_strips_are_their_families_terms_at_their_admission_edges():
+    fams = catalog()
+    n = _edge(2, 1)
+    assert count_rectangle(2, n) == count_rectangle(n, 2) == fams["F"].eval(n)
+    with pytest.raises(BudgetError, match="estimated elimination work"):
+        count_rectangle(2, n + 1)
+    n = _edge(3, 2)
+    assert count_rectangle(3, 2 * n) == count_rectangle(2 * n, 3) == fams["A"].eval(n)
+    with pytest.raises(BudgetError, match="estimated elimination work"):
+        count_rectangle(3, 2 * n + 2)
+
+
+def test_the_norm_refuses_what_the_determinant_refuses_and_checks_its_sides():
+    for rows, cols in ((58, 58), (24, 2000), (3, 20000000)):
+        with pytest.raises(BudgetError) as refusal:
+            count_rectangle(rows, cols)
+        assert str(refusal.value) == _refusal(check_rect_work, rows, cols)
+    for rows, cols in ((0, 5), (-3, 4)):
+        with pytest.raises(ValueError, match=f"positive dimensions, got {rows}x{cols}"):
+            count_rectangle(rows, cols)
+    # an odd rectangle counts 0 at once, however large
+    assert count_rectangle(1001, 1001) == count_rectangle(3, 3000001) == 0
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40))
+def test_a_transposed_rectangle_has_the_same_norm(m, n):
+    # the norm taken modulo either side's polynomial: two different computations
+    assert _ktf_norm(m, n) == _ktf_norm(n, m)
+    assert count_rectangle(m, n) == count_rectangle(n, m) == (0 if m * n % 2 else _ktf_norm(m, n))
 
 
 def test_long_thin_and_wide_regions_match_their_formulas():
