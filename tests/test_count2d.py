@@ -242,6 +242,10 @@ def test_the_norm_refuses_what_the_determinant_refuses_and_checks_its_sides():
             count_rectangle(rows, cols)
     # an odd rectangle counts 0 at once, however large
     assert count_rectangle(1001, 1001) == count_rectangle(3, 3000001) == 0
+    # an estimate past the int -> str digit limit is refused with its digits in full
+    refusal = r"^estimated elimination work [0-9,]+ exceeds the budget of 100,000,000$"
+    with pytest.raises(BudgetError, match=refusal):
+        count_rectangle(2, 10**2200)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -375,6 +379,7 @@ def test_enumerate_matches_counts():
                 covered.extend((a, b))
             assert len(covered) == len(set(covered))
             assert frozenset(covered) == region.cells
+            assert len(tiling) == len(region.cells) // 2
 
 
 def test_enumerate_respects_limit_and_order():
