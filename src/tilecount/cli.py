@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from decimal import Decimal
-from pathlib import Path
 
 from . import count2d, identities, regions2d, sequences, solid3d
 from .regions2d import Region2D
@@ -22,6 +20,8 @@ from .solid3d import Prism3D
 
 
 def _json_line(record: dict) -> str:
+    import json  # only --json output needs it, so a plain count never loads it
+
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
@@ -43,6 +43,22 @@ _REGION_TOKENS = {
 _RECT_SIZES = {"rect": regions2d.rect_size, "a": regions2d.a_grid_size}
 
 
+def _integer(text: str) -> int:
+    """``int(text)``, also for an integer of more than 4,300 digits.
+
+    ``int`` refuses those under the int -> str digit limit, which is left as
+    it is; Decimal reads them exactly once they are checked to be an optional
+    sign and decimal digits.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        text = text.strip()
+        if not (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
+            raise
+        return int(Decimal(text))
+
+
 def _split_spec(spec: str) -> tuple[str, list]:
     """The token of a builder spec like ``rect:3,4`` and its builder's arguments."""
     token, sep, argtext = spec.partition(":")
@@ -56,7 +72,7 @@ def _split_spec(spec: str) -> tuple[str, list]:
     if len(args) != count:
         raise ValueError(f"spec {token!r} takes {count} argument(s), got {len(args)}")
     try:
-        numbers = [int(a) for a in args]
+        numbers = [_integer(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer argument in spec {spec!r}") from None
     return token, numbers + orientation
@@ -69,7 +85,8 @@ def parse_region_spec(spec: str) -> Region2D | Prism3D:
     mtower:n  box:R,C,N, plus ``@path`` for an ASCII region file.
     """
     if spec.startswith("@"):
-        return regions2d.from_ascii(Path(spec[1:]).read_text())
+        with open(spec[1:]) as picture:
+            return regions2d.from_ascii(picture.read())
     token, arguments = _split_spec(spec)
     module, builder, _ = _REGION_TOKENS[token]
     return getattr(module, builder)(*arguments)

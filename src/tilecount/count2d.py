@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from itertools import islice, starmap
 from operator import add, sub
 
+from .record import Record
 from .regions2d import Cell, Region2D, rect_size
 
 # The determinant's work estimate is sum(level size^3) * (1 + cells / _BIG_INT_CELLS)^2:
@@ -54,11 +54,13 @@ class BudgetError(ValueError):
 Domino = tuple[Cell, Cell]  # pair of edge-adjacent cells, stored sorted
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(Record):
     """A perfect domino tiling: disjoint adjacent pairs covering a region."""
 
-    dominoes: frozenset[Domino]
+    __slots__ = ("dominoes",)
+
+    def __init__(self, dominoes: frozenset[Domino]) -> None:
+        super().__init__(dominoes)
 
     def cells(self) -> frozenset[Cell]:
         return frozenset(cell for pair in self.dominoes for cell in pair)

@@ -6,14 +6,12 @@ and tower families are frozen here; everything else is recomputed.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
 
 from .count2d import count_tilings
+from .record import Record
 from .regions2d import a_grid, b_grid, c_grid, l2_region, l3_region
 from .sequences import catalog, decimal_str, l2_formula, l3_formula
 from .solid3d import layer_counts, tower
@@ -60,27 +58,24 @@ BOUNDS = {
 }
 
 
-class CheckResult(NamedTuple):
-    name: str
-    params: tuple[int, ...]
-    left: int
-    right: int
+class CheckResult(namedtuple("CheckResult", ("name", "params", "left", "right"))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.left == self.right
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[CheckResult, ...]
+class Report(Record):
+    """Checks sorted by name and parameters, and the failed ones among them."""
+
+    __slots__ = ("checks", "failures")
 
     def __init__(self, checks) -> None:
-        object.__setattr__(self, "checks", tuple(sorted(checks, key=itemgetter(0, 1))))
-
-    @cached_property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        checks = tuple(sorted(checks, key=itemgetter(0, 1)))
+        # left != right, not c.passed: reading the fields takes half the time, and
+        # every report scans here once, the suites' own ones inside verify_all too
+        super().__init__(checks, tuple(c for c in checks if c.left != c.right))
 
     @property
     def all_passed(self) -> bool:
@@ -93,6 +88,8 @@ class Report:
         right} with sorted keys and no spaces, rendered here directly: only
         the check name can need escaping, so it is encoded once per name.
         """
+        import json  # only --json output needs it, so counting never loads it
+
         names: dict[str, str] = {}
         lines = []
         for name, params, left, right in self.checks:

@@ -36,26 +36,35 @@ import decimal
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log10
 from operator import mul
 
 from .count2d import BudgetError
+from .record import Record
 
 
-def decimal_str(number: int | Fraction) -> str:
+def decimal_str(number) -> str:
     """``str(number)`` for an int or a Fraction, past the int -> str digit limit too.
 
     Decimal is exempt from the limit; the process-wide limit is left as it is.
     """
     try:
         return str(number)
-    except ValueError:
-        q = Fraction(number)
-        text = str(decimal.Decimal(q.numerator))
-        return text if q.denominator == 1 else f"{text}/{decimal.Decimal(q.denominator)}"
+    except ValueError:  # an int has a numerator and a denominator of 1, as a Fraction has
+        text = str(decimal.Decimal(number.numerator))
+        den = number.denominator
+        return text if den == 1 else f"{text}/{decimal.Decimal(den)}"
+
+
+def _ratio_str(num, den: int) -> str:
+    """num / den in lowest terms, by ``decimal_str``: num an int or an integral Decimal.
+
+    Only error messages print a ratio, so only they import ``fractions``.
+    """
+    from fractions import Fraction
+
+    return decimal_str(Fraction(num) / den)
 
 
 class ClosedFormCancellationError(ArithmeticError):
@@ -70,8 +79,7 @@ def _check_radicand(d: int) -> None:
             raise ValueError(f"radicand must be square-free, got {d}")
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Record):
     """The sum over terms (cp, cr, p, r) of
     (cp + cr sqrt d) / coeff_den * ((p + r sqrt d) / base_den)^n.
 
@@ -82,23 +90,21 @@ class ClosedForm:
     evaluation path covers everything.
     """
 
-    d: int
-    coeff_den: int
-    base_den: int
-    terms: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("d", "coeff_den", "base_den", "terms")
 
-    def __post_init__(self) -> None:
-        _check_radicand(self.d)
-        if self.coeff_den < 1 or self.base_den < 1:
-            raise ValueError(
-                f"denominators must be >= 1, got {self.coeff_den} and {self.base_den}"
-            )
-        if not self.terms:
+    def __init__(
+        self, d: int, coeff_den: int, base_den: int, terms: tuple[tuple[int, int, int, int], ...]
+    ) -> None:
+        _check_radicand(d)
+        if coeff_den < 1 or base_den < 1:
+            raise ValueError(f"denominators must be >= 1, got {coeff_den} and {base_den}")
+        if not terms:
             raise ValueError("closed form needs at least one term")
-        b, d = self.base_den, self.d
-        for _, _, p, r in self.terms:
+        b = base_den
+        for _, _, p, r in terms:
             if 2 * p % b or (p * p - d * r * r) % (b * b):
                 raise ValueError(f"base ({p} + {r} sqrt {d}) / {b} is not an algebraic integer")
+        super().__init__(d, coeff_den, base_den, terms)
 
 
 def _quad_pow(P: int, N: int, n: int, unit=1) -> tuple:
@@ -143,35 +149,31 @@ def closed_eval(cf: ClosedForm, n: int, unit=1):
         num_b += cp * v + cr * u
     if num_b:
         raise ClosedFormCancellationError(
-            f"irrational part {decimal_str(Fraction(num_b) / den)}*sqrt({d}) left over at n={n}"
+            f"irrational part {_ratio_str(num_b, den)}*sqrt({d}) left over at n={n}"
         )
     value, remainder = divmod(num_a, den)
     if remainder or value < 0:
         raise ClosedFormCancellationError(
-            f"closed form produced non-count value {decimal_str(Fraction(num_a) / den)} at n={n}"
+            f"closed form produced non-count value {_ratio_str(num_a, den)} at n={n}"
         )
     return value
 
 
-@dataclass(frozen=True)
-class LinearRecurrence:
+class LinearRecurrence(Record):
     """Order-d recurrence a(n) = sum coeffs[i-1] * a(n-i), with initial terms.
 
     ``initial`` holds a(start), ..., a(start+d-1): numbers, or, from
     ``certified_recurrence``, vectors as mappings.
     """
 
-    coeffs: tuple[int, ...]
-    initial: tuple[int, ...]
-    start: int = 0
+    __slots__ = ("coeffs", "initial", "start")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[int, ...], initial: tuple[int, ...], start: int = 0) -> None:
+        if len(coeffs) < 1:
             raise ValueError("recurrence order must be >= 1")
-        if len(self.initial) != len(self.coeffs):
-            raise ValueError(
-                f"need {len(self.coeffs)} initial terms, got {len(self.initial)}"
-            )
+        if len(initial) != len(coeffs):
+            raise ValueError(f"need {len(coeffs)} initial terms, got {len(initial)}")
+        super().__init__(coeffs, initial, start)
 
     @property
     def order(self) -> int:
@@ -433,14 +435,19 @@ _EXACT = decimal.Context(
 )
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A named counting sequence: recurrence plus optional closed form."""
 
-    name: str
-    description: str
-    recurrence: LinearRecurrence
-    closed: ClosedForm | None = None
+    __slots__ = ("name", "description", "recurrence", "closed")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        recurrence: LinearRecurrence,
+        closed: ClosedForm | None = None,
+    ) -> None:
+        super().__init__(name, description, recurrence, closed)
 
     @property
     def start(self) -> int:

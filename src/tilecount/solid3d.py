@@ -29,13 +29,13 @@ budget raises ``BudgetError`` before the first layer, jump or not.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 
 from .count2d import BudgetError, _guarded_matchings, count_tilings
+from .record import Record
 from .regions2d import Cell, Region2D
 from .sequences import certified_recurrence, vector_jump
 
@@ -53,15 +53,14 @@ Cell3 = tuple[int, int, int]  # (row, col, layer)
 STEPS_3D = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # on (z, row, col): col, row, then layer
 
 
-@dataclass(frozen=True)
-class Prism3D:
+class Prism3D(Record):
     """Cross-section x layers, minus deleted cells."""
 
-    cross_section: frozenset[Cell]
-    layers: int
-    deleted: frozenset[Cell3]
+    __slots__ = ("cross_section", "layers", "deleted")
 
-    def __init__(self, cross_section, layers: int, deleted=()) -> None:
+    def __init__(
+        self, cross_section: Iterable[Cell], layers: int, deleted: Iterable[Cell3] = ()
+    ) -> None:
         cross = frozenset((int(r), int(c)) for r, c in cross_section)
         gone = frozenset((int(r), int(c), int(z)) for r, c, z in deleted)
         if layers < 0:
@@ -69,19 +68,11 @@ class Prism3D:
         for r, c, z in gone:
             if (r, c) not in cross or not 0 <= z < layers:
                 raise ValueError(f"deleted cell {(r, c, z)} lies outside the prism")
-        object.__setattr__(self, "cross_section", cross)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "deleted", gone)
+        super().__init__(cross, layers, gone)
 
     @property
     def cell_count(self) -> int:
         return len(self.cross_section) * self.layers - len(self.deleted)
-
-    def layer_cells(self, z: int) -> frozenset[Cell]:
-        """Cross-section cells actually present in layer z."""
-        return frozenset(
-            cell for cell in self.cross_section if (*cell, z) not in self.deleted
-        )
 
 
 def tower(n: int) -> Prism3D:
@@ -301,5 +292,8 @@ def count_bricks_bruteforce(prism: Prism3D) -> int:
     Placements are tried in a fixed order: along the column, along the row,
     then up one layer. Over ``MAX_BRUTEFORCE_CELLS`` cells it raises ``BudgetError``.
     """
-    cells = frozenset((z, r, c) for z in range(prism.layers) for r, c in prism.layer_cells(z))
+    cross, deleted = prism.cross_section, prism.deleted
+    cells = frozenset(
+        (z, r, c) for z in range(prism.layers) for r, c in cross if (r, c, z) not in deleted
+    )
     return sum(1 for _ in _guarded_matchings(cells, STEPS_3D, MAX_BRUTEFORCE_CELLS, "oracle"))

@@ -44,6 +44,27 @@ def test_parse_region_specs():
     assert parse_region_spec("box:2,3,4") == Prism3D(two_by_three, 4)
 
 
+def test_start_up_loads_only_what_counting_needs():
+    # a bare interpreter (-I -S: no site, which may load typing and pathlib itself)
+    # importing the package as a count does; dataclasses would bring inspect and ast
+    script = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import tilecount
+from tilecount import cli, sequences
+sequences.catalog()
+cli.build_parser()
+heavy = ("dataclasses", "inspect", "fractions", "json", "typing", "pathlib")
+print(" ".join(m for m in heavy if m in sys.modules))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, src], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "\n", f"start-up loaded {proc.stdout.strip()}"
+
+
 def test_parse_region_spec_from_file(tmp_path):
     path = tmp_path / "shape.txt"
     path.write_text(".##\n###\n")
@@ -110,12 +131,17 @@ def test_an_over_budget_rect_is_refused_before_it_is_built(capsys, monkeypatch):
 
     monkeypatch.setattr(cli.regions2d, "rect", no_build)
     monkeypatch.setattr(cli.regions2d, "a_grid", no_build)
-    # a:<4,000 nines> has an estimate past the int -> str digit limit
+    # a:<4,000 nines> has an estimate past the int -> str digit limit; an argument of
+    # 5,000 digits is itself past it, and is read in full, not refused as a non-integer
     specs = ("rect:1000,1000", "rect:100000,100000", "rect:58,58", "a:300000", "a:" + "9" * 4000)
+    specs += ("a:" + "9" * 5000, "rect:2," + "9" * 5000, "rect:+" + "9" * 5000 + ", 2")
     refusal = r"error: estimated elimination work [0-9,]+ exceeds the budget of 100,000,000\n"
     for spec in specs:
         code, out, err = run(capsys, "count", spec)
         assert (code, out) == (2, "") and re.fullmatch(refusal, err), spec[:20]
+    spec = "a:" + "9" * 5000 + "x"  # a long argument that is no integer still is not one
+    message = f"error: non-integer argument in spec {spec!r}\n"
+    assert run(capsys, "count", spec) == (2, "", message)
     # a:n is the 3 x 2n rectangle, so it is refused from n alike
     refusal = run(capsys, "count", "rect:3,20000000")
     assert refusal[0] == 2 and run(capsys, "count", "a:10000000") == refusal

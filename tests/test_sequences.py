@@ -1,4 +1,3 @@
-import dataclasses
 import decimal
 import random
 import time
@@ -12,6 +11,7 @@ from tilecount.count2d import BudgetError
 from tilecount.sequences import (
     ClosedForm,
     ClosedFormCancellationError,
+    Family,
     LinearRecurrence,
     _quad_pow,
     catalog,
@@ -85,10 +85,12 @@ def test_conjugation_is_a_ring_homomorphism(d):
 
 
 def test_recurrence_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^recurrence order must be >= 1$"):
         LinearRecurrence((), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need 2 initial terms, got 1$"):
         LinearRecurrence((1, 1), (1,))
+    with pytest.raises(ValueError, match=r"^need 1 initial terms, got 0$"):
+        LinearRecurrence((3,), (), start=4)
 
 
 def test_iter_below_start_raises():
@@ -653,7 +655,9 @@ def test_seq_iter_jumps_to_a_far_range(capsys, monkeypatch):
 
 
 def _with_closed_form(monkeypatch, name, form):
-    monkeypatch.setitem(catalog(), name, dataclasses.replace(catalog()[name], closed=form))
+    family = catalog()[name]
+    swapped = Family(family.name, family.description, family.recurrence, form)
+    monkeypatch.setitem(catalog(), name, swapped)
 
 
 def _seq_raises(capsys, name, n, match):

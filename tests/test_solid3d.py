@@ -28,8 +28,8 @@ def test_tower_geometry():
 def test_m_tower_geometry():
     m = m_tower(3)
     assert m.cell_count == 10
-    assert m.layer_cells(0) == m.cross_section
-    assert m.layer_cells(2) == frozenset({(1, 0), (1, 1)})
+    assert m.cross_section == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+    assert m.deleted == frozenset({(0, 0, 2), (0, 1, 2)})  # two adjacent top-layer cells
     with pytest.raises(ValueError):
         m_tower(0)
 
@@ -71,14 +71,6 @@ def test_towers_track_their_sequences():
 def test_long_towers_track_their_sequences():
     assert count_bricks(tower(500)) == rec_values(catalog()["T"].recurrence, 500, 500)[0]
     assert count_bricks(m_tower(500)) == rec_values(catalog()["M"].recurrence, 500, 500)[0]
-
-
-def test_layers_are_read_once_from_the_prism(monkeypatch):
-    def no_rebuild(self, z):
-        raise AssertionError("count_bricks rebuilt a layer")
-
-    monkeypatch.setattr(Prism3D, "layer_cells", no_rebuild)
-    assert count_bricks(m_tower(50)) == rec_values(catalog()["M"].recurrence, 50, 50)[0]
 
 
 def test_flat_counts_are_cached(monkeypatch):
