@@ -41,6 +41,15 @@ _REGION_TOKENS = {
 # Tokens of a full rectangle -> the function that checks their arguments, as the
 # builder does, and gives the rectangle's (rows, cols) for count2d.count_rectangle.
 _RECT_SIZES = {"rect": regions2d.rect_size, "a": regions2d.a_grid_size}
+# Tokens of regions with balanced colours -> their cell count c. The determinant's
+# estimate for them is at least c * (1000 + c)^2 / 1000^2, as a level of n cells
+# adds n^3 >= n, so one over budget on c alone is refused before it is built.
+_CELL_COUNTS = {
+    "b": lambda n: 6 * n + 2,
+    "c": lambda n: 6 * n + 4,
+    "l2": lambda n, k: 2 * n + 2 * k,
+    "l3": lambda n, k, *orientation: 6 * n + 6 * k,
+}
 
 
 def _integer(text: str) -> int:
@@ -98,6 +107,11 @@ def cmd_count(args) -> int:
         rows, cols = _RECT_SIZES[token](*_split_spec(args.spec)[1])
         count, cells = count2d.count_rectangle(rows, cols), rows * cols
     else:
+        if token in _CELL_COUNTS:
+            arguments = _split_spec(args.spec)[1]
+            if min(arguments[:2]) >= 1:  # bad arguments get their builder's message
+                cells = _CELL_COUNTS[token](*arguments)
+                count2d._check_work(cells, cells)
         region = parse_region_spec(args.spec)
         if isinstance(region, Prism3D):
             count = solid3d.count_bricks(region)

@@ -189,22 +189,3 @@ def reflect_v(region: Region2D) -> Region2D:
     h = region.height
     return Region2D((h - 1 - r, c) for r, c in region.cells)
 
-
-def rotate90(region: Region2D) -> Region2D:
-    """Rotate a quarter turn clockwise."""
-    h = region.height
-    return Region2D((c, h - 1 - r) for r, c in region.cells)
-
-
-def transpose(region: Region2D) -> Region2D:
-    """Swap rows and columns (reflection across the main diagonal)."""
-    return Region2D((c, r) for r, c in region.cells)
-
-
-def remove_cells(region: Region2D, cells) -> Region2D:
-    """Remove cells from a region; every removed cell must be present."""
-    to_remove = frozenset((int(r), int(c)) for r, c in cells)
-    missing = to_remove - region.cells
-    if missing:
-        raise ValueError(f"cells not in region: {sorted(missing)}")
-    return Region2D(region.cells - to_remove)

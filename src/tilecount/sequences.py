@@ -477,6 +477,9 @@ class Family(Record):
 
     def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:
         with decimal.localcontext(_EXACT) if isinstance(unit, decimal.Decimal) else nullcontext():
+            if method == "closed":  # reads no recurrence, so builds none
+                yield from (closed_eval(self.closed, n, unit) for n in range(lo, hi + 1))
+                return
             coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
             rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
             if method == "iter":
@@ -486,10 +489,8 @@ class Family(Record):
                     yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
                 else:
                     yield from head
-            elif method == "matpow":
-                yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
             else:
-                yield from (closed_eval(self.closed, n, unit) for n in range(lo, hi + 1))
+                yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
 
     def eval(self, n: int, method: str = "iter") -> int:
         return next(self.terms(n, n, method))

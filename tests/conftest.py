@@ -13,7 +13,6 @@ from tilecount.regions2d import (
     l2_region,
     l3_region,
     rect,
-    transpose,
 )
 from tilecount.sequences import decimal_str
 from tilecount.solid3d import Prism3D, m_tower, tower
@@ -74,7 +73,7 @@ def strip_prism(region: Region2D) -> Prism3D:
     bounding-box cell is a deleted cell.
     """
     if region.width > region.height:
-        region = transpose(region)
+        region = Region2D((c, r) for r, c in region.cells)
     width, height = region.width, region.height
     missing = {(0, c, r) for r in range(height) for c in range(width) if (r, c) not in region}
     return Prism3D({(0, c) for c in range(width)}, height, missing)

@@ -177,6 +177,40 @@ def test_count_rect_and_a_build_no_region(capsys, monkeypatch):
         assert run(capsys, "count", spec) == (2, "", f"error: {message}\n")
 
 
+def test_over_budget_strips_and_angles_are_refused_before_they_are_built(capsys, monkeypatch):
+    built = []
+
+    def no_build(*args):
+        built.append(args)
+        raise ValueError("built")
+
+    for name in ("b_grid", "c_grid", "l2_region", "l3_region"):
+        monkeypatch.setattr(cli.regions2d, name, no_build)
+    refusal = r"error: estimated elimination work [0-9,]+ exceeds the budget of 100,000,000\n"
+    for spec in ("b:10000000", "c:10000000", f"l2:{10**6},{10**6}", "l3:100000,100000,NE"):
+        code, out, err = run(capsys, "count", spec)
+        assert (code, out) == (2, "") and re.fullmatch(refusal, err), spec
+    assert built == []
+    # under the cell-count bound the full estimate decides, so these reach their builders
+    for spec in ("l3:1500,1500", "l2:10000,10000"):
+        assert run(capsys, "count", spec) == (2, "", "error: built\n")
+    assert len(built) == 2
+    # bad arguments get their builders' own messages, whatever their size
+    monkeypatch.undo()
+    for spec, message in (
+        ("b:-1", "b_grid needs n >= 0, got -1"),
+        ("l2:0,1000000", "l2_region needs n, k >= 1, got (0, 1000000)"),
+        ("l3:-3,100000", "l3_region needs n, k >= 1, got (-3, 100000)"),
+    ):
+        assert run(capsys, "count", spec) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["b:0", "b:5", "c:0", "c:3", "l2:1,4", "l2:6,2", "l3:2,3,NE"])
+def test_the_guards_cell_counts_are_the_builders(spec):
+    token, arguments = cli._split_spec(spec)
+    assert cli._CELL_COUNTS[token](*arguments) == parse_region_spec(spec).cell_count
+
+
 def test_main_builds_its_parser_once(capsys):
     parser = cli.build_parser()
     misses = cli.build_parser.cache_info().misses

@@ -20,7 +20,7 @@ from tilecount.count2d import (
     count_tilings_bruteforce,
     enumerate_tilings,
 )
-from tilecount.regions2d import Region2D, reflect_h, rotate90
+from tilecount.regions2d import Region2D, reflect_h, reflect_v
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import (
     MAX_BRUTEFORCE_CELLS,
@@ -81,11 +81,11 @@ def punched_rectangles(draw, max_side: int = 8) -> Region2D:
 
 
 def square_symmetries(region: Region2D) -> list[Region2D]:
-    """The region's images under the 8 symmetries of the square."""
+    """The region's images under the 8 symmetries of the square: the region and
+    its transpose, each as it is, mirrored either way and turned a half turn."""
     images = []
-    for _ in range(4):
-        images += [region, reflect_h(region)]
-        region = rotate90(region)
+    for image in (region, Region2D((c, r) for r, c in region.cells)):
+        images += [image, reflect_h(image), reflect_v(image), reflect_h(reflect_v(image))]
     return images
 
 

@@ -12,10 +12,7 @@ from tilecount.regions2d import (
     rect,
     reflect_h,
     reflect_v,
-    remove_cells,
-    rotate90,
     to_ascii,
-    transpose,
 )
 
 
@@ -70,15 +67,6 @@ def test_c_grid_cell_count(n):
 
 def test_c_grid_zero_is_a_square():
     assert c_grid(0) == rect(2, 2)
-
-
-def test_remove_cells_matches_b_grid():
-    assert remove_cells(rect(3, 3), {(0, 0)}) == b_grid(1)
-
-
-def test_remove_cells_requires_presence():
-    with pytest.raises(ValueError):
-        remove_cells(rect(2, 2), {(5, 5)})
 
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, 6)])
@@ -197,20 +185,14 @@ def test_from_ascii_normalizes_padding():
 
 
 def test_transforms():
-    assert rotate90(rect(2, 3)) == rect(3, 2)
-    assert transpose(rect(2, 3)) == rect(3, 2)
     region = l3_region(2, 1)
     assert reflect_h(reflect_h(region)) == region
     assert reflect_v(reflect_v(region)) == region
-    spun = region
-    for _ in range(4):
-        spun = rotate90(spun)
-    assert spun == region
 
 
 def test_transform_preserves_cell_count():
     region = l2_region(3, 2)
-    for op in (reflect_h, reflect_v, rotate90):
+    for op in (reflect_h, reflect_v):
         assert op(region).cell_count == region.cell_count
 
 

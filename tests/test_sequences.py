@@ -430,6 +430,23 @@ def test_only_a_decimal_generator_holds_the_exact_context():
     assert list(ints) == rec_values(fam.recurrence, 2, 40) and decimal.getcontext() is caller
 
 
+def test_closed_terms_build_no_recurrence(monkeypatch):
+    fam = catalog()["A"]
+    built = []
+    init = LinearRecurrence.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearRecurrence, "__init__", counted)
+    assert list(fam.terms(1, 5, "closed")) == [3, 11, 41, 153, 571]
+    assert built == []
+    # matpow reads the unit-typed copy of the recurrence, so the spy sees it built
+    assert list(fam.terms(1, 5, "matpow")) == [3, 11, 41, 153, 571]
+    assert len(built) == 1
+
+
 def test_a_far_single_term_is_one_jump():
     fam = catalog()["T"]
     start = time.perf_counter()
