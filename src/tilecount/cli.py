@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Every command raises ValueError or OSError for a usage or input error;
 ``main`` alone reports it as ``error: <message>`` on stderr and exits 2.
+``count`` and ``render`` parse a region spec once, by one token table, and
+refuse a 2D region from its cell count before a cell is built.
 ``seq`` and ``bfile`` only print: ``Family.terms`` checks each range, refuses
 one over budget and computes its terms, here in exact Decimals.
 """
@@ -15,8 +17,6 @@ import sys
 from decimal import Decimal
 
 from . import count2d, identities, regions2d, sequences, solid3d
-from .regions2d import Region2D
-from .solid3d import Prism3D
 
 
 def _json_line(record: dict) -> str:
@@ -25,30 +25,20 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-# token -> (module, builder, number of integer arguments). The builder is looked
+# token -> (module, builder, number of integers, cells, size). The builder is looked
 # up on its module at each call, so a wrapper installed there sees every build.
-_REGION_TOKENS = {
-    "rect": (regions2d, "rect", 2),
-    "a": (regions2d, "a_grid", 1),
-    "b": (regions2d, "b_grid", 1),
-    "c": (regions2d, "c_grid", 1),
-    "l2": (regions2d, "l2_region", 2),
-    "l3": (regions2d, "l3_region", 2),  # and an optional orientation
-    "tower": (solid3d, "tower", 1),
-    "mtower": (solid3d, "m_tower", 1),
-    "box": (solid3d, "box", 3),
-}
-# Tokens of a full rectangle -> the function that checks their arguments, as the
-# builder does, and gives the rectangle's (rows, cols) for count2d.count_rectangle.
-_RECT_SIZES = {"rect": regions2d.rect_size, "a": regions2d.a_grid_size}
-# Tokens of regions with balanced colours -> their cell count c. The determinant's
-# estimate for them is at least c * (1000 + c)^2 / 1000^2, as a level of n cells
-# adds n^3 >= n, so one over budget on c alone is refused before it is built.
-_CELL_COUNTS = {
-    "b": lambda n: 6 * n + 2,
-    "c": lambda n: 6 * n + 4,
-    "l2": lambda n, k: 2 * n + 2 * k,
-    "l3": lambda n, k, *orientation: 6 * n + 6 * k,
+# cells(*integers) is a 2D region's cell count, None for a prism. The size of rect:
+# and a: checks their integers as their builders do and gives count_rectangle's.
+_TOKENS = {
+    "rect": (regions2d, "rect", 2, lambda r, c: r * c, regions2d.rect_size),
+    "a": (regions2d, "a_grid", 1, lambda n: 6 * n, regions2d.a_grid_size),
+    "b": (regions2d, "b_grid", 1, lambda n: 6 * n + 2, None),
+    "c": (regions2d, "c_grid", 1, lambda n: 6 * n + 4, None),
+    "l2": (regions2d, "l2_region", 2, lambda n, k: 2 * n + 2 * k, None),
+    "l3": (regions2d, "l3_region", 2, lambda n, k: 6 * n + 6 * k, None),  # and an orientation
+    "tower": (solid3d, "tower", 1, None, None),
+    "mtower": (solid3d, "m_tower", 1, None, None),
+    "box": (solid3d, "box", 3, None, None),
 }
 
 
@@ -68,56 +58,58 @@ def _integer(text: str) -> int:
         return int(Decimal(text))
 
 
-def _split_spec(spec: str) -> tuple[str, list]:
-    """The token of a builder spec like ``rect:3,4`` and its builder's arguments."""
+def _parse_spec(spec: str) -> tuple:
+    """Parse ``spec`` once into (build, cells, rectangle): ``build()`` makes its
+    region or prism; ``cells`` is a 2D region's cell count before it is built,
+    the ``#`` marks of an ``@file`` picture, None for a prism and 0 if an integer
+    is below 1, so that its builder gives its own message; ``rectangle`` is the
+    (rows, cols) of ``rect:`` and ``a:``, else None.
+    """
+    if spec.startswith("@"):
+        with open(spec[1:]) as picture:
+            text = picture.read()
+        return functools.partial(regions2d.from_ascii, text), text.count("#"), None
     token, sep, argtext = spec.partition(":")
     if not sep:
         raise ValueError(f"malformed region spec {spec!r}; expected token:args")
-    if token not in _REGION_TOKENS:
-        raise ValueError(f"unknown region token {token!r}; known: {' '.join(_REGION_TOKENS)}")
-    count = _REGION_TOKENS[token][2]
+    if token not in _TOKENS:
+        raise ValueError(f"unknown region token {token!r}; known: {' '.join(_TOKENS)}")
+    module, builder, count, cells, size = _TOKENS[token]
     args = argtext.split(",") if argtext else []
     orientation = [args.pop().upper()] if token == "l3" and len(args) == 3 else []
     if len(args) != count:
         raise ValueError(f"spec {token!r} takes {count} argument(s), got {len(args)}")
     try:
-        numbers = [_integer(a) for a in args]
+        integers = [_integer(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer argument in spec {spec!r}") from None
-    return token, numbers + orientation
+    build = functools.partial(getattr(module, builder), *integers, *orientation)
+    rectangle = size and size(*integers)
+    if cells is None:
+        return build, None, None
+    return build, cells(*integers) if min(integers) >= 1 else 0, rectangle
 
 
-def parse_region_spec(spec: str) -> Region2D | Prism3D:
+def parse_region_spec(spec: str) -> regions2d.Region2D | solid3d.Prism3D:
     """Turn a builder token like ``rect:3,4`` or ``@shape.txt`` into a region.
 
     Tokens: rect:R,C  a:n  b:n  c:n  l2:n,k  l3:n,k[,orient]  tower:n
     mtower:n  box:R,C,N, plus ``@path`` for an ASCII region file.
     """
-    if spec.startswith("@"):
-        with open(spec[1:]) as picture:
-            return regions2d.from_ascii(picture.read())
-    token, arguments = _split_spec(spec)
-    module, builder, _ = _REGION_TOKENS[token]
-    return getattr(module, builder)(*arguments)
+    return _parse_spec(spec)[0]()
 
 
 def cmd_count(args) -> int:
-    token = args.spec.partition(":")[0]
-    if token in _RECT_SIZES:  # counted from its size alone: no cell is built
-        rows, cols = _RECT_SIZES[token](*_split_spec(args.spec)[1])
-        count, cells = count2d.count_rectangle(rows, cols), rows * cols
-    else:
-        if token in _CELL_COUNTS:
-            arguments = _split_spec(args.spec)[1]
-            if min(arguments[:2]) >= 1:  # bad arguments get their builder's message
-                cells = _CELL_COUNTS[token](*arguments)
-                count2d._check_work(cells, cells)
-        region = parse_region_spec(args.spec)
-        if isinstance(region, Prism3D):
-            count = solid3d.count_bricks(region)
-        else:
-            count = count2d.count_tilings(region)
-        cells = region.cell_count
+    build, cells, rectangle = _parse_spec(args.spec)
+    if rectangle:  # counted, and refused, from its size alone: no cell is built
+        count = count2d.count_rectangle(*rectangle)
+    elif cells is None:
+        prism = build()
+        count, cells = solid3d.count_bricks(prism), prism.cell_count
+    else:  # the determinant's estimate is at least this bound on its cells
+        count2d._check_work(cells, cells)
+        region = build()
+        count, cells = count2d.count_tilings(region), region.cell_count
     text = sequences.decimal_str(count)
     if args.json:
         print(_json_line({"spec": args.spec, "cells": cells, "count": text}))
@@ -169,8 +161,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    region = parse_region_spec(args.spec)
-    if isinstance(region, Prism3D):
+    build, cells, _ = _parse_spec(args.spec)
+    if cells is not None:  # refused from its size, before a cell is built
+        count2d._check_cells(cells, count2d.MAX_ORACLE_CELLS, "enumeration")
+    region = build()
+    if cells is None:
         raise ValueError("render supports 2D regions only")
     for i, tiling in enumerate(count2d.enumerate_tilings(region, args.limit)):
         if i:

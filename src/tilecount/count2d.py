@@ -280,13 +280,17 @@ def perfect_matchings(cells: frozenset, steps) -> Iterator[tuple]:
                 yield ((first, other), *rest)
 
 
+def _check_cells(cells: int, max_cells: int, budget: str) -> None:
+    """Raise ``BudgetError`` against the named budget if ``cells`` exceed ``max_cells``."""
+    if cells > max_cells:
+        raise BudgetError(f"{cells} cells exceed the {max_cells}-cell {budget} budget")
+
+
 def _guarded_matchings(cells: frozenset, steps, max_cells: int, budget: str) -> Iterator[tuple]:
-    """``perfect_matchings`` behind the oracles' guards, which run on the call:
-    over ``max_cells`` cells raise ``BudgetError`` against the named budget,
-    and an odd number of cells yields no matching without a search.
+    """``perfect_matchings`` behind ``_check_cells``, which runs on the call; an
+    odd number of cells yields no matching without a search.
     """
-    if len(cells) > max_cells:
-        raise BudgetError(f"{len(cells)} cells exceed the {max_cells}-cell {budget} budget")
+    _check_cells(len(cells), max_cells, budget)
     return iter(()) if len(cells) % 2 else perfect_matchings(cells, steps)
 
 

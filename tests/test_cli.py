@@ -205,10 +205,14 @@ def test_over_budget_strips_and_angles_are_refused_before_they_are_built(capsys,
         assert run(capsys, "count", spec) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("spec", ["b:0", "b:5", "c:0", "c:3", "l2:1,4", "l2:6,2", "l3:2,3,NE"])
+@pytest.mark.parametrize(
+    "spec",
+    ["b:0", "b:5", "c:0", "c:3", "l2:1,4", "l2:6,2", "l3:2,3,NE", "rect:3,5", "a:4", "l3:2,3,SW"],
+)
 def test_the_guards_cell_counts_are_the_builders(spec):
-    token, arguments = cli._split_spec(spec)
-    assert cli._CELL_COUNTS[token](*arguments) == parse_region_spec(spec).cell_count
+    token, _, argtext = spec.partition(":")
+    integers = [int(a) for a in argtext.split(",") if a.isdecimal()]
+    assert cli._TOKENS[token][3](*integers) == parse_region_spec(spec).cell_count
 
 
 def test_main_builds_its_parser_once(capsys):
@@ -814,6 +818,49 @@ def test_render_respects_limit(capsys):
 def test_render_rejects_prisms_and_large_regions(capsys):
     assert run(capsys, "render", "tower:2")[0] == 2
     assert run(capsys, "render", "rect:4,8")[0] == 2
+
+
+def test_render_refuses_a_large_region_before_it_is_built(capsys, monkeypatch):
+    built = []
+
+    def no_build(*args):
+        built.append(args)
+        raise AssertionError("a cell was built before the refusal")
+
+    for name in ("rect", "a_grid", "b_grid", "c_grid", "l2_region", "l3_region"):
+        monkeypatch.setattr(cli.regions2d, name, no_build)
+    for spec, cells in (
+        ("b:10000000", 60000002),
+        ("rect:100000,100000", 10**10),
+        ("l3:100000,100000,NE", 1200000),
+    ):
+        message = f"error: {cells} cells exceed the 30-cell enumeration budget\n"
+        assert run(capsys, "render", spec) == (2, "", message)
+    assert built == []
+    monkeypatch.undo()
+    message = "error: 36 cells exceed the 30-cell enumeration budget\n"
+    assert run(capsys, "render", "rect:6,6") == (2, "", message)
+    assert run(capsys, "render", "a:1") == (0, "<>\n<>\n<>\n\n<>\n^^\nvv\n\n^^\nvv\n<>\n", "")
+    assert run(capsys, "render", "b:0", "--limit", "5") == (0, "^\nv\n", "")
+
+
+def test_a_large_picture_is_refused_before_it_is_built(capsys, monkeypatch, tmp_path):
+    big, five = tmp_path / "big300.txt", tmp_path / "five.txt"
+    big.write_text(("#" * 300 + "\n") * 300)
+    five.write_text(".##\n###\n")
+
+    def no_build(text):
+        raise AssertionError("a picture was built before the refusal")
+
+    monkeypatch.setattr(cli.regions2d, "from_ascii", no_build)
+    refusal = "error: estimated elimination work 745,290,000 exceeds the budget of 100,000,000\n"
+    assert run(capsys, "count", f"@{big}") == (2, "", refusal)
+    refusal = "error: 90000 cells exceed the 30-cell enumeration budget\n"
+    assert run(capsys, "render", f"@{big}") == (2, "", refusal)
+    monkeypatch.undo()
+    assert run(capsys, "count", f"@{five}") == (0, "0\n", "")
+    code, out, err = run(capsys, "count", f"@{five}", "--json")
+    assert (code, err, json.loads(out)["cells"]) == (0, "", 5)
 
 
 # ---------------------------------------------------------------------------
