@@ -16,7 +16,7 @@ import os
 import sys
 from decimal import Decimal
 
-from . import count2d, identities, regions2d, sequences, solid3d
+from . import budget, count2d, identities, regions2d, sequences, solid3d
 
 
 def _json_line(record: dict) -> str:
@@ -107,7 +107,7 @@ def cmd_count(args) -> int:
         prism = build()
         count, cells = solid3d.count_bricks(prism), prism.cell_count
     else:  # the determinant's estimate is at least this bound on its cells
-        count2d._check_work(cells, cells)
+        budget.determinant(cells, cells)
         region = build()
         count, cells = count2d.count_tilings(region), region.cell_count
     text = sequences.decimal_str(count)
@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     build, cells, _ = _parse_spec(args.spec)
     if cells is not None:  # refused from its size, before a cell is built
-        count2d._check_cells(cells, count2d.MAX_ORACLE_CELLS, "enumeration")
+        budget.search(cells, budget.MAX_ORACLE_CELLS, "enumeration")
     region = build()
     if cells is None:
         raise ValueError("render supports 2D regions only")

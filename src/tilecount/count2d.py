@@ -22,33 +22,21 @@ one-row regions, which the tests check against the oracle in full. The
 norm is checked against the determinant on every rectangle up to 12 x 12,
 and against the product formula and the strip families at their edges.
 
-The determinant refuses only regions over its work budget, the norm the
-rectangles the determinant would refuse, and the search regions of more
-than 30 cells. Each refusal raises ``BudgetError`` before any work. All
+Each route is admitted by its check in ``budget`` before any work. All
 counts are exact Python integers; nothing here touches floating point.
 """
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from decimal import Decimal
 from itertools import islice, starmap
 from operator import add, sub
 
+from . import budget
 from .record import Record
 from .regions2d import Cell, Region2D, rect_size
 
-# The determinant's work estimate is sum(level size^3) * (1 + cells / _BIG_INT_CELLS)^2:
-# a level of n cells costs about n^3 updates of entries that grow with the region.
-# At 16-40 ns a unit (CPython 3.11, Xeon) the budget stops work of over about 4 s.
-_BIG_INT_CELLS = 1000
-_MAX_WORK = 10**8
-MAX_ORACLE_CELLS = 30
 STEPS_2D = ((0, 1), (1, 0))  # right, then down: horizontal before vertical
-
-
-class BudgetError(ValueError):
-    """Raised, before any counting, for an input over a work or size budget."""
 
 
 Domino = tuple[Cell, Cell]  # pair of edge-adjacent cells, stored sorted
@@ -89,8 +77,8 @@ def count_tilings(region: Region2D) -> int:
     level, so the cost follows the region, not its bounding box.
 
     Guards, in order: the empty region counts 1; an odd number of cells or
-    unequal colour classes count 0; a work estimate over ``_MAX_WORK``
-    raises ``BudgetError`` before any sort, matrix or elimination.
+    unequal colour classes count 0; ``budget.determinant`` refuses a region
+    over its work estimate before any sort, matrix or elimination.
     """
     cells = region.cells
     if not cells:
@@ -102,7 +90,7 @@ def count_tilings(region: Region2D) -> int:
         ((op, Counter(starmap(op, cells)).values()) for op in (add, sub)),
         key=lambda pair: sum(n * n for n in pair[1]),
     )
-    _check_work(sum(n**3 for n in sizes), len(cells))
+    budget.determinant(sum(n**3 for n in sizes), len(cells))
 
     def level(cell: Cell) -> tuple:
         return along(*cell), cell
@@ -127,34 +115,6 @@ def count_tilings(region: Region2D) -> int:
     return _abs_det(rows)
 
 
-def _check_work(cube_sum: int, cells: int) -> None:
-    """Raise ``BudgetError`` if the elimination's work estimate is over ``_MAX_WORK``.
-
-    ``cube_sum`` is the sum of the cubes of the anti-diagonal level sizes.
-    """
-    work = cube_sum * (_BIG_INT_CELLS + cells) ** 2 // _BIG_INT_CELLS**2
-    if work > _MAX_WORK:
-        raise BudgetError(
-            f"estimated elimination work {Decimal(work):,} exceeds the budget of {_MAX_WORK:,}"
-        )
-
-
-def check_rect_work(rows: int, cols: int) -> None:
-    """Raise the ``BudgetError`` that ``count_tilings`` would raise for the full
-    rows x cols rectangle, from its size alone, so before its cells are built.
-    It is also the admission of ``count_rectangle``, which builds none.
-
-    Its level sizes are min(i + 1, rows, cols, rows + cols - 1 - i): 1, ..., m - 1
-    at each end and the short side m on the other M - m + 1 levels, M the long
-    side. A rectangle with no cells or an odd number of them is not refused,
-    as ``count_tilings`` settles it before its estimate.
-    """
-    m, big = sorted((rows, cols))
-    if m < 1 or rows * cols % 2:
-        return
-    _check_work(2 * (m * (m - 1) // 2) ** 2 + (big - m + 1) * m**3, rows * cols)
-
-
 def count_rectangle(rows: int, cols: int) -> int:
     """Exact number of domino tilings of the full rows x cols rectangle, from
     its size alone: no cell is built.
@@ -167,12 +127,12 @@ def count_rectangle(rows: int, cols: int) -> int:
     of P_n(-y) in Z[y]/(P_m) that ``_ktf_norm`` takes.
 
     ValueError unless both sides are positive, with ``rect``'s message. The
-    admission is ``check_rect_work``, the determinant's estimate for the same
+    admission is ``budget.rectangle``, the determinant's estimate for the same
     rectangle, so ``count_tilings`` and this route refuse the same sizes. An
     odd number of cells counts 0 before any work.
     """
     m, n = sorted(rect_size(rows, cols))
-    check_rect_work(m, n)
+    budget.rectangle(m, n)
     return 0 if m * n % 2 else _ktf_norm(m, n)
 
 
@@ -280,17 +240,11 @@ def perfect_matchings(cells: frozenset, steps) -> Iterator[tuple]:
                 yield ((first, other), *rest)
 
 
-def _check_cells(cells: int, max_cells: int, budget: str) -> None:
-    """Raise ``BudgetError`` against the named budget if ``cells`` exceed ``max_cells``."""
-    if cells > max_cells:
-        raise BudgetError(f"{cells} cells exceed the {max_cells}-cell {budget} budget")
-
-
-def _guarded_matchings(cells: frozenset, steps, max_cells: int, budget: str) -> Iterator[tuple]:
-    """``perfect_matchings`` behind ``_check_cells``, which runs on the call; an
+def _guarded_matchings(cells: frozenset, steps, max_cells: int, name: str) -> Iterator[tuple]:
+    """``perfect_matchings`` behind ``budget.search``, which runs on the call; an
     odd number of cells yields no matching without a search.
     """
-    _check_cells(len(cells), max_cells, budget)
+    budget.search(len(cells), max_cells, name)
     return iter(()) if len(cells) % 2 else perfect_matchings(cells, steps)
 
 
@@ -299,9 +253,9 @@ def count_tilings_bruteforce(region: Region2D) -> int:
 
     Counts the matchings ``perfect_matchings`` yields, pairing each first
     free cell with its right neighbour, then its lower one. Over
-    ``MAX_ORACLE_CELLS`` cells it raises ``BudgetError``, to bound the search.
+    ``budget.MAX_ORACLE_CELLS`` cells it raises ``BudgetError``, to bound the search.
     """
-    matchings = _guarded_matchings(region.cells, STEPS_2D, MAX_ORACLE_CELLS, "oracle")
+    matchings = _guarded_matchings(region.cells, STEPS_2D, budget.MAX_ORACLE_CELLS, "oracle")
     return sum(1 for _ in matchings)
 
 
@@ -313,7 +267,7 @@ def enumerate_tilings(region: Region2D, limit: int) -> list[Tiling]:
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    matchings = _guarded_matchings(region.cells, STEPS_2D, MAX_ORACLE_CELLS, "enumeration")
+    matchings = _guarded_matchings(region.cells, STEPS_2D, budget.MAX_ORACLE_CELLS, "enumeration")
     return [Tiling(frozenset(dominoes)) for dominoes in islice(matchings, limit)]
 
 

@@ -27,8 +27,8 @@ irrational part must cancel and the rational remainder must be a nonnegative
 integer; a failure of either condition raises, since it can only mean a
 mistranscribed formula. Messages print big numbers by ``decimal_str``.
 ``Family.terms`` serves every range of a family's terms, with the method
-dispatch, the budget and, for Decimals, the exact context; the rest of the
-package reaches the scalar kernels only through it.
+dispatch, ``budget.seq_terms`` and, for Decimals, the exact context; the rest
+of the package reaches the scalar kernels only through it.
 """
 from __future__ import annotations
 
@@ -37,10 +37,10 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import nullcontext
 from functools import lru_cache
-from math import isqrt, log10
+from math import isqrt
 from operator import mul
 
-from .count2d import BudgetError
+from . import budget
 from .record import Record
 
 
@@ -258,10 +258,11 @@ def vector_jump(rec: LinearRecurrence, n: int) -> dict[int, int]:
 
     Fiduccia's jump on vectors: v_n = sum r_i v_i over the initial vectors,
     with sum r_i x^i = x^n reduced by ``_x_power``, in ints. It is charged as
-    a ``matpow`` jump to term n of a sequence with the same coefficients, and
-    over that budget raises ``BudgetError`` before any work.
+    a Decimal ``matpow`` jump to term n of a sequence with the same
+    coefficients, the rate the layer-DP limits were set against, and over
+    that budget raises ``BudgetError`` before any work.
     """
-    _check_work("vectors", rec, n, n, "matpow")
+    budget.seq_terms("vectors", rec.coeffs, n, n, "matpow", decimal.Decimal(1))
     jumped: dict[int, int] = {}
     for r, vector in zip(_x_power(rec.coeffs, n), rec.initial):
         if r:
@@ -385,41 +386,6 @@ def certified_recurrence(vectors: Iterable[Mapping[int, int]]) -> LinearRecurren
     return None
 
 
-# Family.terms refuses a range whose estimated work is over _SEQ_MAX_WORK,
-# before computing any term. a(n) has at most n log10(1 + max |coefficient|)
-# decimal digits (Cauchy's bound on the roots). The forward pass costs 2 units
-# a digit of each term it adds and prints, which bounds the output too. A
-# Decimal jump to a term of s digits costs _JUMP order^2 (s + _JUMP_FLOOR): its
-# multiplies are subquadratic, and the floor charges the Python work a jump
-# does whatever the term's size. `iter` pays for the forward pass over its
-# range and min(order, count) jumps to its head; `matpow` and `closed` pay one
-# jump a term. Both sums over the range are arithmetic series. With the
-# constants fitted on CPython 3.11 (Xeon) the budget stops work of over about
-# 4 s in Decimals.
-_SEQ_MAX_WORK = 15 * 10**8
-_JUMP = 27
-_JUMP_FLOOR = 50
-
-
-def _check_work(name: str, rec: LinearRecurrence, lo: int, hi: int, method: str) -> None:
-    digits = log10(1 + max(map(abs, rec.coeffs)))  # per index
-    top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
-    bottom = min(lo, top)
-    count = top - bottom + 1
-    index_sum = (bottom + top) * count / 2
-    jump = _JUMP * rec.order**2
-    if method == "iter":
-        head = min(rec.order, count) * jump * (digits * bottom + _JUMP_FLOOR)
-        work = 2 * digits * index_sum + head
-    else:
-        work = jump * (digits * index_sum + _JUMP_FLOOR * count)
-    if work > _SEQ_MAX_WORK:
-        raise BudgetError(
-            f"estimated work for {name}({decimal_str(lo)}..{decimal_str(hi)}) exceeds "
-            f"the budget of {_SEQ_MAX_WORK:,}"
-        )
-
-
 # The context of every Decimal term: any rounding or overflow raises.
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -456,13 +422,14 @@ class Family(Record):
     def terms(self, lo: int, hi: int, method: str = "iter", unit=1) -> Iterator:
         """a(lo), ..., a(hi) by ``method``: ints for the unit 1, exact Decimals for Decimal(1).
 
-        Every check and the budget raise on the call, before any term is
-        computed. ``iter`` jumps to the first ``order`` terms (all of a shorter
-        range) and runs one forward pass on from them. Decimal terms are
-        computed in an exact, trapped context, whatever the caller's is. The
-        generator enters it at the first term and leaves it when exhausted or
-        closed, so while it is suspended between terms that exact context is
-        the caller's too. Int terms never touch the context.
+        Every check and ``budget.seq_terms``, which charges the unit's
+        arithmetic, raise on the call, before any term is computed. ``iter``
+        jumps to the first ``order`` terms (all of a shorter range) and runs
+        one forward pass on from them. Decimal terms are computed in an exact,
+        trapped context, whatever the caller's is. The generator enters it at
+        the first term and leaves it when exhausted or closed, so while it is
+        suspended between terms that exact context is the caller's too. Int
+        terms never touch the context.
         """
         if method not in ("iter", "matpow", "closed"):
             raise ValueError(f"unknown method {method!r}")
@@ -472,7 +439,7 @@ class Family(Record):
             raise ValueError(f"family {self.name} starts at index {self.start}")
         if hi < lo:
             raise ValueError("empty range")
-        _check_work(self.name, self.recurrence, lo, hi, method)
+        budget.seq_terms(self.name, self.recurrence.coeffs, lo, hi, method, unit)
         return self._computed(lo, hi, method, unit)
 
     def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:

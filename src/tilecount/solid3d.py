@@ -21,33 +21,20 @@ check of v_K = sum c_i v_(K-i) on every state), and ``vector_jump`` jumps to
 v_N. The certificate reads 2K + 1 vectors: 7 for the 2 x 2 tower, 43 for the
 2 x 4 box, 77 for the 3 x 3 and 153 for the 2 x 5. A block that ends before
 its certificate, or whose jump is over the sequence budget, is stepped, so
-every count is the DP's or proved equal to it.
-
-A layer of a k-cell cross-section has up to 3^k (state, move) pairs, so a
-prism whose estimated work, layers * 3^k scaled by its cell count, is over
-budget raises ``BudgetError`` before the first layer, jump or not.
+every count is the DP's or proved equal to it. A prism over
+``budget.layer_dp`` is refused before the first layer, jump or not.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from decimal import Decimal
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 
-from .count2d import BudgetError, _guarded_matchings, count_tilings
+from . import budget
+from .count2d import _guarded_matchings, count_tilings
 from .record import Record
 from .regions2d import Cell, Region2D
 from .sequences import certified_recurrence, vector_jump
-
-# The layer DP's work estimate is layers * 3^k * (1 + cells / _BIG_INT_CELLS) for a
-# cross-section of k cells: a layer tries at most 3^k (from below, upright, flat)
-# splits, each dearer as the counts grow. At 9-101 ns a unit (CPython 3.11, Xeon;
-# the dearest are long 2x2 prisms whose deleted cells cut them into short runs that
-# do not repeat, stepped layer by layer with their time in big-int sums) the budget
-# stops work of over about 3 s. Prisms whose layers repeat jump and take far less.
-_BIG_INT_CELLS = 25_000
-_MAX_WORK = 3 * 10**7
-MAX_BRUTEFORCE_CELLS = 24
 
 Cell3 = tuple[int, int, int]  # (row, col, layer)
 STEPS_3D = ((0, 0, 1), (0, 1, 0), (1, 0, 0))  # on (z, row, col): col, row, then layer
@@ -98,24 +85,18 @@ def m_tower(n: int) -> Prism3D:
 
 
 def box(rows: int, cols: int, layers: int) -> Prism3D:
-    """The full rows x cols x layers box.
-
-    A cross-section of k cells whose 3^k splits of a layer are over the
-    layer-DP budget at any length raises ``BudgetError`` before it is built.
+    """The full rows x cols x layers box, refused by ``budget.cross_section``
+    before it is built.
     """
     if min(rows, cols, layers) < 1:
         raise ValueError(f"box needs positive dimensions, got {rows}x{cols}x{layers}")
-    if 3 ** min(rows * cols, 64) > _MAX_WORK:
-        raise BudgetError(
-            f"estimated layer-DP work of a {rows} x {cols} cross-section exceeds the budget "
-            f"of {_MAX_WORK:,} at any length"
-        )
+    budget.cross_section(rows, cols)
     return Prism3D({(r, c) for r in range(rows) for c in range(cols)}, layers)
 
 
 def _transfer(prism: Prism3D):
     """The prism's full mask, its other layers' masks and its cached ``moves``,
-    once its work is within budget.
+    once ``budget.layer_dp`` admits it.
 
     A mask holds a layer's present cells, one bit per cross-section cell.
     ``masks`` holds the layers with deleted cells and, as 0, the empty layer
@@ -125,12 +106,7 @@ def _transfer(prism: Prism3D):
     and flat counts are cached for the call.
     """
     cross = sorted(prism.cross_section)
-    work = prism.layers * 3 ** len(cross) * (_BIG_INT_CELLS + prism.cell_count) // _BIG_INT_CELLS
-    if work > _MAX_WORK:
-        # a Decimal prints past the int -> str digit limit, as a tower of 3,000 digits needs
-        raise BudgetError(
-            f"estimated layer-DP work {Decimal(work):,} exceeds the budget of {_MAX_WORK:,}"
-        )
+    budget.layer_dp(prism.layers, len(cross), prism.cell_count)
     bit = {cell: 1 << i for i, cell in enumerate(cross)}
     full = (1 << len(cross)) - 1
     masks = {prism.layers: 0}
@@ -173,8 +149,8 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
     stepped through every layer by the moves of ``_transfer``. The count after
     layer z is the weight of the state with nothing protruding.
 
-    A prism whose work estimate exceeds ``_MAX_WORK`` raises
-    ``BudgetError`` on the first ``next()``, before any flat count.
+    A prism over ``budget.layer_dp`` raises ``BudgetError`` on the first
+    ``next()``, before any flat count.
     """
     full, masks, moves = _transfer(prism)
     states = {0: 1}
@@ -279,7 +255,7 @@ def count_bricks(prism: Prism3D) -> int:
             try:
                 states = vector_jump(rec, reps)
                 continue
-            except BudgetError:  # a jump over the sequence budget: the DP finishes the block
+            except budget.BudgetError:  # a jump over the sequence budget: the DP ends the block
                 pass
         for states in vectors:  # the vectors the certificate left, up to v_N
             pass
@@ -290,10 +266,11 @@ def count_bricks_bruteforce(prism: Prism3D) -> int:
     """Oracle counter: backtracking on the first free cell in (z, row, col) order.
 
     Placements are tried in a fixed order: along the column, along the row,
-    then up one layer. Over ``MAX_BRUTEFORCE_CELLS`` cells it raises ``BudgetError``.
+    then up one layer. Over ``budget.MAX_BRUTEFORCE_CELLS`` cells it raises ``BudgetError``.
     """
     cross, deleted = prism.cross_section, prism.deleted
     cells = frozenset(
         (z, r, c) for z in range(prism.layers) for r, c in cross if (r, c, z) not in deleted
     )
-    return sum(1 for _ in _guarded_matchings(cells, STEPS_3D, MAX_BRUTEFORCE_CELLS, "oracle"))
+    matchings = _guarded_matchings(cells, STEPS_3D, budget.MAX_BRUTEFORCE_CELLS, "oracle")
+    return sum(1 for _ in matchings)

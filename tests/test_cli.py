@@ -11,9 +11,8 @@ from pathlib import Path
 import pytest
 
 from conftest import dumped_records
-from tilecount import cli, count2d, identities, sequences
+from tilecount import BudgetError, cli, count2d, identities, sequences
 from tilecount.cli import main, parse_region_spec
-from tilecount.count2d import BudgetError
 from tilecount.identities import BOUNDS, CheckResult, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
 from tilecount.sequences import catalog, decimal_str, l3, rec_eval_matpow, rec_values
@@ -399,14 +398,14 @@ def test_seq_budget_admits_the_large_ranges_in_use(name, lo, hi, method):
 def test_seq_budget_edges(name, method, single, last):
     # every family and method: the largest single term (`seq X n n`) and the
     # largest range from the family's start (`seq X start n`, `bfile X --to n`)
-    # that the budget admits. Family.terms checks the budget on the call and
-    # computes no term until it is iterated.
-    family = catalog()[name]
+    # that the budget admits in Decimals, as `seq` and `bfile` compute. Family.terms
+    # checks the budget on the call and computes no term until it is iterated.
+    family, unit = catalog()[name], decimal.Decimal(1)
     lo = last if single else family.start
-    family.terms(lo, last, method)
+    family.terms(lo, last, method, unit)
     lo = last + 1 if single else family.start
     with pytest.raises(BudgetError) as refusal:
-        family.terms(lo, last + 1, method)
+        family.terms(lo, last + 1, method, unit)
     assert str(refusal.value) == _seq_refusal(name, lo, last + 1)
 
 

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_region, region_corpus_2d, strip_prism
-from tilecount import count2d
+from tilecount import BudgetError, budget, count2d
 from tilecount.cli import main
 from tilecount.count2d import (
-    BudgetError,
     Tiling,
     _ktf_norm,
-    check_rect_work,
     count_rectangle,
     count_tilings,
     count_tilings_bruteforce,
@@ -189,12 +187,12 @@ def test_the_rect_estimate_from_its_size_is_the_determinants(monkeypatch):
     refused = 0
     for rows, cols in sizes:
         for r, c in ((rows, cols), (cols, rows)):
-            message = _refusal(check_rect_work, r, c)
+            message = _refusal(budget.rectangle, r, c)
             assert message == _refusal(count_tilings, rect(r, c)), (r, c)
             refused += message is not None
     assert 0 < refused < 2 * len(sizes)
     for rows, cols in ((0, 5), (-3, 4), (1001, 1001)):  # left to the builder and the parity check
-        check_rect_work(rows, cols)
+        budget.rectangle(rows, cols)
 
 
 def test_the_norm_is_the_determinant_on_every_small_rectangle():
@@ -204,18 +202,18 @@ def test_the_norm_is_the_determinant_on_every_small_rectangle():
 
 
 def test_the_norm_is_the_product_formula_at_the_largest_admitted_squares():
-    assert _refusal(check_rect_work, 58, 58) is not None
+    assert _refusal(budget.rectangle, 58, 58) is not None
     assert count_rectangle(56, 58) == count_rectangle(58, 56) == ktf_rectangle(56, 58)
 
 
 def _edge(rows: int, step: int) -> int:
     """The largest n with the rows x (step * n) rectangle admitted: doubling, then bisection."""
     lo, hi = 1, 2
-    while _refusal(check_rect_work, rows, step * hi) is None:
+    while _refusal(budget.rectangle, rows, step * hi) is None:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _refusal(check_rect_work, rows, step * mid) is None else (lo, mid)
+        lo, hi = (mid, hi) if _refusal(budget.rectangle, rows, step * mid) is None else (lo, mid)
     return lo
 
 
@@ -235,7 +233,7 @@ def test_the_norm_refuses_what_the_determinant_refuses_and_checks_its_sides():
     for rows, cols in ((58, 58), (24, 2000), (3, 20000000)):
         with pytest.raises(BudgetError) as refusal:
             count_rectangle(rows, cols)
-        assert str(refusal.value) == _refusal(check_rect_work, rows, cols)
+        assert str(refusal.value) == _refusal(budget.rectangle, rows, cols)
     for rows, cols in ((0, 5), (-3, 4)):
         with pytest.raises(ValueError, match=f"positive dimensions, got {rows}x{cols}"):
             count_rectangle(rows, cols)

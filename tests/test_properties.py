@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import strip_prism
 from tilecount.cli import main
+from tilecount.budget import MAX_BRUTEFORCE_CELLS, MAX_ORACLE_CELLS
 from tilecount.count2d import (
-    MAX_ORACLE_CELLS,
     count_tilings,
     count_tilings_bruteforce,
     enumerate_tilings,
@@ -23,7 +23,6 @@ from tilecount.count2d import (
 from tilecount.regions2d import Region2D, reflect_h, reflect_v
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import (
-    MAX_BRUTEFORCE_CELLS,
     Prism3D,
     count_bricks,
     count_bricks_bruteforce,

@@ -5,9 +5,8 @@ import tracemalloc
 
 import pytest
 
-from tilecount import sequences
+from tilecount import BudgetError, sequences
 from tilecount.cli import main
-from tilecount.count2d import BudgetError
 from tilecount.sequences import (
     ClosedForm,
     ClosedFormCancellationError,

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import prism_corpus
-from tilecount import sequences, solid3d
-from tilecount.count2d import BudgetError, count_tilings
+from tilecount import BudgetError, budget, solid3d
+from tilecount.count2d import count_tilings
 from tilecount.regions2d import rect
 from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
@@ -161,7 +161,7 @@ def test_oracle_equivalence_on_corpus():
 
 def test_flat_only_prism_matches_2d():
     # a single layer is exactly a 2D tiling problem
-    from tilecount.count2d import BudgetError, count_tilings
+    from tilecount.count2d import count_tilings
     from tilecount.regions2d import Region2D, rect
 
     cross = {(r, c) for r in range(2) for c in range(4)}
@@ -266,7 +266,7 @@ def test_jump_equals_the_layer_dp_on_the_long_box(monkeypatch, rows, cols):
 
 
 def test_a_jump_over_the_sequence_budget_is_finished_by_the_dp(monkeypatch):
-    monkeypatch.setattr(sequences, "_SEQ_MAX_WORK", 0)
+    monkeypatch.setattr(budget, "_SEQ_MAX_WORK", 0)
     found = _spy(monkeypatch, "certified_recurrence")
     jumps = _spy(monkeypatch, "vector_jump")
     for prism in (box(2, 3, 100), m_tower(60)):
@@ -309,8 +309,11 @@ def _layer_dp_edge(cells: int) -> int:
     lo, hi = 1, 10**6
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        work = mid * 3**cells * (solid3d._BIG_INT_CELLS + cells * mid) // solid3d._BIG_INT_CELLS
-        lo, hi = (mid, hi) if work <= solid3d._MAX_WORK else (lo, mid - 1)
+        try:
+            budget.layer_dp(mid, cells, cells * mid)
+            lo = mid
+        except BudgetError:
+            hi = mid - 1
     return lo
 
 
