@@ -17,7 +17,8 @@ of work, fitted on CPython 3.11 (Xeon):
   that do not repeat). ``cross_section`` refuses a box whose 3^k splits of
   one layer are over that limit;
 * ``search`` — the backtracking searches: a cap on their cells;
-* ``seq_terms`` — ``sequences.Family.terms`` and the vector jump, below.
+* ``seq_terms`` — ``sequences.Family.terms`` and the vector jump, below; a
+  stepped ``closed`` range is over-charged, to keep every edge and message.
 """
 from __future__ import annotations
 

@@ -118,9 +118,9 @@ class Report(Record):
         return "\n".join(lines)
 
 
-def _family_values(name: str, lo: int, hi: int) -> dict[int, int]:
-    """Terms lo..hi of family ``name`` from one ``Family.terms`` pass, keyed by index."""
-    return dict(zip(range(lo, hi + 1), catalog()[name].terms(lo, hi)))
+def _family_values(name: str, lo: int, hi: int, method: str = "iter") -> dict[int, int]:
+    """Terms lo..hi of family ``name`` from one ``Family.terms`` range, keyed by index."""
+    return dict(zip(range(lo, hi + 1), catalog()[name].terms(lo, hi, method)))
 
 
 def _check_bounds(suite: str, **bounds: int) -> None:
@@ -207,12 +207,12 @@ def verify_crux(max_n: int = 200) -> Report:
     a = _family_values("A", 1, 2 * max_n)
     b = _family_values("B", 0, max_n)
     c = _family_values("C", 0, max_n)
+    closed = _family_values("A", 1, 2 * max_n, "closed")
     checks = []
     for n in range(1, max_n + 1):
         diagonal = l3_formula(a.__getitem__, b.__getitem__, c.__getitem__, n, n)
         checks.append(CheckResult("crux.formula_vs_recurrence", (n,), diagonal, a[2 * n]))
-        closed = catalog()["A"].eval(2 * n, "closed")
-        checks.append(CheckResult("crux.formula_vs_closed", (n,), diagonal, closed))
+        checks.append(CheckResult("crux.formula_vs_closed", (n,), diagonal, closed[2 * n]))
     return Report(checks)
 
 

@@ -19,23 +19,22 @@ reads 2K + 1 vectors and needs no bound on their dimension.
 
 A closed form is stored as integer data: each coefficient and base is an
 element of Z[sqrt(d)] over one of two common denominators, and each base is
-an algebraic integer, as every root of an integer recurrence is. It is
-evaluated exactly, in ints or from a Decimal unit: each base is powered
-modulo its integer minimal polynomial with three big multiplies per
-squaring, and the terms are summed over one constant denominator. The
-irrational part must cancel and the rational remainder must be a nonnegative
-integer; a failure of either condition raises, since it can only mean a
-mistranscribed formula. Messages print big numbers by ``decimal_str``.
-``Family.terms`` serves every range of a family's terms, with the method
-dispatch, ``budget.seq_terms`` and, for Decimals, the exact context; the rest
-of the package reaches the scalar kernels only through it.
+an algebraic integer, as every root of an integer recurrence is. A range of
+it is evaluated exactly, in ints or from a Decimal unit: each base jumps to
+the first index by the same kernel, on its integer minimal polynomial, and
+steps one power a term; the terms are summed over one denominator. The
+irrational part must cancel and the rational remainder must be a
+nonnegative integer, or it raises: that can only mean a mistranscribed
+formula. Messages print big numbers by ``decimal_str``. ``Family.terms``
+serves every range of a family's terms, with the method dispatch,
+``budget.seq_terms`` and, for Decimals, the exact context; the rest of the
+package reaches the scalar kernels only through it.
 """
 from __future__ import annotations
 
 import decimal
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import nullcontext
 from functools import lru_cache
 from math import isqrt
 from operator import mul
@@ -107,56 +106,48 @@ class ClosedForm(Record):
         super().__init__(d, coeff_den, base_den, terms)
 
 
-def _quad_pow(P: int, N: int, n: int, unit=1) -> tuple:
-    """(s, t) with unit * x^n = s x + t mod x^2 - P x + N, by left-to-right binary powering.
+def _closed_terms(cf: ClosedForm, lo: int, hi: int, unit=1) -> Iterator:
+    """Yield the closed form at lo, ..., hi, each checked on the way out: ints for
+    the unit 1, integral Decimals for Decimal(1) in the current decimal context.
 
-    s and t are numbers of the unit's type. A squaring costs three big
-    multiplies; a set bit multiplies by the small P and N only.
+    Each distinct base beta = (p + r sqrt d) / b, up to conjugation, jumps once
+    to lo by ``_x_power`` on its minimal polynomial x^2 - P x + N: unit * x^lo =
+    s x + t. Each later power is one step, (s, t) <- (P s + t, -N s). Then
+    b beta^n = (s p + b t) + s r sqrt d, its conjugate's from the same s and t,
+    and the terms are summed over the constant denominator coeff_den * b.
     """
-    s, t = 0 * unit, unit
-    for bit in bin(n)[2:]:
-        ss, st = s * s, s * t
-        s, t = P * ss + st + st, t * t - N * ss
-        if bit == "1":
-            s, t = P * s + t, -N * s
-    return s, t
+    if lo < 0:
+        raise ValueError(f"closed forms are evaluated at n >= 0, got {lo}")
+    d, b, den = cf.d, cf.base_den, cf.coeff_den * cf.base_den
+    bases = {}  # (p, |r|) -> (P, N, s, t)
+    for p, q in {(p, abs(r)) for _, _, p, r in cf.terms}:
+        P, N = 2 * p // b, (p * p - d * q * q) // (b * b)
+        bases[p, q] = (P, N, *_x_power((P, -N), lo, unit)[::-1])
+    for n in range(lo, hi + 1):
+        if n > lo:
+            bases = {key: (P, N, P * s + t, -N * s) for key, (P, N, s, t) in bases.items()}
+        powers = {(p, q): (s * p + b * t, q * s) for (p, q), (_, _, s, t) in bases.items()}
+        num_a = num_b = 0
+        for cp, cr, p, r in cf.terms:
+            u, w = powers[p, abs(r)]  # b beta^n = u + w sqrt d, or u - w sqrt d for r < 0
+            sign = -1 if r < 0 else 1
+            num_a += cp * u + sign * d * cr * w
+            num_b += sign * cp * w + cr * u
+        if num_b:
+            raise ClosedFormCancellationError(
+                f"irrational part {_ratio_str(num_b, den)}*sqrt({d}) left over at n={n}"
+            )
+        value, remainder = divmod(num_a, den)
+        if remainder or value < 0:
+            raise ClosedFormCancellationError(
+                f"closed form produced non-count value {_ratio_str(num_a, den)} at n={n}"
+            )
+        yield value
 
 
 def closed_eval(cf: ClosedForm, n: int, unit=1):
-    """Evaluate a closed form at n >= 0, checking exactness on the way out.
-
-    The value is an int for the unit 1, and an integral Decimal for the unit
-    Decimal(1), computed in the current decimal context. Each distinct base
-    beta = (p + r sqrt d) / b is powered once modulo its minimal polynomial:
-    x^n = s x + t gives b beta^n = (s p + b t) + s r sqrt d, and its
-    conjugate's power from the same s and t. The terms are summed over the
-    constant denominator coeff_den * b.
-    """
-    if n < 0:
-        raise ValueError(f"closed forms are evaluated at n >= 0, got {n}")
-    d, b = cf.d, cf.base_den
-    den = cf.coeff_den * b
-    powers: dict[tuple[int, int], tuple] = {}
-    num_a = num_b = 0
-    for cp, cr, p, r in cf.terms:
-        if (p, r) not in powers:
-            s, t = _quad_pow(2 * p // b, (p * p - d * r * r) // (b * b), n, unit)
-            u = s * p + b * t
-            powers[p, -r] = (u, -r * s)
-            powers[p, r] = (u, r * s)
-        u, v = powers[p, r]
-        num_a += cp * u + d * cr * v
-        num_b += cp * v + cr * u
-    if num_b:
-        raise ClosedFormCancellationError(
-            f"irrational part {_ratio_str(num_b, den)}*sqrt({d}) left over at n={n}"
-        )
-    value, remainder = divmod(num_a, den)
-    if remainder or value < 0:
-        raise ClosedFormCancellationError(
-            f"closed form produced non-count value {_ratio_str(num_a, den)} at n={n}"
-        )
-    return value
+    """The closed form at n >= 0, checked: the one-term range of ``_closed_terms``."""
+    return next(_closed_terms(cf, n, n, unit))
 
 
 class LinearRecurrence(Record):
@@ -401,6 +392,20 @@ _EXACT = decimal.Context(
 )
 
 
+def _exact(terms: Iterator) -> Iterator:
+    """Yield from ``terms``, each step run in a private context holding ``_EXACT``, no copy."""
+    from contextvars import copy_context  # only Decimal terms load it
+
+    private = copy_context()
+    private.run(decimal.setcontext, _EXACT)
+    while True:
+        try:
+            term = private.run(next, terms)
+        except StopIteration:
+            return
+        yield term
+
+
 class Family(Record):
     """A named counting sequence: recurrence plus optional closed form."""
 
@@ -424,12 +429,10 @@ class Family(Record):
 
         Every check and ``budget.seq_terms``, which charges the unit's
         arithmetic, raise on the call, before any term is computed. ``iter``
-        jumps to the first ``order`` terms (all of a shorter range) and runs
-        one forward pass on from them. Decimal terms are computed in an exact,
-        trapped context, whatever the caller's is. The generator enters it at
-        the first term and leaves it when exhausted or closed, so while it is
-        suspended between terms that exact context is the caller's too. Int
-        terms never touch the context.
+        jumps to the first ``order`` terms and runs one forward pass on from
+        them; a shorter range is jumped to term by term, as by ``matpow``.
+        Decimal terms are computed in an exact, trapped decimal context, set in
+        a private ``contextvars`` context: the caller's is never touched.
         """
         if method not in ("iter", "matpow", "closed"):
             raise ValueError(f"unknown method {method!r}")
@@ -440,24 +443,20 @@ class Family(Record):
         if hi < lo:
             raise ValueError("empty range")
         budget.seq_terms(self.name, self.recurrence.coeffs, lo, hi, method, unit)
-        return self._computed(lo, hi, method, unit)
+        terms = self._computed(lo, hi, method, unit)
+        return _exact(terms) if isinstance(unit, decimal.Decimal) else terms
 
     def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:
-        with decimal.localcontext(_EXACT) if isinstance(unit, decimal.Decimal) else nullcontext():
-            if method == "closed":  # reads no recurrence, so builds none
-                yield from (closed_eval(self.closed, n, unit) for n in range(lo, hi + 1))
-                return
-            coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
-            rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
-            if method == "iter":
-                stop = min(hi + 1, lo + rec.order)
-                head = tuple(rec_eval_matpow(rec, n) for n in range(lo, stop))
-                if len(head) == rec.order:
-                    yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
-                else:
-                    yield from head
-            else:
-                yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
+        if method == "closed":  # reads no recurrence, so builds none
+            yield from _closed_terms(self.closed, lo, hi, unit)
+            return
+        coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
+        rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
+        if method == "iter" and hi - lo >= rec.order - 1:
+            head = tuple(rec_eval_matpow(rec, n) for n in range(lo, lo + rec.order))
+            yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
+        else:
+            yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
 
     def eval(self, n: int, method: str = "iter") -> int:
         return next(self.terms(n, n, method))

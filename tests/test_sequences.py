@@ -12,7 +12,6 @@ from tilecount.sequences import (
     ClosedFormCancellationError,
     Family,
     LinearRecurrence,
-    _quad_pow,
     catalog,
     certified_recurrence,
     closed_eval,
@@ -47,8 +46,8 @@ def _integral_bases(rng, d, b, count):
 
 
 def _base_pow(p, r, d, b, e):
-    """b beta^e = u + v sqrt d for beta = (p + r sqrt d) / b, from ``_quad_pow``."""
-    s, t = _quad_pow(2 * p // b, (p * p - d * r * r) // (b * b), e)
+    """b beta^e = u + v sqrt d for beta = (p + r sqrt d) / b, from ``_x_power``."""
+    t, s = sequences._x_power((2 * p // b, -((p * p - d * r * r) // (b * b))), e)
     return s * p + b * t, s * r
 
 
@@ -325,6 +324,45 @@ def test_closed_agrees_with_recurrence(name):
     assert [closed_eval(fam.closed, n) for n in range(fam.start, 2001)] == values
 
 
+def _pass_from(rec, lo, hi, unit):
+    """rec_values over lo..hi in the unit's type, from the recurrence jumped to lo."""
+    with decimal.localcontext(sequences._EXACT):
+        typed = LinearRecurrence(rec.coeffs, tuple(unit * a for a in rec.initial), rec.start)
+        head = tuple(rec_eval_matpow(typed, n) for n in range(lo, lo + rec.order))
+        return rec_values(LinearRecurrence(rec.coeffs, head, lo), lo, hi)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "T", "L3", "L2D"])
+@pytest.mark.parametrize("unit", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
+def test_closed_ranges_step_from_their_head(name, unit):
+    # one jump per base to the head of the range, then a step per term. The far
+    # range is checked against a pass from the recurrence's jump to its head, in the
+    # unit's type: a pass from the start, or a far Decimal read as an int, takes seconds
+    fam = catalog()[name]
+    values = list(fam.terms(fam.start, 2000, "closed", unit))
+    assert values == rec_values(fam.recurrence, fam.start, 2000)
+    far = list(fam.terms(10**5, 10**5 + 30, "closed", unit))
+    assert far == _pass_from(fam.recurrence, 10**5, 10**5 + 30, unit)
+    assert all(type(v) is type(unit) for v in values + far)
+
+
+def test_a_closed_range_yields_the_terms_before_a_failure():
+    # (2 + sqrt3) / 2 + sqrt3 / 2 (-1)^n: its sqrt3 part cancels at odd n only
+    parity = ClosedForm(3, 2, 1, ((2, 1, 1, 0), (0, 1, -1, 0)))
+    terms = sequences._closed_terms(parity, 1, 10)
+    assert next(terms) == 1
+    leftover = r"^irrational part 1\*sqrt\(3\) left over at n=2$"
+    with pytest.raises(ClosedFormCancellationError, match=leftover):
+        next(terms)
+    # 10 - 2^n is a count up to n = 3 only
+    falling = ClosedForm(3, 1, 1, ((10, 0, 1, 0), (-1, 0, 2, 0)))
+    terms = sequences._closed_terms(falling, 0, 10)
+    assert [next(terms) for _ in range(4)] == [9, 8, 6, 2]
+    negative = "^closed form produced non-count value -6 at n=4$"
+    with pytest.raises(ClosedFormCancellationError, match=negative):
+        next(terms)
+
+
 def test_families_without_closed_form():
     assert catalog()["F"].closed is None
     assert catalog()["M"].closed is None
@@ -415,18 +453,48 @@ def test_decimal_terms_are_exact_whatever_the_callers_context():
             assert decimal.getcontext() is caller
 
 
-def test_only_a_decimal_generator_holds_the_exact_context():
-    fam = catalog()["T"]
-    caller = decimal.getcontext()
+def test_only_a_decimal_generator_holds_the_exact_context(monkeypatch):
+    # it holds the exact context while it computes a term, and never while suspended
+    fam, caller, seen = catalog()["T"], decimal.getcontext(), []
+    jump = sequences.rec_eval_matpow
+
+    def spy(rec, n):
+        seen.append(decimal.getcontext())
+        return jump(rec, n)
+
+    monkeypatch.setattr(sequences, "rec_eval_matpow", spy)
     ints = fam.terms(1, 40)
-    assert next(ints) == 2 and decimal.getcontext() is caller
-    decimals = fam.terms(1, 40, "iter", decimal.Decimal(1))
-    assert next(decimals) == 2  # suspended, its exact context is current here too
-    exact = decimal.getcontext()
-    assert exact.prec == decimal.MAX_PREC and exact.traps[decimal.Inexact]
-    decimals.close()
-    assert decimal.getcontext() is caller
+    assert next(ints) == 2 and decimal.getcontext() is caller and seen[-1] is caller
+    for method in ("iter", "matpow"):
+        decimals = fam.terms(1, 40, method, decimal.Decimal(1))
+        assert next(decimals) == 2 and decimal.getcontext() is caller  # suspended
+        assert seen[-1] is sequences._EXACT
+        assert list(decimals) == rec_values(fam.recurrence, 2, 40)
+        assert decimal.getcontext() is caller
     assert list(ints) == rec_values(fam.recurrence, 2, 40) and decimal.getcontext() is caller
+
+
+def test_the_caller_computes_in_its_own_context_between_terms():
+    # A(1..60) reach 35 digits, more than the caller's 10, so they need the exact context
+    fam = catalog()["A"]
+    expected = rec_values(fam.recurrence, 1, 60)
+    for method in ("iter", "matpow", "closed"):
+        with decimal.localcontext(decimal.Context(prec=10)) as caller:
+            values = []
+            for value in fam.terms(1, 60, method, decimal.Decimal(1)):
+                assert decimal.getcontext() is caller
+                assert decimal.Decimal(1) / 3 == decimal.Decimal("0.3333333333")
+                values.append(value)
+        assert values == expected
+
+
+def test_a_failing_term_leaves_the_callers_context(monkeypatch):
+    l3_form = catalog()["L3"].closed
+    _with_closed_form(monkeypatch, "L3", ClosedForm(3, 6, 1, l3_form.terms[:1]))
+    caller = decimal.getcontext()
+    with pytest.raises(ClosedFormCancellationError, match=r"left over at n=1$"):
+        next(catalog()["L3"].terms(1, 5, "closed", decimal.Decimal(1)))
+    assert decimal.getcontext() is caller
 
 
 def test_closed_terms_build_no_recurrence(monkeypatch):
