@@ -17,8 +17,11 @@ of work, fitted on CPython 3.11 (Xeon):
   that do not repeat). ``cross_section`` refuses a box whose 3^k splits of
   one layer are over that limit;
 * ``search`` — the backtracking searches: a cap on their cells;
-* ``seq_terms`` — ``sequences.Family.terms`` and the vector jump, below; a
-  stepped ``closed`` range is over-charged, to keep every edge and message.
+* ``seq_terms`` — ``sequences.Family.terms``, the vector jump, and ``l2`` and
+  ``l3``, charged once for all their jumps, below. A stepped ``closed``
+  range, an ``iter`` head (one jump and d - 1 shifts) and a jump whose
+  polynomial sheds the root 1 or -1 are over-charged, to keep every edge and
+  message.
 """
 from __future__ import annotations
 
@@ -106,9 +109,12 @@ def search(cells: int, max_cells: int, name: str) -> None:
         raise BudgetError(f"{cells} cells exceed the {max_cells}-cell {name} budget")
 
 
-def seq_terms(name: str, coeffs: tuple, lo: int, hi: int, method: str, unit=1) -> None:
+def seq_terms(
+    name: str, coeffs: tuple, lo: int, hi: int, method: str, unit=1, calls: int = 1
+) -> None:
     """Terms lo..hi of the recurrence ``name`` with ``coeffs`` by ``method``,
-    charged in the unit's type: ints, or Decimals for ``Decimal(1)``.
+    charged in the unit's type: ints, or Decimals for ``Decimal(1)``; ``calls``
+    times, for a formula that reads that many such ranges.
     """
     digits = log10(1 + max(map(abs, coeffs)))  # per index
     top = min(hi, 2**53)  # one term past 2^53 is far over budget; floats stay finite
@@ -124,4 +130,5 @@ def seq_terms(name: str, coeffs: tuple, lo: int, hi: int, method: str, unit=1) -
     else:  # count sizes at the mean index, in Decimals the sum of the sizes
         sizes = count ** (1 - power) * (digits * index_sum) ** power / scale
         work = jump * (sizes + _JUMP_FLOOR * count)
-    _check(work, _SEQ_MAX_WORK, "estimated work for {}({}..{})", name, Decimal(lo), Decimal(hi))
+    estimate = "estimated work for {}({}..{})"
+    _check(calls * work, _SEQ_MAX_WORK, estimate, name, Decimal(lo), Decimal(hi))

@@ -90,15 +90,6 @@ def _parse_spec(spec: str) -> tuple:
     return build, cells(*integers) if min(integers) >= 1 else 0, rectangle
 
 
-def parse_region_spec(spec: str) -> regions2d.Region2D | solid3d.Prism3D:
-    """Turn a builder token like ``rect:3,4`` or ``@shape.txt`` into a region.
-
-    Tokens: rect:R,C  a:n  b:n  c:n  l2:n,k  l3:n,k[,orient]  tower:n
-    mtower:n  box:R,C,N, plus ``@path`` for an ASCII region file.
-    """
-    return _parse_spec(spec)[0]()
-
-
 def cmd_count(args) -> int:
     build, cells, rectangle = _parse_spec(args.spec)
     if rectangle:  # counted, and refused, from its size alone: no cell is built
@@ -130,11 +121,12 @@ def _family(name: str) -> sequences.Family:
 def cmd_seq(args) -> int:
     family = _family(args.family)
     values = family.terms(args.start, args.end, args.method, Decimal(1))
+    write = sys.stdout.write
     for n, value in enumerate(map(str, values), args.start):
         if args.json:
-            print(_json_line({"family": family.name, "n": n, "value": value}))
+            write(_json_line({"family": family.name, "n": n, "value": value}) + "\n")
         else:
-            print(f"{n}\t{value}")
+            write(f"{n}\t{value}\n")
     return 0
 
 
@@ -179,8 +171,9 @@ def cmd_bfile(args) -> int:
     if args.to < family.start:
         raise ValueError(f"family {family.name} starts at index {family.start}")
     values = family.terms(family.start, args.to, "iter", Decimal(1))
+    write = sys.stdout.write
     for n, value in enumerate(map(str, values), family.start):
-        print(f"{n} {value}")
+        write(f"{n} {value}\n")
     return 0
 
 

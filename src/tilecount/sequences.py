@@ -6,7 +6,12 @@ and most also carry a closed form whose terms live in Q(sqrt(d)).
 A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
 modulo the characteristic polynomial by binary powering, one kernel
 (``_x_power``), and the remainder's coefficients weight the initial terms, so
-a jump costs O(d^2 log n) big multiplies. A range of terms comes from one
+a jump costs O(d^2 log n) big multiplies. The kernel first splits off the
+simple roots 1 and -1 of an integer polynomial, powers the factor left and
+recombines the remainder with one exact division per root: T's, M's and
+L2D's cubics each have the root -1, so their jumps power a quadratic, at
+half the cost. A range of terms comes from one jump to its first index, a
+shift of the remainder by x for each of the next d - 1, and then one
 forward pass, ``rec_terms``, which holds only the last d terms and yields
 each term of the range in turn. Both run in whatever numbers the initial
 terms are: ints, or Decimals, whose big multiplies are subquadratic and whose
@@ -175,7 +180,9 @@ def rec_terms(rec: LinearRecurrence, lo: int, hi: int) -> Iterator:
     """Yield a(lo), ..., a(hi) from one forward pass: O(hi * order) additions.
 
     Only the last ``order`` terms are held. The pass adds the numbers of
-    ``rec.initial``, ints or Decimals. The index check runs at the first step.
+    ``rec.initial``, ints or Decimals, with the weights converted to their
+    type once and each sum started at its first product, so no term converts
+    an int. The index check runs at the first step.
     """
     if lo < rec.start:
         raise ValueError(f"index {lo} below starting index {rec.start}")
@@ -183,9 +190,10 @@ def rec_terms(rec: LinearRecurrence, lo: int, hi: int) -> Iterator:
         return
     yield from rec.initial[lo - rec.start : hi - rec.start + 1]
     window = deque(rec.initial, maxlen=rec.order)  # oldest term first
-    weights = rec.coeffs[::-1]  # weights[i] multiplies window[i]
+    weights = tuple(map(type(rec.initial[0]), rec.coeffs[::-1]))  # weights[i] * window[i]
     for n in range(rec.start + rec.order, hi + 1):
-        nxt = sum(map(mul, weights, window))
+        products = map(mul, weights, window)
+        nxt = sum(products, next(products))
         window.append(nxt)
         if n >= lo:
             yield nxt
@@ -208,8 +216,48 @@ def _reduce(poly: list[int], coeffs: tuple[int, ...]) -> list[int]:
     return poly
 
 
-def _x_power(coeffs: tuple[int, ...], n: int, unit=1) -> list:
-    """unit * x^n modulo x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1], as d coefficients.
+def _divide_by_root(coeffs: tuple[int, ...], root: int) -> tuple[int, int, tuple[int, ...]]:
+    """p(root), p'(root) and the coefficients of the quotient q of p by x - root, for
+    p = x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1]: Horner's scheme, which is
+    synthetic division.
+    """
+    value, slope, quotient = 1, 0, []
+    for c in coeffs:
+        value, slope = value * root - c, slope * root + value
+        quotient.append(-value)
+    return value, slope, tuple(quotient[:-1])
+
+
+def _x_power(coeffs: tuple, n: int, unit=1) -> list:
+    """unit * x^n modulo p = x^d - coeffs[0] x^(d-1) - ... - coeffs[d-1], as d coefficients.
+
+    Integer coefficients are first split: while p = (x - rho) q with rho = 1
+    or -1 a simple root, the loop peels it and jumps on q, the same jump with
+    a smaller d. Then x^n mod p = r + c q with r = x^n mod q, c = (rho^n -
+    r(rho)) / q(rho), and q(rho) = p'(rho) != 0. That division is exact, which
+    ``divmod`` checks, in ints and in Decimals alike: a remainder raises
+    ``ArithmeticError``. A double root stays in q. T's, M's and L2D's cubics
+    each shed the root -1, so their jumps power a quadratic, at half the cost.
+    """
+    peeled = []  # (root, q, q(root)), outermost first
+    if all(type(c) is int for c in coeffs):
+        for root in (1, -1):
+            value, slope, quotient = _divide_by_root(coeffs, root)
+            if value == 0 and slope:
+                coeffs = quotient
+                peeled.append((root, coeffs, slope))
+    rem = _binary_power(coeffs, n, unit) if coeffs else []
+    for root, quotient, slope in reversed(peeled):
+        power = unit if root == 1 or n % 2 == 0 else -unit  # root^n
+        c, wrong = divmod(power - sum(rem[::2]) - root * sum(rem[1::2]), slope)
+        if wrong:
+            raise ArithmeticError(f"x^{n} modulo a factor x - ({root}) left a remainder")
+        rem = [r - c * e for r, e in zip(rem, reversed(quotient))] + [c]
+    return rem
+
+
+def _binary_power(coeffs: tuple, n: int, unit) -> list:
+    """unit * x^n modulo the characteristic polynomial, for d >= 1: ``_x_power``'s jump.
 
     Left-to-right binary powering: a bit costs one squaring, d(d+1)/2 big
     multiplies reduced by the small coefficients, and a set bit a shift by x.
@@ -429,8 +477,9 @@ class Family(Record):
 
         Every check and ``budget.seq_terms``, which charges the unit's
         arithmetic, raise on the call, before any term is computed. ``iter``
-        jumps to the first ``order`` terms and runs one forward pass on from
-        them; a shorter range is jumped to term by term, as by ``matpow``.
+        jumps once to lo and shifts the remainder by x to reach the first
+        ``order`` terms, each the remainder's weights on the initial terms, and
+        runs one forward pass on from them; ``matpow`` jumps to each term.
         Decimal terms are computed in an exact, trapped decimal context, set in
         a private ``contextvars`` context: the caller's is never touched.
         """
@@ -452,11 +501,19 @@ class Family(Record):
             return
         coeffs, initial = self.recurrence.coeffs, self.recurrence.initial
         rec = LinearRecurrence(coeffs, tuple(unit * a for a in initial), self.start)
-        if method == "iter" and hi - lo >= rec.order - 1:
-            head = tuple(rec_eval_matpow(rec, n) for n in range(lo, lo + rec.order))
-            yield from rec_terms(LinearRecurrence(coeffs, head, lo), lo, hi)
-        else:
+        if method == "matpow":
             yield from (rec_eval_matpow(rec, n) for n in range(lo, hi + 1))
+            return
+        # iter: one jump to lo, then a shift by x a term up to the order
+        rem, head = _x_power(coeffs, lo - self.start, unit), []
+        for n in range(lo, min(hi, lo + rec.order - 1) + 1):
+            if n > lo:
+                rem = _reduce([0] + rem, coeffs)
+            head.append(sum(map(mul, rem, rec.initial)))
+        if len(head) < rec.order:
+            yield from head
+        else:
+            yield from rec_terms(LinearRecurrence(coeffs, tuple(head), lo), lo, hi)
 
     def eval(self, n: int, method: str = "iter") -> int:
         return next(self.terms(n, n, method))
@@ -535,9 +592,10 @@ def l2_formula(f, n: int, k: int) -> int:
 def l3_formula(a, b, c, n: int, k: int) -> int:
     """A(n) A(k) + C(n-1) B(k-1) + B(n-2) B(k-1), each term read from the lookups a, b, c.
 
-    B(-1) = 0, the backward extension forced by 4 B(0) - B(1) = 0, is read as 0.
+    B(-1) = 0, the backward extension forced by 4 B(0) - B(1) = 0, is read as 0;
+    B(k-1) is read once.
     """
-    return a(n) * a(k) + c(n - 1) * b(k - 1) + _at(b, n - 2) * b(k - 1)
+    return a(n) * a(k) + (c(n - 1) + _at(b, n - 2)) * b(k - 1)
 
 
 def fibonacci(n: int) -> int:
@@ -555,12 +613,18 @@ def l2(n: int, k: int) -> int:
     """
     if n < 1 or k < 0:
         raise ValueError(f"l2 needs n >= 1 and k >= 0, got ({n}, {k})")
-    return l2_formula(catalog()["F"].eval, n, k)
+    f, top = catalog()["F"], max(n, k)
+    # its 4 int jumps are charged at once: each term alone is admitted up to the limit
+    budget.seq_terms("F", f.recurrence.coeffs, top, top, "iter", 1, calls=4)
+    return l2_formula(f.eval, n, k)
 
 
 def l3(n: int, k: int) -> int:
     """Tilings of the width-3 right angle with arms 2n and 2k, by ``l3_formula``."""
     if n < 1 or k < 1:
         raise ValueError(f"l3 needs n, k >= 1, got ({n}, {k})")
-    a, b, c = (catalog()[name].eval for name in ("A", "B", "C"))
-    return l3_formula(a, b, c, n, k)
+    a, b, c = (catalog()[name] for name in ("A", "B", "C"))
+    top = max(n, k)
+    # its 5 int jumps, at most to A(top), are charged at once, as in l2
+    budget.seq_terms("A", a.recurrence.coeffs, top, top, "iter", 1, calls=5)
+    return l3_formula(a.eval, b.eval, c.eval, n, k)

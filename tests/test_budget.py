@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from tilecount import BudgetError, budget, l3, sequences
+from tilecount import BudgetError, budget, l2, l3, sequences
 from tilecount.sequences import catalog
 
 
@@ -118,12 +118,47 @@ def test_an_int_jump_is_charged_past_where_a_decimal_one_would_be(monkeypatch):
     def jumped(*args):
         raise AssertionError("the jump ran before the refusal")
 
-    monkeypatch.setattr(sequences, "rec_eval_matpow", jumped)
+    monkeypatch.setattr(sequences, "_x_power", jumped)
     start = time.perf_counter()
     with pytest.raises(BudgetError) as refusal:
         l3(10**7, 1)
     assert time.perf_counter() - start < 0.1
     assert str(refusal.value) == _terms("A", 10**7, 10**7)
+
+
+@pytest.mark.parametrize(
+    "formula, admitted, refused, name",
+    [(l3, 1211393, 1211394, "A"), (l2, 3238913, 3238914, "F")],
+)
+def test_an_angle_formula_is_charged_for_all_its_jumps_before_the_first(
+    monkeypatch, formula, admitted, refused, name
+):
+    # l3 makes 5 jumps, l2 4: each term alone is admitted far past the formula's edge
+    # (A's int edge is 3,349,454, where l3 took about 7 s), but the whole formula is not
+    for n in (refused, 3349454):
+        _seq(name, n, n, "iter", 1)
+
+    def jumped(*args):
+        raise AssertionError("the jump ran before the refusal")
+
+    monkeypatch.setattr(sequences, "_x_power", jumped)
+    with pytest.raises(AssertionError, match="the jump ran"):
+        formula(admitted, 1)
+    for n in (refused, 3349454):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as refusal:
+            formula(n, 1)
+        assert time.perf_counter() - start < 0.1
+        assert str(refusal.value) == _terms(name, n, n)
+
+
+def test_the_angle_formulas_admit_the_suites_and_the_witnesses_sizes():
+    fams = catalog()
+    a, b, c, f = (fams[name].eval for name in "ABCF")
+    for n, k in [(40, 40), (40, 1), (1, 40), (10, 10), (9, 11)]:  # thm21's limits, count-sparse
+        assert l3(n, k) == sequences.l3_formula(a, b, c, n, k)
+    for n, k in [(50, 50), (50, 49), (1, 50), (50, 0)]:  # tauraso's limits
+        assert l2(n, k) == sequences.l2_formula(f, n, k)
 
 
 @pytest.mark.parametrize(

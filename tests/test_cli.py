@@ -12,7 +12,7 @@ import pytest
 
 from conftest import dumped_records
 from tilecount import BudgetError, cli, count2d, identities, sequences
-from tilecount.cli import main, parse_region_spec
+from tilecount.cli import main
 from tilecount.identities import BOUNDS, CheckResult, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
 from tilecount.sequences import catalog, decimal_str, l3, rec_eval_matpow, rec_values
@@ -27,6 +27,11 @@ def run(capsys, *argv):
 
 # ---------------------------------------------------------------------------
 # region specs
+
+
+def parse_region_spec(spec):
+    """The region or prism that ``spec`` builds, parsed as ``count`` parses it."""
+    return cli._parse_spec(spec)[0]()
 
 
 def test_parse_region_specs():
@@ -430,16 +435,17 @@ def test_the_decimal_jump_raises_instead_of_rounding(capsys, monkeypatch, method
 
 
 class _Sink:
-    """A stdout that keeps only the line count and the last line."""
+    """A stdout that keeps only the line count and the last line, however it is written."""
 
     def __init__(self):
-        self.lines, self.last = 0, ""
+        self.lines, self.last, self.tail = 0, "", ""
 
     def write(self, text):
-        if text == "\n":
-            self.lines += 1
-        else:
-            self.last = text
+        self.lines += text.count("\n")
+        lines = (self.tail + text).split("\n")
+        self.tail = lines[-1]
+        if len(lines) > 1:
+            self.last = lines[-2]
         return len(text)
 
     def flush(self):
@@ -525,17 +531,18 @@ def test_family_lookup_raises_instead_of_printing(capsys):
 
 @pytest.mark.parametrize("name", ["F", "T", "L3"])
 def test_seq_iter_jumps_once_to_a_single_term(capsys, monkeypatch, name):
-    # a range shorter than the order is only its jumps: no head term is thrown away
-    calls = []
+    # a range shorter than the order is one jump: no head term is thrown away
+    family, calls = catalog()[name], []
+    value = decimal_str(rec_eval_matpow(family.recurrence, 5000))
+    jump = sequences._x_power
 
-    def counted(rec, n):
-        calls.append(n)
-        return rec_eval_matpow(rec, n)
+    def counted(coeffs, n, unit=1):
+        calls.append((coeffs, n))
+        return jump(coeffs, n, unit)
 
-    monkeypatch.setattr(sequences, "rec_eval_matpow", counted)
-    value = decimal_str(rec_eval_matpow(catalog()[name].recurrence, 5000))
+    monkeypatch.setattr(sequences, "_x_power", counted)
     assert run(capsys, "seq", name, "5000", "5000") == (0, f"5000\t{value}\n", "")
-    assert calls == [5000]
+    assert calls == [(family.recurrence.coeffs, 5000 - family.start)]
 
 
 # ---------------------------------------------------------------------------

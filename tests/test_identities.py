@@ -28,7 +28,7 @@ from tilecount.identities import (
     verify_thm32,
 )
 from tilecount.regions2d import ORIENTATIONS, l3_region
-from tilecount.sequences import l3, rec_eval_matpow
+from tilecount.sequences import l3
 
 
 def test_check_result_carries_witnesses():
@@ -176,15 +176,15 @@ def test_crux_passes():
 
 
 def test_every_suite_makes_as_many_jumps_at_its_limits_as_at_its_defaults(monkeypatch):
-    # each family's terms come from one pass, whose head is at most order jumps;
-    # the 2D counts make no jump, so they are stubbed out to keep this fast
-    jumps = []
+    # each family's terms come from one pass, whose head is one jump, and each closed
+    # range from one jump per base; the 2D counts make no jump, so they are stubbed out
+    jumps, jump = [], sequences._x_power
 
-    def counted(rec, n):
+    def counted(coeffs, n, unit=1):
         jumps.append(n)
-        return rec_eval_matpow(rec, n)
+        return jump(coeffs, n, unit)
 
-    monkeypatch.setattr(sequences, "rec_eval_matpow", counted)
+    monkeypatch.setattr(sequences, "_x_power", counted)
     monkeypatch.setattr(identities, "count_tilings", lambda region: 0)
     counts = {}
     for suite, verify in SUITES.items():
@@ -193,7 +193,16 @@ def test_every_suite_makes_as_many_jumps_at_its_limits_as_at_its_defaults(monkey
             verify(**bounds)
             counts.setdefault(suite, []).append(len(jumps))
     assert counts == {suite: [n, n] for suite, (n, _) in counts.items()}
-    assert counts["thm21"] == [6, 6] and counts["tauraso"] == [2, 2]
+    # thm21: one head each for A, B and C; tauraso: F's head and L2D's two bases
+    assert counts == {
+        "table1": [8, 8],
+        "table2": [3, 3],
+        "thm21": [3, 3],
+        "crux": [4, 4],
+        "thm32": [3, 3],
+        "tauraso": [3, 3],
+        "recurrences": [5, 5],
+    }
 
 
 def test_thm32_passes():

@@ -4,6 +4,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tilecount import BudgetError, sequences
 from tilecount.cli import main
@@ -307,6 +309,98 @@ def test_the_jump_kernel_runs_in_the_unit_type():
     assert [int(r) for r in rem] == sequences._x_power((3, 3, -1), 1000)
 
 
+def _shifted(coeffs, n, unit=1):
+    """unit * x^n modulo the characteristic polynomial by n shifts by x: the reference."""
+    rem = [unit] + [0] * (len(coeffs) - 1)
+    for _ in range(n):
+        rem = sequences._reduce([0] + rem, coeffs)
+    return rem
+
+
+def _assert_jump_is_shifts(coeffs, n):
+    expected = _shifted(coeffs, n)
+    assert sequences._x_power(coeffs, n) == expected
+    with decimal.localcontext(sequences._EXACT):
+        decimals = sequences._x_power(coeffs, n, decimal.Decimal(1))
+    assert decimals == expected
+    assert all(type(r) is decimal.Decimal for r in decimals if r)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.lists(st.integers(-6, 6), max_size=3),
+    st.integers(0, 60),
+)
+def test_the_split_jump_equals_shifts_by_x(ones, minus_ones, factor, n):
+    # (x - 1)^ones (x + 1)^minus_ones times a random monic factor, lowest degree first:
+    # simple roots 1 and -1 are split off, double ones stay in the powered factor
+    poly = factor + [1]
+    for root, times in ((1, ones), (-1, minus_ones)):
+        for _ in range(times):
+            poly = [a - root * b for a, b in zip([0] + poly, poly + [0])]
+    assume(len(poly) > 1)
+    _assert_jump_is_shifts(tuple(-c for c in reversed(poly[:-1])), n)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1,), (-1,), (2,), (0, 0, 0, 1), (3, 3, -1), (2, 2, -1), (1, 1, -1), (-2, -1), (0, 1)],
+    ids=["x-1", "x+1", "x-2", "o4", "T", "L2D", "(x-1)^2(x+1)", "(x+1)^2", "x^2-1"],
+)
+def test_the_split_jump_at_the_first_and_a_far_index(coeffs):
+    for n in (0, 1, 2, 3, 201):
+        _assert_jump_is_shifts(coeffs, n)
+
+
+def test_the_jump_powers_what_is_left_after_the_simple_roots_one_and_minus_one(monkeypatch):
+    powered, power = [], sequences._binary_power
+
+    def spy(coeffs, n, unit):
+        powered.append(coeffs)
+        return power(coeffs, n, unit)
+
+    monkeypatch.setattr(sequences, "_binary_power", spy)
+    cases = {
+        (3, 3, -1): (4, -1),  # T, M: (x + 1)(x^2 - 4x + 1)
+        (2, 2, -1): (3, -1),  # L2D: (x + 1)(x^2 - 3x + 1)
+        (0, 0, 0, 1): (0, -1),  # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1)
+        (1, 1, -1): (2, -1),  # (x - 1)^2 (x + 1): the double root stays
+        (-2, -1): (-2, -1),  # (x + 1)^2, T's and L2D's rational closed-form base
+        (4, -1): (4, -1),  # A, B, C: no root 1 or -1
+    }
+    for coeffs, left in cases.items():
+        powered.clear()
+        sequences._x_power(coeffs, 1000)
+        assert powered == [left]
+    # an order-1 recurrence with the root 1 or -1 is all split: nothing is powered
+    powered.clear()
+    assert sequences._x_power((1,), 7) == [1] and sequences._x_power((-1,), 7) == [-1]
+    assert powered == []
+    # only integer coefficients are split; any other ring is powered as it is
+    coeffs = (decimal.Decimal(3), decimal.Decimal(3), decimal.Decimal(-1))
+    with decimal.localcontext(sequences._EXACT):
+        assert sequences._x_power(coeffs, 1000) == sequences._x_power((3, 3, -1), 1000)
+    assert powered[-2:] == [coeffs, (4, -1)]
+
+
+@pytest.mark.parametrize("unit", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
+def test_a_corrupted_quotient_raises_not_a_wrong_count(monkeypatch, unit):
+    divide = sequences._divide_by_root
+
+    def corrupted(coeffs, root):
+        value, slope, (first, *rest) = divide(coeffs, root)
+        return value, slope, (first + 1, *rest)
+
+    monkeypatch.setattr(sequences, "_divide_by_root", corrupted)
+    with decimal.localcontext(sequences._EXACT):
+        with pytest.raises(ArithmeticError, match=r"^x\^1000 modulo a factor x - \(-1\) left"):
+            sequences._x_power((3, 3, -1), 1000, unit)
+        with pytest.raises(ArithmeticError, match="left a remainder"):
+            list(catalog()["T"].terms(100, 110, "iter", unit))
+
+
 def test_closed_eval_known_values():
     fams = catalog()
     assert closed_eval(fams["A"].closed, 8) == 29681
@@ -456,13 +550,13 @@ def test_decimal_terms_are_exact_whatever_the_callers_context():
 def test_only_a_decimal_generator_holds_the_exact_context(monkeypatch):
     # it holds the exact context while it computes a term, and never while suspended
     fam, caller, seen = catalog()["T"], decimal.getcontext(), []
-    jump = sequences.rec_eval_matpow
+    jump = sequences._x_power
 
-    def spy(rec, n):
+    def spy(coeffs, n, unit=1):
         seen.append(decimal.getcontext())
-        return jump(rec, n)
+        return jump(coeffs, n, unit)
 
-    monkeypatch.setattr(sequences, "rec_eval_matpow", spy)
+    monkeypatch.setattr(sequences, "_x_power", spy)
     ints = fam.terms(1, 40)
     assert next(ints) == 2 and decimal.getcontext() is caller and seen[-1] is caller
     for method in ("iter", "matpow"):
