@@ -14,14 +14,16 @@ of work, fitted on CPython 3.11 (Xeon):
   for a cross-section of k cells, as a layer tries at most 3^k (from below,
   upright, flat) splits, each dearer as the counts grow, at 9-101 ns a unit
   (the dearest are long 2 x 2 prisms cut by deleted cells into short runs
-  that do not repeat). ``cross_section`` refuses a box whose 3^k splits of
-  one layer are over that limit;
+  that do not repeat). It is the 3D route's one admission: the charge
+  counts every layer as stepped, so a certified block's jump needs no
+  other. 3^k is capped at 3^64, over the limit at one layer, so a huge
+  cross-section is refused at once. ``cross_section`` refuses a box whose
+  3^k splits of one layer are over that limit;
 * ``search`` — the backtracking searches: a cap on their cells;
-* ``seq_terms`` — ``sequences.Family.terms``, the vector jump, and ``l2`` and
-  ``l3``, charged once for all their jumps, below. A stepped ``closed``
-  range, an ``iter`` head (one jump and d - 1 shifts) and a jump whose
-  polynomial sheds the root 1 or -1 are over-charged, to keep every edge and
-  message.
+* ``seq_terms`` — ``sequences.Family.terms``, and ``l2`` and ``l3``, charged
+  once for all their jumps, below. A stepped ``closed`` range, an ``iter``
+  head (one jump and d - 1 shifts) and a jump whose polynomial sheds the
+  root 1 or -1 are over-charged, to keep every edge and message.
 """
 from __future__ import annotations
 
@@ -93,7 +95,8 @@ def layer_dp(layers: int, cross_cells: int, cells: int) -> None:
     """The layer DP of a prism of ``layers`` layers over a cross-section of
     ``cross_cells`` cells, with ``cells`` cells in all.
     """
-    work = layers * 3**cross_cells * (_LAYER_BIG_INT_CELLS + cells) // _LAYER_BIG_INT_CELLS
+    splits = 3 ** min(cross_cells, 64)  # as in cross_section: 3^64 is over at one layer
+    work = layers * splits * (_LAYER_BIG_INT_CELLS + cells) // _LAYER_BIG_INT_CELLS
     _check(work, _LAYER_MAX_WORK, "estimated layer-DP work {work:,}")
 
 

@@ -296,12 +296,10 @@ def vector_jump(rec: LinearRecurrence, n: int) -> dict[int, int]:
     """v_n of a recurrence on vectors, such as ``certified_recurrence`` returns.
 
     Fiduccia's jump on vectors: v_n = sum r_i v_i over the initial vectors,
-    with sum r_i x^i = x^n reduced by ``_x_power``, in ints. It is charged as
-    a Decimal ``matpow`` jump to term n of a sequence with the same
-    coefficients, the rate the layer-DP limits were set against, and over
-    that budget raises ``BudgetError`` before any work.
+    with sum r_i x^i = x^n reduced by ``_x_power``, in ints. It charges no
+    budget: its caller bounds n, as ``count_bricks`` jumps only within a
+    prism that ``budget.layer_dp`` admitted.
     """
-    budget.seq_terms("vectors", rec.coeffs, n, n, "matpow", decimal.Decimal(1))
     jumped: dict[int, int] = {}
     for r, vector in zip(_x_power(rec.coeffs, n), rec.initial):
         if r:

@@ -20,9 +20,10 @@ recurrence for the vectors (Berlekamp-Massey on a projection, then an exact
 check of v_K = sum c_i v_(K-i) on every state), and ``vector_jump`` jumps to
 v_N. The certificate reads 2K + 1 vectors: 7 for the 2 x 2 tower, 43 for the
 2 x 4 box, 77 for the 3 x 3 and 153 for the 2 x 5. A block that ends before
-its certificate, or whose jump is over the sequence budget, is stepped, so
-every count is the DP's or proved equal to it. A prism over
-``budget.layer_dp`` is refused before the first layer, jump or not.
+its certificate is stepped, so every count is the DP's or proved equal to
+it. A prism over ``budget.layer_dp`` is refused before the first layer, jump
+or not, and that check is the route's only one: a certified block always
+jumps.
 """
 from __future__ import annotations
 
@@ -105,8 +106,8 @@ def _transfer(prism: Prism3D):
     in the layer above with its nonzero flat count from the 2D kernel. Moves
     and flat counts are cached for the call.
     """
+    budget.layer_dp(prism.layers, len(prism.cross_section), prism.cell_count)
     cross = sorted(prism.cross_section)
-    budget.layer_dp(prism.layers, len(cross), prism.cell_count)
     bit = {cell: 1 << i for i, cell in enumerate(cross)}
     full = (1 << len(cross)) - 1
     masks = {prism.layers: 0}
@@ -238,10 +239,9 @@ def count_bricks(prism: Prism3D) -> int:
     sequence of vectors v_j = v_0 B^j. From N = 6 on, its first half goes to
     ``certified_recurrence``, and a certified recurrence jumps to v_N by
     ``vector_jump``, so a jump skips at least as many steps as the fit read.
-    Otherwise, when the block is shorter, the vectors run out first or the
-    jump is over the sequence budget, the DP steps the rest of the block, so
-    no count rests on an unchecked identity. The count is the weight of the
-    empty state after the top layer.
+    Otherwise, when the block is shorter or the vectors run out first, the
+    DP steps the rest of the block, so no count rests on an unchecked
+    identity. The count is the weight of the empty state after the top layer.
     """
     full, masks, moves = _transfer(prism)
     states = {0: 1}
@@ -252,11 +252,8 @@ def count_bricks(prism: Prism3D) -> int:
         # under 6 repetitions no half of the block holds the 3 vectors of the shortest certificate
         rec = certified_recurrence(islice(vectors, reps // 2)) if reps >= 6 else None
         if rec is not None:
-            try:
-                states = vector_jump(rec, reps)
-                continue
-            except budget.BudgetError:  # a jump over the sequence budget: the DP ends the block
-                pass
+            states = vector_jump(rec, reps)
+            continue
         for states in vectors:  # the vectors the certificate left, up to v_N
             pass
     return states.get(0, 0)

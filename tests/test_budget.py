@@ -1,11 +1,14 @@
 """Each route's admission edge, pinned once on the budget checks themselves:
 the last input admitted passes, and the next is refused with its exact message.
 """
+import ast
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import tilecount
 from tilecount import BudgetError, budget, l2, l3, sequences
 from tilecount.sequences import catalog
 
@@ -167,3 +170,16 @@ def test_the_angle_formulas_admit_the_suites_and_the_witnesses_sizes():
 )
 def test_the_benchmark_witnesses_are_admitted_in_ints(name, n, method):
     _seq(name, n, n, method, 1)
+
+
+def test_no_module_catches_a_refusal():
+    # a caught BudgetError would be a fallback no budget charges; a refusal reaches the
+    # caller, and only cli.main reports it, as the ValueError it is
+    caught = []
+    for path in sorted(Path(tilecount.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                if "BudgetError" in names:
+                    caught.append(f"{path.name}:{node.lineno}")
+    assert caught == []

@@ -291,17 +291,6 @@ def test_certified_recurrence_of_zeros_and_of_a_nilpotent_transfer():
     assert vector_jump(found, 10**6) == {}
 
 
-def test_vector_jump_is_refused_over_the_budget_before_any_work(monkeypatch):
-    found = certified_recurrence(_windows(catalog()["T"].recurrence, 7))
-
-    def powered(*args):
-        raise AssertionError("the jump ran before the refusal")
-
-    monkeypatch.setattr(sequences, "_x_power", powered)
-    with pytest.raises(BudgetError, match="exceeds the budget"):
-        vector_jump(found, 10**9)
-
-
 def test_the_jump_kernel_runs_in_the_unit_type():
     with decimal.localcontext(sequences._EXACT):
         rem = sequences._x_power((3, 3, -1), 1000, decimal.Decimal(1))

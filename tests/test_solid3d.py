@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import prism_corpus
@@ -116,6 +118,15 @@ def test_over_budget_prism_is_refused_before_any_flat_count(monkeypatch):
     counts = layer_counts(tower(1_000_000))
     with pytest.raises(BudgetError, match="estimated layer-DP work"):
         next(counts)
+
+
+def test_a_huge_cross_section_is_refused_at_once():
+    prism = Prism3D([(0, c) for c in range(10**6)], 1)
+    for count in (count_bricks, lambda prism: next(layer_counts(prism))):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"^estimated layer-DP work [0-9,]{1,60} exceeds"):
+            count(prism)
+        assert time.perf_counter() - start < 0.05
 
 
 def test_cross_section_guard():
@@ -265,15 +276,25 @@ def test_jump_equals_the_layer_dp_on_the_long_box(monkeypatch, rows, cols):
     assert [rec.order for rec in found] == [21]
 
 
-def test_a_jump_over_the_sequence_budget_is_finished_by_the_dp(monkeypatch):
-    monkeypatch.setattr(budget, "_SEQ_MAX_WORK", 0)
-    found = _spy(monkeypatch, "certified_recurrence")
+# Cells deleted near the foot give the block above them a recurrence of order 54-114,
+# and the prism runs to its layer-DP edge: budget.layer_dp is its only admission, so
+# the certified block jumps, however long its recurrence.
+@pytest.mark.parametrize(
+    "rows, cols, layers, deleted",
+    [
+        (2, 4, 2527, {(0, 0, 0), (0, 1, 0)}),
+        (1, 8, 2527, {(0, 0, 0), (0, 1, 0)}),
+        (3, 3, 1093, {(0, 0, 0)}),
+    ],
+)
+def test_a_certified_block_always_jumps(monkeypatch, rows, cols, layers, deleted):
+    prism = Prism3D({(r, c) for r in range(rows) for c in range(cols)}, layers, deleted)
     jumps = _spy(monkeypatch, "vector_jump")
-    for prism in (box(2, 3, 100), m_tower(60)):
-        assert count_bricks(prism) == list(layer_counts(prism))[-1]
-    # each run certifies, and its jump is refused
-    assert [rec.order for rec in found] == [10, 3]
-    assert jumps == []
+    steps = _spy(monkeypatch, "_step")
+    count = count_bricks(prism)
+    assert len(jumps) == 1
+    assert 2 * len(steps) < layers
+    assert count == list(layer_counts(prism))[-1]
 
 
 @pytest.mark.parametrize(
@@ -322,8 +343,7 @@ def test_the_jump_is_admitted_at_every_layer_dp_edge(monkeypatch, rows, cols):
     edge = _layer_dp_edge(rows * cols)
     jumps = _spy(monkeypatch, "vector_jump")
     count = count_bricks(box(rows, cols, edge))
-    # the run, every layer but the top, jumps within the sequence budget; the
-    # 2 x 5 jump is estimated at ~1.39e9 of 1.5e9
+    # the run, every layer but the top, jumps
     assert len(jumps) == 1
     if (rows, cols) == (2, 2):
         assert count == catalog()["T"].eval(edge)
