@@ -22,8 +22,9 @@ of work, fitted on CPython 3.11 (Xeon):
 * ``search`` — the backtracking searches: a cap on their cells;
 * ``seq_terms`` — ``sequences.Family.terms``, and ``l2`` and ``l3``, charged
   once for all their jumps, below. A stepped ``closed`` range, an ``iter``
-  head (one jump and d - 1 shifts) and a jump whose polynomial sheds the
-  root 1 or -1 are over-charged, to keep every edge and message.
+  head (one jump and d - 1 shifts), a jump whose polynomial sheds the root
+  1 or -1 and a jump that doubles a quadratic (two squarings a bit, not
+  three multiplies) are over-charged, to keep every edge and message.
 """
 from __future__ import annotations
 

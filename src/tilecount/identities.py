@@ -86,7 +86,8 @@ class Report(Record):
 
         Each line is ``json.dumps`` of the record {check, left, params, pass,
         right} with sorted keys and no spaces, rendered here directly: only
-        the check name can need escaping, so it is encoded once per name.
+        the check name can need escaping, so it is encoded once per name, and
+        a passing check's two equal counts are converted once.
         """
         import json  # only --json output needs it, so counting never loads it
 
@@ -96,10 +97,13 @@ class Report(Record):
             check = names.get(name)
             if check is None:
                 check = names[name] = json.dumps(name)
+            passed = left == right
+            left_str = decimal_str(left)
+            right_str = left_str if passed else decimal_str(right)
             lines.append(
-                f'{{"check":{check},"left":"{decimal_str(left)}",'
+                f'{{"check":{check},"left":"{left_str}",'
                 f'"params":[{",".join(map(str, params))}],'
-                f'"pass":{"true" if left == right else "false"},"right":"{decimal_str(right)}"}}'
+                f'"pass":{"true" if passed else "false"},"right":"{right_str}"}}'
             )
         return "\n".join(lines)
 

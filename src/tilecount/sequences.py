@@ -4,13 +4,15 @@ Every sequence family in the catalog carries an integer linear recurrence,
 and most also carry a closed form whose terms live in Q(sqrt(d)).
 
 A single term of a recurrence is reached by Fiduccia's jump: x^n is reduced
-modulo the characteristic polynomial by binary powering, one kernel
-(``_x_power``), and the remainder's coefficients weight the initial terms, so
-a jump costs O(d^2 log n) big multiplies. The kernel first splits off the
-simple roots 1 and -1 of an integer polynomial, powers the factor left and
-recombines the remainder with one exact division per root: T's, M's and
-L2D's cubics each have the root -1, so their jumps power a quadratic, at
-half the cost. A range of terms comes from one jump to its first index, a
+modulo the characteristic polynomial by one kernel (``_x_power``), and the
+remainder's coefficients weight the initial terms. The kernel first splits
+off the simple roots 1 and -1 of an integer polynomial, powers the factor
+left and recombines the remainder with one exact division per root: T's,
+M's and L2D's cubics each have the root -1, so every catalog jump powers a
+quadratic. An integer quadratic is powered by Lucas-sequence doubling
+(``_lucas_power``), two squarings a bit; every other degree, and any other
+ring, by binary powering (``_binary_power``), O(d^2) big multiplies a bit.
+A range of terms comes from one jump to its first index, a
 shift of the remainder by x for each of the next d - 1, and then one
 forward pass, ``rec_terms``, which holds only the last d terms and yields
 each term of the range in turn. Both run in whatever numbers the initial
@@ -237,16 +239,21 @@ def _x_power(coeffs: tuple, n: int, unit=1) -> list:
     r(rho)) / q(rho), and q(rho) = p'(rho) != 0. That division is exact, which
     ``divmod`` checks, in ints and in Decimals alike: a remainder raises
     ``ArithmeticError``. A double root stays in q. T's, M's and L2D's cubics
-    each shed the root -1, so their jumps power a quadratic, at half the cost.
+    each shed the root -1, so their jumps power a quadratic. The factor left
+    has one powering loop, chosen by its degree: an integer quadratic is
+    doubled by ``_lucas_power``, two squarings a bit, and ``_binary_power``
+    serves every other degree and any other ring.
     """
     peeled = []  # (root, q, q(root)), outermost first
-    if all(type(c) is int for c in coeffs):
+    integer = all(type(c) is int for c in coeffs)
+    if integer:
         for root in (1, -1):
             value, slope, quotient = _divide_by_root(coeffs, root)
             if value == 0 and slope:
                 coeffs = quotient
                 peeled.append((root, coeffs, slope))
-    rem = _binary_power(coeffs, n, unit) if coeffs else []
+    powering = _lucas_power if integer and len(coeffs) == 2 else _binary_power
+    rem = powering(coeffs, n, unit) if coeffs else []
     for root, quotient, slope in reversed(peeled):
         power = unit if root == 1 or n % 2 == 0 else -unit  # root^n
         c, wrong = divmod(power - sum(rem[::2]) - root * sum(rem[1::2]), slope)
@@ -256,8 +263,39 @@ def _x_power(coeffs: tuple, n: int, unit=1) -> list:
     return rem
 
 
+def _lucas_power(coeffs: tuple[int, int], n: int, unit) -> list:
+    """unit * x^n modulo x^2 - P x + N, coeffs = (P, -N) integers: ``_x_power``'s jump.
+
+    Doubling on the pair (U_(k-1), U_k) of the Lucas sequence U_0 = 0, U_1 =
+    1, U_(k+1) = P U_k - N U_(k-1), for which x^k = U_k x - N U_(k-1) (Joye and
+    Quisquater 1996). A bit costs two squarings, a = U_(k-1)^2 and b = U_k^2:
+    U_(2k-1) = b - N a, and by Cassini's identity U_k^2 - P U_k U_(k-1) + N
+    U_(k-1)^2 = N^(k-1) the cross product U_k U_(k-1) = (b + N a - N^(k-1)) /
+    P, one exact division, which ``divmod`` checks (for P = 0 the product is 0
+    and the numerator must be): a remainder raises ``ArithmeticError``. Then
+    U_(2k) = P b - 2 N U_k U_(k-1), and a set bit steps the pair once.
+    N^(k-1) is carried by squaring; it is 1 or -1 for every modulus the
+    package powers. The U are numbers of the unit's type: ints, or Decimals.
+    """
+    if n == 0:
+        return [unit, 0 * unit]
+    P, N = coeffs[0], -coeffs[1]
+    low, high, norm = 0, unit, 1  # U_(k-1), U_k and N^(k-1), from k = 1
+    for bit in bin(n)[3:]:
+        b, na = high * high, N * (low * low)
+        cassini = b + na - norm
+        cross, wrong = divmod(cassini, P) if P else (0, cassini)
+        if wrong:
+            raise ArithmeticError(f"x^{n} modulo x^2 - ({P})x + ({N}): a squaring left a remainder")
+        low, high, norm = b - na, P * b - 2 * N * cross, norm * norm * N
+        if bit == "1":
+            low, high, norm = high, P * high - N * low, norm * N
+    return [+(-N * low), +high]  # + drops the sign a Decimal zero takes from a negative factor
+
+
 def _binary_power(coeffs: tuple, n: int, unit) -> list:
-    """unit * x^n modulo the characteristic polynomial, for d >= 1: ``_x_power``'s jump.
+    """unit * x^n modulo the characteristic polynomial: ``_x_power``'s jump for a
+    degree d >= 1 other than an integer quadratic's.
 
     Left-to-right binary powering: a bit costs one squaring, d(d+1)/2 big
     multiplies reduced by the small coefficients, and a set bit a shift by x.

@@ -169,15 +169,21 @@ def test_rec_terms_is_the_jump_inside_and_past_the_initial_terms(rec, unit):
         assert list(rec_terms(rec, head_end + 2, head_end + 1)) == []
 
 
-def test_rec_values_holds_only_a_window_below_lo():
-    rec = catalog()["L3"].recurrence
-    tracemalloc.start()
-    try:
-        (value,) = rec_values(rec, 20_000, 20_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == rec_eval_matpow(rec, 20_000)
+@pytest.mark.parametrize("name", list(catalog()))
+@pytest.mark.parametrize("unit", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
+def test_rec_values_holds_only_a_window_below_lo(name, unit):
+    # the forward pass makes no jump, so it is the far term's witness for the jump
+    rec = catalog()[name].recurrence
+    rec = LinearRecurrence(rec.coeffs, tuple(unit * a for a in rec.initial), rec.start)
+    with decimal.localcontext(sequences._EXACT):
+        tracemalloc.start()
+        try:
+            (value,) = rec_values(rec, 20_000, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        jumped = rec_eval_matpow(rec, 20_000)
+    assert type(value) is type(unit) and value == jumped
     assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -335,8 +341,10 @@ def test_the_split_jump_equals_shifts_by_x(ones, minus_ones, factor, n):
 
 @pytest.mark.parametrize(
     "coeffs",
-    [(1,), (-1,), (2,), (0, 0, 0, 1), (3, 3, -1), (2, 2, -1), (1, 1, -1), (-2, -1), (0, 1)],
-    ids=["x-1", "x+1", "x-2", "o4", "T", "L2D", "(x-1)^2(x+1)", "(x+1)^2", "x^2-1"],
+    [(1,), (-1,), (2,), (0, 0, 0, 1), (3, 3, -1), (2, 2, -1), (1, 1, -1), (-2, -1), (0, 1)]
+    + [(1, 1), (0, -1), (5, -6), (0, 0)],  # doubled: N = -1, P = 0, N = 6, P = N = 0
+    ids=["x-1", "x+1", "x-2", "o4", "T", "L2D", "(x-1)^2(x+1)", "(x+1)^2", "x^2-1"]
+    + ["F", "x^2+1", "(x-2)(x-3)", "x^2"],
 )
 def test_the_split_jump_at_the_first_and_a_far_index(coeffs):
     for n in (0, 1, 2, 3, 201):
@@ -344,34 +352,77 @@ def test_the_split_jump_at_the_first_and_a_far_index(coeffs):
 
 
 def test_the_jump_powers_what_is_left_after_the_simple_roots_one_and_minus_one(monkeypatch):
-    powered, power = [], sequences._binary_power
+    powered = []
 
-    def spy(coeffs, n, unit):
-        powered.append(coeffs)
-        return power(coeffs, n, unit)
+    def spy(name):
+        power = getattr(sequences, name)
 
-    monkeypatch.setattr(sequences, "_binary_power", spy)
+        def spied(coeffs, n, unit):
+            powered.append((name, coeffs))
+            return power(coeffs, n, unit)
+
+        return spied
+
+    for name in ("_lucas_power", "_binary_power"):
+        monkeypatch.setattr(sequences, name, spy(name))
+    # every integer factor of degree 2 left is doubled, and only those
     cases = {
-        (3, 3, -1): (4, -1),  # T, M: (x + 1)(x^2 - 4x + 1)
-        (2, 2, -1): (3, -1),  # L2D: (x + 1)(x^2 - 3x + 1)
-        (0, 0, 0, 1): (0, -1),  # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1)
-        (1, 1, -1): (2, -1),  # (x - 1)^2 (x + 1): the double root stays
-        (-2, -1): (-2, -1),  # (x + 1)^2, T's and L2D's rational closed-form base
-        (4, -1): (4, -1),  # A, B, C: no root 1 or -1
+        (3, 3, -1): ("_lucas_power", (4, -1)),  # T, M: (x + 1)(x^2 - 4x + 1)
+        (2, 2, -1): ("_lucas_power", (3, -1)),  # L2D: (x + 1)(x^2 - 3x + 1)
+        (0, 0, 0, 1): ("_lucas_power", (0, -1)),  # x^4 - 1 = (x - 1)(x + 1)(x^2 + 1)
+        (1, 1, -1): ("_lucas_power", (2, -1)),  # (x - 1)^2 (x + 1): the double root stays
+        (-2, -1): ("_lucas_power", (-2, -1)),  # (x + 1)^2, T's and L2D's rational closed-form base
+        (4, -1): ("_lucas_power", (4, -1)),  # A, B, C: no root 1 or -1
+        (1, 1): ("_lucas_power", (1, 1)),  # F: N = -1
+        (5, -6): ("_lucas_power", (5, -6)),  # (x - 2)(x - 3): N is not 1 or -1
+        (0, 0, 2): ("_binary_power", (0, 0, 2)),  # x^3 - 2: no root 1 or -1
+        (2,): ("_binary_power", (2,)),  # x - 2
+        (-1, 2, 7, 5): ("_binary_power", (0, 2, 5)),  # (x + 1)(x^3 - 2x - 5)
     }
     for coeffs, left in cases.items():
         powered.clear()
         sequences._x_power(coeffs, 1000)
-        assert powered == [left]
+        assert powered == [left], coeffs
     # an order-1 recurrence with the root 1 or -1 is all split: nothing is powered
     powered.clear()
     assert sequences._x_power((1,), 7) == [1] and sequences._x_power((-1,), 7) == [-1]
     assert powered == []
-    # only integer coefficients are split; any other ring is powered as it is
+    # only integer coefficients are split and doubled; any other ring is powered as it is
     coeffs = (decimal.Decimal(3), decimal.Decimal(3), decimal.Decimal(-1))
     with decimal.localcontext(sequences._EXACT):
         assert sequences._x_power(coeffs, 1000) == sequences._x_power((3, 3, -1), 1000)
-    assert powered[-2:] == [coeffs, (4, -1)]
+    assert powered[-2:] == [("_binary_power", coeffs), ("_lucas_power", (4, -1))]
+
+
+def _miscounting(base, at):
+    """A subclass of the number type ``base`` whose results stay in it and whose
+    ``at``-th squaring is one too large."""
+    squarings = []
+
+    class Number(base):
+        def __mul__(self, other):
+            product = base.__mul__(self, other)
+            if self is other:
+                squarings.append(product)
+                if len(squarings) == at:
+                    product += 1
+            return Number(product)
+
+    for name in ("__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        setattr(Number, name, lambda *args, op=getattr(base, name): Number(op(*args)))
+    return Number
+
+
+@pytest.mark.parametrize("base", [int, decimal.Decimal], ids=["int", "Decimal"])
+def test_a_corrupted_squaring_raises_not_a_wrong_remainder(base):
+    # x^1000 modulo x^2 - 4x + 1 doubles nine times: it squares U_1 = 1 (U_0 = 0 is
+    # an int), then two numbers a doubling, 17 squarings in all
+    with decimal.localcontext(sequences._EXACT):
+        expected = sequences._x_power((4, -1), 1000)
+        assert sequences._x_power((4, -1), 1000, _miscounting(base, 18)(1)) == expected
+        for at in range(1, 18):
+            with pytest.raises(ArithmeticError, match=r"^x\^1000 modulo x\^2 - \(4\)x \+ \(1\): a"):
+                sequences._x_power((4, -1), 1000, _miscounting(base, at)(1))
 
 
 @pytest.mark.parametrize("unit", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
