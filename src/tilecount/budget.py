@@ -16,9 +16,9 @@ of work, fitted on CPython 3.11 (Xeon):
   (the dearest are long 2 x 2 prisms cut by deleted cells into short runs
   that do not repeat). It is the 3D route's one admission: the charge
   counts every layer as stepped, so a certified block's jump needs no
-  other. 3^k is capped at 3^64, over the limit at one layer, so a huge
-  cross-section is refused at once. ``cross_section`` refuses a box whose
-  3^k splits of one layer are over that limit;
+  other. From k = 16 the 3^k splits of one layer are over the limit, and
+  3^k is capped at 3^64, so a huge cross-section is refused at once.
+  ``solid3d.box`` asks it before it builds a cell;
 * ``search`` — the backtracking searches: a cap on their cells;
 * ``seq_terms`` — ``sequences.Family.terms``, and ``l2`` and ``l3``, charged
   once for all their jumps, below. A stepped ``closed`` range, an ``iter``
@@ -58,15 +58,15 @@ class BudgetError(ValueError):
     """Raised, before any counting, for an input over a work or size budget."""
 
 
-def _check(work, limit: int, estimate: str, *args, tail: str = "") -> None:
+def _check(work, limit: int, estimate: str, *args) -> None:
     """Raise ``BudgetError`` if ``work`` is over ``limit``, with the message
-    "<estimate> exceeds the budget of <limit><tail>": ``estimate`` formatted
-    from ``args``, and the work as ``{work}`` through ``Decimal``, which
-    prints past the int -> str digit limit.
+    "<estimate> exceeds the budget of <limit>": ``estimate`` formatted from
+    ``args``, and the work as ``{work}`` through ``Decimal``, which prints
+    past the int -> str digit limit.
     """
     if work > limit:
         text = estimate.format(*args, work=Decimal(work))
-        raise BudgetError(f"{text} exceeds the budget of {limit:,}{tail}")
+        raise BudgetError(f"{text} exceeds the budget of {limit:,}")
 
 
 def determinant(cube_sum: int, cells: int) -> None:
@@ -96,15 +96,9 @@ def layer_dp(layers: int, cross_cells: int, cells: int) -> None:
     """The layer DP of a prism of ``layers`` layers over a cross-section of
     ``cross_cells`` cells, with ``cells`` cells in all.
     """
-    splits = 3 ** min(cross_cells, 64)  # as in cross_section: 3^64 is over at one layer
+    splits = 3 ** min(cross_cells, 64)  # over at one layer from 3^16
     work = layers * splits * (_LAYER_BIG_INT_CELLS + cells) // _LAYER_BIG_INT_CELLS
     _check(work, _LAYER_MAX_WORK, "estimated layer-DP work {work:,}")
-
-
-def cross_section(rows: int, cols: int) -> None:
-    """A rows x cols cross-section over the layer-DP limit at any length."""
-    estimate = "estimated layer-DP work of a {} x {} cross-section"
-    _check(3 ** min(rows * cols, 64), _LAYER_MAX_WORK, estimate, rows, cols, tail=" at any length")
 
 
 def search(cells: int, max_cells: int, name: str) -> None:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Every command raises ValueError or OSError for a usage or input error;
 ``main`` alone reports it as ``error: <message>`` on stderr and exits 2.
 ``count`` and ``render`` parse a region spec once, by one token table, and
-refuse a 2D region from its cell count before a cell is built.
+refuse a 2D region from its cell count before a cell is built; ``render``
+refuses a prism before its builder runs.
 ``seq`` and ``bfile`` only print: ``Family.terms`` checks each range, refuses
 one over budget and computes its terms, here in exact Decimals.
 """
@@ -154,12 +155,10 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     build, cells, _ = _parse_spec(args.spec)
-    if cells is not None:  # refused from its size, before a cell is built
-        budget.search(cells, budget.MAX_ORACLE_CELLS, "enumeration")
-    region = build()
-    if cells is None:
+    if cells is None:  # a prism, refused before its builder runs
         raise ValueError("render supports 2D regions only")
-    for i, tiling in enumerate(count2d.enumerate_tilings(region, args.limit)):
+    budget.search(cells, budget.MAX_ORACLE_CELLS, "enumeration")  # before a cell is built
+    for i, tiling in enumerate(count2d.enumerate_tilings(build(), args.limit)):
         if i:
             print()
         print(count2d.render_tiling_ascii(tiling))

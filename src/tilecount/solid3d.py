@@ -86,12 +86,12 @@ def m_tower(n: int) -> Prism3D:
 
 
 def box(rows: int, cols: int, layers: int) -> Prism3D:
-    """The full rows x cols x layers box, refused by ``budget.cross_section``
+    """The full rows x cols x layers box, refused by ``budget.layer_dp``
     before it is built.
     """
     if min(rows, cols, layers) < 1:
         raise ValueError(f"box needs positive dimensions, got {rows}x{cols}x{layers}")
-    budget.cross_section(rows, cols)
+    budget.layer_dp(layers, rows * cols, rows * cols * layers)
     return Prism3D({(r, c) for r in range(rows) for c in range(cols)}, layers)
 
 
@@ -163,7 +163,7 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
 # The longest period, in layers, that the block scan tries. A block steps 2K + 1 whole
 # periods before its jump, so a long period pays only if it repeats many times; past
 # this bound its runs are blocks of their own, each jumped alone. The bound also keeps
-# the scan, which tries the candidate periods at each run, linear in the deleted cells.
+# the scan, which compares one period at each run, linear in the deleted cells.
 _MAX_PERIOD = 32
 
 Pair = tuple[int, int]  # a layer's present cells and those of the layer above
@@ -179,13 +179,16 @@ def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
     only a layer with deleted cells, the one below it and the top layer
     differ from a full layer under a full one, and the rest are runs of that
     pair. Equal neighbouring pairs merge into runs, (pair, layers) tuples,
-    and runs are compared as those tuples. Then one left-to-right scan takes
-    at each run the smallest period of runs, up to ``_MAX_PERIOD`` layers,
-    that repeats at once and whose first run comes again one period later
-    still, and as many whole repetitions of it as follow; a run with no such
-    period is a block of its own, one pair repeated. A period whose first run
-    recurs within it is found from a later run; one whose first run does not
-    come a third time makes a block too short to jump.
+    and runs are compared as those tuples. Then one left-to-right scan tries
+    at each run i one period: the runs from i up to q, the next run equal to
+    run i. It takes that period if it is at most ``_MAX_PERIOD`` layers,
+    repeats at once and its first run comes again one period later still,
+    with as many whole repetitions of it as follow; else run i is a block of
+    its own, one pair repeated. No later run q' equal to run i can end a
+    period instead: were runs[i:q'] repeated at once, run q' + q - i would
+    equal run i, before the third one at 2q' - i. So a period whose first run
+    recurs within it is found from a later run, and one whose first run does
+    not come a third time makes a block too short to jump.
     """
     runs: list[tuple[Pair, int]] = []  # (pair, layers)
     z = 0
@@ -205,21 +208,21 @@ def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
         later[k], seen[runs[k]] = seen.get(runs[k]), k
     i, count = 0, len(runs)
     while i < count:
-        q = later[i]  # a period's next repetition starts at a run equal to run i
-        while q is not None and ends[q] - ends[i] <= _MAX_PERIOD and 2 * q - i <= count:
-            if later[q] == 2 * q - i and runs[i:q] == runs[q : 2 * q - i]:
-                break
-            q = later[q]
+        q = later[i]  # the one period that can start at run i ends at q
+        if (
+            q is not None
+            and ends[q] - ends[i] <= _MAX_PERIOD
+            and later[q] == 2 * q - i
+            and runs[i:q] == runs[q : 2 * q - i]
+        ):
+            period, reps = q - i, 2
+            while runs[i + reps * period : i + (reps + 1) * period] == runs[i:q]:
+                reps += 1
+            yield tuple(pair for pair, n in runs[i:q] for _ in range(n)), reps
+            i += reps * period
         else:
             yield (runs[i][0],), runs[i][1]
             i += 1
-            continue
-        period = q - i
-        reps = 2
-        while runs[i + reps * period : i + (reps + 1) * period] == runs[i:q]:
-            reps += 1
-        yield tuple(pair for pair, n in runs[i:q] for _ in range(n)), reps
-        i += reps * period
 
 
 def _step_period(moves, states: dict[int, int], period: tuple[Pair, ...]) -> dict[int, int]:

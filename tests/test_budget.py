@@ -25,13 +25,6 @@ def _layers(work):
     return f"estimated layer-DP work {work} exceeds the budget of 30,000,000"
 
 
-def _cross(rows, cols):
-    return (
-        f"estimated layer-DP work of a {rows} x {cols} cross-section exceeds the budget of "
-        "30,000,000 at any length"
-    )
-
-
 def _terms(name, lo, hi):
     return f"estimated work for {name}({lo}..{hi}) exceeds the budget of 1,500,000,000"
 
@@ -63,8 +56,7 @@ EDGES = {
         (1094, 9, 9 * 1094),
         _layers("30,013,838"),
     ),
-    "cross-section 3x5 / 4x4": (budget.cross_section, (3, 5), (4, 4), _cross(4, 4)),
-    "cross-section 1x15 / 1x16": (budget.cross_section, (1, 15), (1, 16), _cross(1, 16)),
+    "box 3x5x2 / 3": (budget.layer_dp, (2, 15, 30), (3, 15, 45), _layers("43,124,205")),
     "2D search 30 / 31": (
         budget.search,
         (30, budget.MAX_ORACLE_CELLS, "enumeration"),

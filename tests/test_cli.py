@@ -281,8 +281,8 @@ def _seq_refusal(name: str, lo: int, hi: int) -> str:
         ),
         pytest.param(
             ("count", "box:1000,1000,1000"),
-            "estimated layer-DP work of a 1000 x 1000 cross-section exceeds the budget of "
-            "30,000,000 at any length",
+            "estimated layer-DP work 137,350,786,495,520,791,898,798,621,420,329,281,000 "
+            "exceeds the budget of 30,000,000",
             id="box:1000,1000,1000",
         ),
         pytest.param(
@@ -821,8 +821,16 @@ def test_render_respects_limit(capsys):
     assert len(out.strip().split("\n\n")) == 2
 
 
-def test_render_rejects_prisms_and_large_regions(capsys):
-    assert run(capsys, "render", "tower:2")[0] == 2
+def test_render_rejects_prisms_and_large_regions(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a prism builder ran before the refusal")
+
+    # every prism spec, over budget, malformed or small, before its builder runs
+    for name in ("box", "tower", "m_tower"):
+        monkeypatch.setattr(cli.solid3d, name, no_build)
+    message = "error: render supports 2D regions only\n"
+    for spec in ("box:4,4,1", "box:0,1,1", "box:2,2,2", "tower:0", "tower:2", "mtower:3"):
+        assert run(capsys, "render", spec) == (2, "", message), spec
     assert run(capsys, "render", "rect:4,8")[0] == 2
 
 

@@ -24,6 +24,8 @@ from tilecount.regions2d import Region2D, reflect_h, reflect_v
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import (
     Prism3D,
+    _blocks,
+    _transfer,
     count_bricks,
     count_bricks_bruteforce,
     layer_counts,
@@ -204,6 +206,15 @@ def thin_prisms(draw) -> Prism3D:
 @given(thin_prisms())
 def test_count_bricks_is_the_last_layer_count(prism):
     assert count_bricks(prism) == list(layer_counts(prism))[-1]
+
+
+@PROPERTY
+@given(thin_prisms())
+def test_blocks_spell_out_the_layer_word(prism):
+    full, masks, _ = _transfer(prism)
+    word = [(masks.get(z, full), masks.get(z + 1, full)) for z in range(prism.layers)]
+    blocks = _blocks(prism.layers, full, masks)
+    assert [pair for period, reps in blocks for pair in period * reps] == word
 
 
 @PROPERTY

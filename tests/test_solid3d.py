@@ -359,8 +359,8 @@ def test_box_geometry_and_width_guard():
     with pytest.raises(ValueError, match="box needs positive dimensions"):
         box(2, 2, 0)
     # 3^16 splits a layer are over budget at one layer, so no such box is built
-    with pytest.raises(BudgetError, match="of a 4 x 4 cross-section exceeds"):
+    with pytest.raises(BudgetError, match="^estimated layer-DP work 43,074,270 exceeds"):
         box(4, 4, 1)
-    with pytest.raises(BudgetError, match="of a 100000 x 100000 cross-section exceeds"):
+    with pytest.raises(BudgetError, match="^estimated layer-DP work [0-9,]+ exceeds"):
         box(10**5, 10**5, 1)
     assert count_bricks(box(3, 5, 1)) == count_tilings(rect(3, 5))  # 15 cells: 3^15 fits
