@@ -95,6 +95,13 @@ def rectangle(rows: int, cols: int) -> None:
 def layer_dp(layers: int, cross_cells: int, cells: int) -> None:
     """The layer DP of a prism of ``layers`` layers over a cross-section of
     ``cross_cells`` cells, with ``cells`` cells in all.
+
+    It charges 3^k splits a layer, k the cross-section's cells. The DP steps
+    one state per orbit of the cross-section's symmetries and counts only
+    colour-balanced flat masks, so on a symmetric cross-section it does less
+    than that, and the charge is a larger over-charge than it was: a 2 x 4
+    layer steps 27 states where it stepped 70. The edges are kept until the
+    estimate is refit.
     """
     splits = 3 ** min(cross_cells, 64)  # over at one layer from 3^16
     work = layers * splits * (_LAYER_BIG_INT_CELLS + cells) // _LAYER_BIG_INT_CELLS

@@ -2,13 +2,21 @@
 
 A prism is a 2D cross-section extruded through a number of layers, with an
 optional set of deleted cells. Counting is a sparse transfer through the
-layers: a state is the set of cells whose bricks stand upright into the next
+layers: a state is a set of cells whose bricks stand upright into the next
 layer, and a move is an upright set with its number of flat completions,
 counted by the 2D domino counter, so both dimensions share one tested
 kernel. ``layer_counts`` yields the count of every prefix of layers from one
 pass of that DP. A 2D region of width W is a 1 x W prism with one layer per
 row and its missing cells deleted, so the same transfer is the tests'
 cross-check of the 2D counter.
+
+The isometries of the cross-section that fix every layer's deleted cells
+commute with each layer's transfer, and the entry, the empty set, is fixed
+by them. So the DP holds one state per orbit of upright sets, its least
+member, with the orbit's summed weight (lumping; Kemeny & Snell 1960, 6.3):
+27 states for the 2 x 4 box against 70 sets, and 23 a layer for the 3 x 3
+against 126. The empty set is an orbit of its own, so the count read off it
+is unchanged; with no symmetry each set is its own orbit.
 
 ``count_bricks`` is one upward sweep over the prism's layer word, the
 (present, above) pair of each layer, run-length encoded from the deleted
@@ -18,16 +26,17 @@ Its transfer B maps the entry vector v_0, the states below it, to v_j = v_0
 B^j; the DP steps j up until ``sequences.certified_recurrence`` proves a
 recurrence for the vectors (Berlekamp-Massey on a projection, then an exact
 check of v_K = sum c_i v_(K-i) on every state), and ``vector_jump`` jumps to
-v_N. The certificate reads 2K + 1 vectors: 7 for the 2 x 2 tower, 43 for the
-2 x 4 box, 77 for the 3 x 3 and 153 for the 2 x 5. A block that ends before
-its certificate is stepped, so every count is the DP's or proved equal to
-it. A prism over ``budget.layer_dp`` is refused before the first layer, jump
-or not, and that check is the route's only one: a certified block always
-jumps.
+v_N. Summing over orbits loses nothing on vectors that the symmetries fix,
+so K is the order without lumping, and the certificate reads 2K + 1
+vectors: 7 for the 2 x 2 tower, 43 for the 2 x 4 box, 77 for the 3 x 3 and
+153 for the 2 x 5. A block that ends before its certificate is stepped, so
+every count is the DP's or proved equal to it. A prism over
+``budget.layer_dp`` is refused before the first layer, jump or not, and
+that check is the route's only one: a certified block always jumps.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
 
@@ -95,16 +104,49 @@ def box(rows: int, cols: int, layers: int) -> Prism3D:
     return Prism3D({(r, c) for r in range(rows) for c in range(cols)}, layers)
 
 
+def _image(perm: tuple[int, ...], mask: int) -> int:
+    """The mask's image under a symmetry, given as the bit of each cell's image."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        image |= perm[low.bit_length() - 1]
+        mask ^= low
+    return image
+
+
+def _symmetries(bit: dict[Cell, int], masks: Collection[int]) -> set[tuple[int, ...]]:
+    """The group G of the square grid's 8 isometries that map the cross-section
+    onto itself, each image shifted back to the cross-section's corner, and
+    fix every mask. ``bit`` maps each cross-section cell to its bit, and an
+    isometry is the tuple of the bits of the cells' images, in ``bit``'s
+    order. The identity is always in G.
+    """
+    top = min((r for r, _ in bit), default=0)
+    left = min((c for _, c in bit), default=0)
+    group = set()
+    for swap in (False, True):
+        for sr, sc in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            image = [(sr * c, sc * r) if swap else (sr * r, sc * c) for r, c in bit]
+            dr = top - min((r for r, _ in image), default=0)
+            dc = left - min((c for _, c in image), default=0)
+            perm = tuple(bit.get((r + dr, c + dc), 0) for r, c in image)  # 0: off the cross
+            if 0 not in perm and all(_image(perm, mask) == mask for mask in masks):
+                group.add(perm)
+    return group
+
+
 def _transfer(prism: Prism3D):
     """The prism's full mask, its other layers' masks and its cached ``moves``,
     once ``budget.layer_dp`` admits it.
 
     A mask holds a layer's present cells, one bit per cross-section cell.
     ``masks`` holds the layers with deleted cells and, as 0, the empty layer
-    above the top; a layer absent from it is full. ``moves(free,
-    above)`` lists, for a layer's free cells, each upright set that also exists
-    in the layer above with its nonzero flat count from the 2D kernel. Moves
-    and flat counts are cached for the call.
+    above the top; a layer absent from it is full. ``moves(free, above)``
+    lists, for a layer's free cells, each orbit under G (``_symmetries``) of
+    the upright sets that also exist in the layer above, as its least
+    member, with the flat counts of its members from the 2D kernel summed. A
+    mask whose two colour classes differ in size has no flat tiling and is
+    counted 0 unbuilt. Moves, flat counts and orbits are cached for the call.
     """
     budget.layer_dp(prism.layers, len(prism.cross_section), prism.cell_count)
     cross = sorted(prism.cross_section)
@@ -113,29 +155,42 @@ def _transfer(prism: Prism3D):
     masks = {prism.layers: 0}
     for r, c, z in prism.deleted:
         masks[z] = masks.get(z, full) & ~bit[r, c]
+    group = _symmetries(bit, masks.values())
+    black = sum(bit[r, c] for r, c in cross if (r + c) % 2)
 
     @cache
     def flat_count(mask: int) -> int:
+        if 2 * (mask & black).bit_count() != mask.bit_count():
+            return 0
         return count_tilings(Region2D(cell for cell in cross if mask & bit[cell]))
+
+    reps: dict[int, int] = {}  # each mask met, to its orbit's representative
+
+    def orbit(mask: int) -> int:
+        if mask not in reps:
+            images = [_image(perm, mask) for perm in group]
+            reps.update(dict.fromkeys(images, min(images)))
+        return reps[mask]
 
     @cache
     def moves(free: int, above: int) -> tuple[tuple[int, int], ...]:
-        found = []
+        found: dict[int, int] = {}
         allowed_up = free & above
         up = allowed_up
         while True:
             flat = flat_count(free & ~up)
             if flat:
-                found.append((up, flat))
+                rep = orbit(up)
+                found[rep] = found.get(rep, 0) + flat
             if up == 0:
-                return tuple(found)
+                return tuple(found.items())
             up = (up - 1) & allowed_up
 
     return full, masks, moves
 
 
 def _step(moves, states: dict[int, int], present: int, above: int) -> dict[int, int]:
-    """The state weights after one layer: states map a protrusion mask to its count."""
+    """The state weights after one layer: states map an orbit's protrusion mask to its count."""
     nxt: dict[int, int] = {}
     for protruding, ways in states.items():
         for up, flat in moves(present & ~protruding, above):
@@ -147,8 +202,9 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
     """Yield, after each layer z, the number of brick tilings of layers 0..z.
 
     Sparse transfer: states are protrusion masks (cells covered from below),
-    stepped through every layer by the moves of ``_transfer``. The count after
-    layer z is the weight of the state with nothing protruding.
+    one per orbit, stepped through every layer by the moves of
+    ``_transfer``. The count after layer z is the weight of the state with
+    nothing protruding.
 
     A prism over ``budget.layer_dp`` raises ``BudgetError`` on the first
     ``next()``, before any flat count.

@@ -5,7 +5,9 @@ Hypothesis runs derandomized, so every run draws the same examples.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from contextlib import redirect_stdout
+from itertools import combinations
 from math import isqrt
 
 import pytest
@@ -20,7 +22,7 @@ from tilecount.count2d import (
     count_tilings_bruteforce,
     enumerate_tilings,
 )
-from tilecount.regions2d import Region2D, reflect_h, reflect_v
+from tilecount.regions2d import Region2D, rect, reflect_h, reflect_v
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import (
     Prism3D,
@@ -215,6 +217,87 @@ def test_blocks_spell_out_the_layer_word(prism):
     word = [(masks.get(z, full), masks.get(z + 1, full)) for z in range(prism.layers)]
     blocks = _blocks(prism.layers, full, masks)
     assert [pair for period, reps in blocks for pair in period * reps] == word
+
+
+def _reference_count(prism: Prism3D) -> int:
+    """The layer DP on sets of cells, each protrusion set a state of its own:
+    no symmetry, no bitmasks and no jump."""
+    flat: dict[frozenset, int] = {}
+    states = Counter({frozenset(): 1})
+    for z in range(prism.layers):
+        present, above = (
+            {(r, c) for r, c in prism.cross_section if (r, c, y) not in prism.deleted}
+            for y in (z, z + 1)
+        )
+        above = above if z + 1 < prism.layers else set()
+        nxt: Counter = Counter()
+        for protruding, ways in states.items():
+            free = present - protruding
+            for k in range(len(free & above) + 1):
+                for up in combinations(sorted(free & above), k):
+                    rest = frozenset(free.difference(up))
+                    if rest not in flat:
+                        flat[rest] = count_tilings(Region2D(rest))
+                    if flat[rest]:
+                        nxt[frozenset(up)] += ways * flat[rest]
+        states = nxt
+    return states[frozenset()]
+
+
+_LUMPED_CROSS_SECTIONS = (
+    *(rect(rows, cols).cells for rows, cols in ((2, 2), (2, 3), (2, 4), (3, 3), (1, 4))),
+    frozenset({(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)}),  # an L, symmetric about a diagonal
+)
+_GRID_ISOMETRIES = (
+    lambda r, c: (r, c),
+    lambda r, c: (r, -c),
+    lambda r, c: (-r, c),
+    lambda r, c: (-c, -r),
+    *_SQUARE_SYMMETRIES,
+)
+
+
+def _self_maps(cross: frozenset) -> list[dict]:
+    """The cell maps of the grid isometries that map ``cross``, placed at (0, 0), onto itself."""
+    maps = []
+    for move in _GRID_ISOMETRIES:
+        image = {cell: move(*cell) for cell in cross}
+        r0, c0 = min(r for r, _ in image.values()), min(c for _, c in image.values())
+        placed = {cell: (r - r0, c - c0) for cell, (r, c) in image.items()}
+        if set(placed.values()) == cross:
+            maps.append(placed)
+    return maps
+
+
+@st.composite
+def symmetric_prisms(draw) -> Prism3D:
+    """One of the cross-sections above, 1-40 layers and 0-6 deleted cells:
+    any cells, or a union of orbits under one of the cross-section's own
+    symmetries, so that the layer DP's symmetry group stays nontrivial."""
+    cross = draw(st.sampled_from(_LUMPED_CROSS_SECTIONS))
+    layers = draw(st.integers(1, 40))
+    cells = sorted((r, c, z) for r, c in cross for z in range(layers))
+    if draw(st.booleans()):
+        return Prism3D(cross, layers, draw(st.sets(st.sampled_from(cells), max_size=6)))
+    move = draw(st.sampled_from(_self_maps(cross)))
+    deleted: set = set()
+    for r, c, z in draw(st.lists(st.sampled_from(cells), max_size=3)):
+        orbit, cell = set(), (r, c)
+        while (*cell, z) not in orbit:
+            orbit.add((*cell, z))
+            cell = move[cell]
+        if len(deleted | orbit) <= 6:
+            deleted |= orbit
+    return Prism3D(cross, layers, deleted)
+
+
+@PROPERTY
+@given(symmetric_prisms())
+def test_lumped_layer_dp_equals_the_dp_without_symmetry(prism):
+    count = count_bricks(prism)
+    assert count == _reference_count(prism)
+    if prism.cell_count <= MAX_BRUTEFORCE_CELLS:
+        assert count == count_bricks_bruteforce(prism)
 
 
 @PROPERTY

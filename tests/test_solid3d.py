@@ -4,7 +4,7 @@ import pytest
 
 from conftest import prism_corpus
 from tilecount import BudgetError, budget, solid3d
-from tilecount.count2d import count_tilings
+from tilecount.count2d import count_rectangle, count_tilings
 from tilecount.regions2d import rect
 from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
@@ -88,6 +88,24 @@ def test_flat_counts_are_cached(monkeypatch):
     calls.clear()
     count_bricks(Prism3D({(r, c) for r in range(3) for c in range(3)}, 40))
     assert len(calls) <= 512  # one per subset of the 3x3 cross-section
+
+
+def test_flat_counts_see_only_colour_balanced_regions(monkeypatch):
+    # a mask whose colour classes differ in size has no flat tiling: it returns 0 unbuilt
+    regions = []
+
+    def counting(region):
+        regions.append(region)
+        return count_tilings(region)
+
+    monkeypatch.setattr(solid3d, "count_tilings", counting)
+    lshape = {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 1)}
+    lprism = Prism3D(lshape, 30, {(1, 1, 4), (2, 1, 4)})
+    for prism in (box(2, 4, 300), box(3, 3, 40), m_tower(9), lprism):
+        assert count_bricks(prism) == list(layer_counts(prism))[-1]
+    assert regions
+    for region in regions:
+        assert 2 * sum((r + c) % 2 for r, c in region.cells) == region.cell_count, region
 
 
 def test_odd_cell_count_is_zero():
@@ -313,6 +331,42 @@ def test_a_periodic_prism_jumps_its_block(monkeypatch, rows, cols, layers, every
     steps.clear()
     assert count == list(layer_counts(prism))[-1]
     assert len(steps) == layers
+
+
+# A full box's states are the orbits, under the cross-section's symmetries, of
+# the upright sets reached by a BFS from the empty state: (rows, cols) -> the
+# states held after each full layer, and over all layers, wherever the box
+# stands. The 3 x 3 box alternates between two halves of its 46 orbits, by
+# the parity of a layer.
+_ORBITS = {
+    (2, 2): (3, 3),
+    (2, 3): (10, 10),
+    (2, 4): (27, 27),
+    (4, 2): (27, 27),
+    (2, 5): (82, 82),
+    (3, 4): (274, 274),
+    (3, 3): (23, 46),
+}
+
+
+@pytest.mark.parametrize("rows, cols", sorted(_ORBITS))
+def test_a_full_box_steps_one_state_per_orbit(monkeypatch, rows, cols):
+    per_layer, orbits = _ORBITS[rows, cols]
+    steps = _spy(monkeypatch, "_step")
+    list(layer_counts(Prism3D({(r - 1, c + 2) for r in range(rows) for c in range(cols)}, 8)))
+    # from the third layer on, every orbit of the layer's parity is reached; the top empties
+    assert [len(states) for states in steps[2:-1]] == [per_layer] * 5
+    assert len(set().union(*steps)) == orbits
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_a_one_row_box_is_the_rectangle_norms_count(width):
+    # the 1 x W box's mirror symmetry lumps its states; the norm shares no code with the DP
+    point = _CERTIFICATE_POINTS[1, width]
+    counts = list(layer_counts(box(1, width, 300)))
+    assert counts == [count_rectangle(width, n) for n in range(1, 301)]
+    for n in sorted({1, 2, 3, point - 1, point, point + 1, 150, 299, 300}):
+        assert count_bricks(box(1, width, n)) == counts[n - 1], n
 
 
 def test_the_layer_word_is_read_from_the_deleted_cells(monkeypatch):
