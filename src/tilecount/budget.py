@@ -15,9 +15,11 @@ of work, fitted on CPython 3.11 (Xeon):
   upright, flat) splits, each dearer as the counts grow, at 9-101 ns a unit
   (the dearest are long 2 x 2 prisms cut by deleted cells into short runs
   that do not repeat). It is the 3D route's one admission: the charge
-  counts every layer as stepped, so a certified block's jump needs no
-  other. From k = 16 the 3^k splits of one layer are over the limit, and
-  3^k is capped at 3^64, so a huge cross-section is refused at once.
+  counts every layer as stepped, so a certified run's jump needs no other,
+  and a prism whose deleted cells repeat, stepped between its runs, costs
+  what the fit measured. From k = 16 the 3^k splits of one layer are over
+  the limit, and 3^k is capped at 3^64, so a huge cross-section is refused
+  at once.
   ``solid3d.box`` asks it before it builds a cell;
 * ``search`` — the backtracking searches: a cap on their cells;
 * ``seq_terms`` — ``sequences.Family.terms``, and ``l2`` and ``l3``, charged

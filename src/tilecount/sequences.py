@@ -351,9 +351,9 @@ def vector_jump(rec: LinearRecurrence, n: int) -> dict[int, int]:
 # decides. The first, the largest prime below 2^30, is one CPython digit, so reducing a
 # projection of huge counts and the fit's own arithmetic are cheap; it lifts the 19-bit
 # coefficients of the 2 x 4 prism's full layers. The Mersenne primes after it lift wider
-# ones: 2^127 - 1 the 68-bit coefficients of the 2 x 5 prism's full layers, and a block
-# of several layers has its layers' coefficients about as many times wider (a 2 x 4
-# prism with a pair deleted every 10 layers needs 2^521 - 1).
+# ones: 2^127 - 1 the 68-bit coefficients of the 2 x 5 prism's order-76 run of full
+# layers, and of the 3 x 3 prism's order-114 run above a deleted foot cell, the widest
+# any prism of the tests needs. The wider ones keep a longer recurrence certifiable.
 _BM_PRIMES = (2**30 - 35, 2**61 - 1, 2**127 - 1, 2**521 - 1, 2**1279 - 1, 2**4253 - 1)
 # A projection weights coordinate s of a vector by x^s modulo the first prime, x = _BASE
 # + attempt: a one-digit weight multiplies a big entry fast, and the weighted sum is

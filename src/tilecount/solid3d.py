@@ -20,25 +20,25 @@ is unchanged; with no symmetry each set is its own orbit.
 
 ``count_bricks`` is one upward sweep over the prism's layer word, the
 (present, above) pair of each layer, run-length encoded from the deleted
-cells alone. Each stretch where the word repeats is one block, a period of
-layers repeated N times, and a run of full layers is a block of period 1.
-Its transfer B maps the entry vector v_0, the states below it, to v_j = v_0
-B^j; the DP steps j up until ``sequences.certified_recurrence`` proves a
-recurrence for the vectors (Berlekamp-Massey on a projection, then an exact
-check of v_K = sum c_i v_(K-i) on every state), and ``vector_jump`` jumps to
-v_N. Summing over orbits loses nothing on vectors that the symmetries fix,
-so K is the order without lumping, and the certificate reads 2K + 1
-vectors: 7 for the 2 x 2 tower, 43 for the 2 x 4 box, 77 for the 3 x 3 and
-153 for the 2 x 5. A block that ends before its certificate is stepped, so
-every count is the DP's or proved equal to it. A prism over
+cells alone. Each run of N equal pairs has one transfer B, which maps the
+entry vector v_0, the states below it, to v_j = v_0 B^j; the DP steps j up
+until ``sequences.certified_recurrence`` proves a recurrence for the vectors
+(Berlekamp-Massey on a projection, then an exact check of v_K = sum c_i
+v_(K-i) on every state), and ``vector_jump`` jumps to v_N. Summing over
+orbits loses nothing on vectors that the symmetries fix, so K is the order
+without lumping, and the certificate reads 2K + 1 vectors: 7 for the 2 x 2
+tower, 43 for the 2 x 4 box, 77 for the 3 x 3 and 153 for the 2 x 5. A run
+that ends before its certificate is stepped, so every count is the DP's or
+proved equal to it; a prism whose deleted cells repeat every few layers is
+short runs, so it is stepped layer by layer. A prism over
 ``budget.layer_dp`` is refused before the first layer, jump or not, and
-that check is the route's only one: a certified block always jumps.
+that check is the route's only one: a certified run always jumps.
 """
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator
-from functools import cache, partial
-from itertools import accumulate, islice, repeat
+from functools import cache
+from itertools import accumulate, islice
 
 from . import budget
 from .count2d import _guarded_matchings, count_tilings
@@ -216,37 +216,19 @@ def layer_counts(prism: Prism3D) -> Iterator[int]:
         yield states.get(0, 0)
 
 
-# The longest period, in layers, that the block scan tries. A block steps 2K + 1 whole
-# periods before its jump, so a long period pays only if it repeats many times; past
-# this bound its runs are blocks of their own, each jumped alone. The bound also keeps
-# the scan, which compares one period at each run, linear in the deleted cells.
-_MAX_PERIOD = 32
-
 Pair = tuple[int, int]  # a layer's present cells and those of the layer above
 
 
-Block = tuple[tuple[Pair, ...], int]  # a period of layer pairs and its repetitions
+def _runs(layers: int, full: int, masks: dict[int, int]) -> list[tuple[Pair, int]]:
+    """The maximal runs of the prism's layer word bottom up, as (pair, layers).
 
-
-def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
-    """Yield the prism's layers bottom up as blocks.
-
-    The layer word is built in O(deleted cells) from ``_transfer``'s masks:
-    only a layer with deleted cells, the one below it and the top layer
-    differ from a full layer under a full one, and the rest are runs of that
-    pair. Equal neighbouring pairs merge into runs, (pair, layers) tuples,
-    and runs are compared as those tuples. Then one left-to-right scan tries
-    at each run i one period: the runs from i up to q, the next run equal to
-    run i. It takes that period if it is at most ``_MAX_PERIOD`` layers,
-    repeats at once and its first run comes again one period later still,
-    with as many whole repetitions of it as follow; else run i is a block of
-    its own, one pair repeated. No later run q' equal to run i can end a
-    period instead: were runs[i:q'] repeated at once, run q' + q - i would
-    equal run i, before the third one at 2q' - i. So a period whose first run
-    recurs within it is found from a later run, and one whose first run does
-    not come a third time makes a block too short to jump.
+    The layer word, the (present, above) mask pair of each layer, is built in
+    O(deleted cells) from ``_transfer``'s masks: only a layer with deleted
+    cells, the one below it and the top layer differ from a full layer under
+    a full one, and the rest are runs of that pair. Equal neighbouring pairs
+    merge, so no two neighbouring runs share a pair.
     """
-    runs: list[tuple[Pair, int]] = []  # (pair, layers)
+    runs: list[tuple[Pair, int]] = []
     z = 0
     for top in sorted({y for d in masks for y in (d - 1, d) if 0 <= y < layers}):
         pair = (masks.get(top, full), masks.get(top + 1, full))
@@ -257,61 +239,33 @@ def _blocks(layers: int, full: int, masks: dict[int, int]) -> Iterator[Block]:
         else:
             runs.append((pair, 1))
         z = top + 1
-    ends = list(accumulate((n for _, n in runs), initial=0))  # layers below each run
-    later: list[int | None] = [None] * len(runs)  # the next run equal to each, if any
-    seen: dict[tuple[Pair, int], int] = {}
-    for k in reversed(range(len(runs))):
-        later[k], seen[runs[k]] = seen.get(runs[k]), k
-    i, count = 0, len(runs)
-    while i < count:
-        q = later[i]  # the one period that can start at run i ends at q
-        if (
-            q is not None
-            and ends[q] - ends[i] <= _MAX_PERIOD
-            and later[q] == 2 * q - i
-            and runs[i:q] == runs[q : 2 * q - i]
-        ):
-            period, reps = q - i, 2
-            while runs[i + reps * period : i + (reps + 1) * period] == runs[i:q]:
-                reps += 1
-            yield tuple(pair for pair, n in runs[i:q] for _ in range(n)), reps
-            i += reps * period
-        else:
-            yield (runs[i][0],), runs[i][1]
-            i += 1
-
-
-def _step_period(moves, states: dict[int, int], period: tuple[Pair, ...]) -> dict[int, int]:
-    """The state weights after the layer pairs of one period."""
-    for present, above in period:
-        states = _step(moves, states, present, above)
-    return states
+    return runs
 
 
 def count_bricks(prism: Prism3D) -> int:
     """Exact number of perfect 1x1x2 brick tilings of a prism.
 
     The layer budget is checked first, as in ``layer_counts``. One upward
-    sweep runs the DP through the prism's blocks (``_blocks``). A block of a
-    period repeated N times is a linear map B applied N times to the entry
-    vector v_0, the states below it, and every block is stepped as the one
+    sweep runs the DP through the runs of the prism's layer word (``_runs``).
+    A run of N equal layer pairs is a linear map B applied N times to the
+    entry vector v_0, the states below it, and every run is stepped as the one
     sequence of vectors v_j = v_0 B^j. From N = 6 on, its first half goes to
     ``certified_recurrence``, and a certified recurrence jumps to v_N by
     ``vector_jump``, so a jump skips at least as many steps as the fit read.
-    Otherwise, when the block is shorter or the vectors run out first, the
-    DP steps the rest of the block, so no count rests on an unchecked
-    identity. The count is the weight of the empty state after the top layer.
+    Otherwise, when the run is shorter or the vectors run out first, the DP
+    steps the rest of the run, so no count rests on an unchecked identity.
+    The count is the weight of the empty state after the top layer.
     """
     full, masks, moves = _transfer(prism)
     states = {0: 1}
-    for period, reps in _blocks(prism.layers, full, masks):
+    for pair, n in _runs(prism.layers, full, masks):
         if not states:  # no tiling of the layers below, so none of the prism
             return 0
-        vectors = accumulate(repeat(period, reps), partial(_step_period, moves), initial=states)
-        # under 6 repetitions no half of the block holds the 3 vectors of the shortest certificate
-        rec = certified_recurrence(islice(vectors, reps // 2)) if reps >= 6 else None
+        vectors = accumulate(range(n), lambda v, _: _step(moves, v, *pair), initial=states)
+        # under 6 layers no half of the run holds the 3 vectors of the shortest certificate
+        rec = certified_recurrence(islice(vectors, n // 2)) if n >= 6 else None
         if rec is not None:
-            states = vector_jump(rec, reps)
+            states = vector_jump(rec, n)
             continue
         for states in vectors:  # the vectors the certificate left, up to v_N
             pass

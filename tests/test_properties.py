@@ -26,7 +26,7 @@ from tilecount.regions2d import Region2D, rect, reflect_h, reflect_v
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import (
     Prism3D,
-    _blocks,
+    _runs,
     _transfer,
     count_bricks,
     count_bricks_bruteforce,
@@ -187,7 +187,7 @@ def thin_prisms(draw) -> Prism3D:
     """A connected cross-section of up to 4 cells and either of two deletions.
 
     Periodic: up to 80 layers, one or two cells deleted every e layers, e from
-    2 to 6, so the repeated word of layers is a block that jumps. Scattered:
+    2 to 6, so the repeated word of layers is short runs, stepped. Scattered:
     1-30 layers and up to 8 deleted cells anywhere, so the full runs lie
     below, between or above them, or there is none.
     """
@@ -212,11 +212,13 @@ def test_count_bricks_is_the_last_layer_count(prism):
 
 @PROPERTY
 @given(thin_prisms())
-def test_blocks_spell_out_the_layer_word(prism):
+def test_runs_spell_out_the_layer_word(prism):
     full, masks, _ = _transfer(prism)
     word = [(masks.get(z, full), masks.get(z + 1, full)) for z in range(prism.layers)]
-    blocks = _blocks(prism.layers, full, masks)
-    assert [pair for period, reps in blocks for pair in period * reps] == word
+    runs = _runs(prism.layers, full, masks)
+    assert [pair for pair, n in runs for _ in range(n)] == word
+    assert all(n >= 1 for _, n in runs)
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
 
 
 def _reference_count(prism: Prism3D) -> int:

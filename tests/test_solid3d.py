@@ -276,8 +276,7 @@ def test_jump_equals_the_layer_dp_with_deleted_cells(monkeypatch, deleted, jumps
 
 def test_a_varied_top_above_a_jumped_run(monkeypatch):
     # the run is layers 0-148; an adjacent pair, moving along the row, is
-    # deleted every 7 layers from 150 on, a word whose period of 42 layers is
-    # over the block scan's bound, so its short runs are stepped
+    # deleted every 7 layers from 150 on, whose short runs are stepped
     cross = {(r, c) for r in range(2) for c in range(4)}
     deleted = {(z % 2, c, z) for z in range(150, 250, 7) for c in (z % 3, z % 3 + 1)}
     prism = Prism3D(cross, 250, deleted)
@@ -294,9 +293,9 @@ def test_jump_equals_the_layer_dp_on_the_long_box(monkeypatch, rows, cols):
     assert [rec.order for rec in found] == [21]
 
 
-# Cells deleted near the foot give the block above them a recurrence of order 54-114,
+# Cells deleted near the foot give the run above them a recurrence of order 54-114,
 # and the prism runs to its layer-DP edge: budget.layer_dp is its only admission, so
-# the certified block jumps, however long its recurrence.
+# the certified run jumps, however long its recurrence.
 @pytest.mark.parametrize(
     "rows, cols, layers, deleted",
     [
@@ -319,18 +318,18 @@ def test_a_certified_block_always_jumps(monkeypatch, rows, cols, layers, deleted
     "rows, cols, layers, every",
     [(2, 2, 2000, 10), (2, 4, 600, 7)],
 )
-def test_a_periodic_prism_jumps_its_block(monkeypatch, rows, cols, layers, every):
-    # an adjacent pair deleted every few layers leaves short runs; the word of
-    # layer pairs repeats, and the whole repetition is one jumped block
+def test_a_periodic_prism_is_stepped_once_a_layer(monkeypatch, rows, cols, layers, every):
+    # an adjacent pair deleted every few layers leaves runs too short to hold a
+    # certificate, so every layer is stepped once, a failed fit's layers too
     cross = {(r, c) for r in range(rows) for c in range(cols)}
     deleted = {(1, c, z) for z in range(every - 1, layers, every) for c in (0, 1)}
     prism = Prism3D(cross, layers, deleted)
+    jumps = _spy(monkeypatch, "vector_jump")
     steps = _spy(monkeypatch, "_step")
     count = count_bricks(prism)
-    assert 2 * len(steps) < layers
-    steps.clear()
-    assert count == list(layer_counts(prism))[-1]
     assert len(steps) == layers
+    assert not jumps
+    assert count == list(layer_counts(prism))[-1]
 
 
 # A full box's states are the orbits, under the cross-section's symmetries, of
