@@ -35,7 +35,8 @@ class Region2D(Record):
     def __init__(self, cells=()) -> None:
         cellset = frozenset((int(r), int(c)) for r, c in cells)
         # set directly, not by Record.__init__, whose generic call costs about 0.5 us
-        # more: the layer DP builds a region for each flat count (70 for a 2 x 4 prism)
+        # more: the layer DP builds a region for each orbit of flat masks it meets
+        # (27 for a 2 x 4 box, 22 of them counted)
         object.__setattr__(self, "cells", _normalize(cellset))
 
     @property

@@ -16,7 +16,14 @@ by them. So the DP holds one state per orbit of upright sets, its least
 member, with the orbit's summed weight (lumping; Kemeny & Snell 1960, 6.3):
 27 states for the 2 x 4 box against 70 sets, and 23 a layer for the 3 x 3
 against 126. The empty set is an orbit of its own, so the count read off it
-is unchanged; with no symmetry each set is its own orbit.
+is unchanged; with no symmetry each set is its own orbit. G is filtered
+from H, the isometries that map the cross-section onto itself.
+
+A flat count depends on its region's shape alone, not on where the region
+lies or which way it is turned, so the 2D kernel counts each shape met
+once a call, whether or not G relates its masks: 3 shapes for a tower, 22
+for the 2 x 4 box against 70 balanced masks, and 21 for the 3 x 3 against
+126.
 
 ``count_bricks`` is one upward sweep over the prism's layer word, the
 (present, above) pair of each layer, run-length encoded from the deleted
@@ -114,24 +121,35 @@ def _image(perm: tuple[int, ...], mask: int) -> int:
     return image
 
 
-def _symmetries(bit: dict[Cell, int], masks: Collection[int]) -> set[tuple[int, ...]]:
-    """The group G of the square grid's 8 isometries that map the cross-section
-    onto itself, each image shifted back to the cross-section's corner, and
-    fix every mask. ``bit`` maps each cross-section cell to its bit, and an
-    isometry is the tuple of the bits of the cells' images, in ``bit``'s
-    order. The identity is always in G.
+def _grid_images(cells: Collection[Cell]) -> tuple[Iterator[Cell], ...]:
+    """The cells' images under the square grid's 8 isometries, each shifted to
+    rows and columns from 0 and listed in ``cells``' order."""
+    rows = [r for r, _ in cells]
+    cols = [c for _, c in cells]
+    top, bottom = min(rows, default=0), max(rows, default=0)
+    left, right = min(cols, default=0), max(cols, default=0)
+    down, up = [r - top for r in rows], [bottom - r for r in rows]
+    east, west = [c - left for c in cols], [right - c for c in cols]
+    return (
+        *(zip(ys, xs) for ys in (down, up) for xs in (east, west)),
+        *(zip(xs, ys) for ys in (down, up) for xs in (east, west)),
+    )
+
+
+def _isometries(bit: dict[Cell, int]) -> list[tuple[int, ...]]:
+    """The group H of the square grid's isometries that map the cross-section
+    onto itself, each image shifted back to the cross-section's corner.
+    ``bit`` maps each cross-section cell to its bit, and an isometry is the
+    tuple of the bits of the cells' images, in ``bit``'s order. The identity
+    is always in H.
     """
     top = min((r for r, _ in bit), default=0)
     left = min((c for _, c in bit), default=0)
-    group = set()
-    for swap in (False, True):
-        for sr, sc in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            image = [(sr * c, sc * r) if swap else (sr * r, sc * c) for r, c in bit]
-            dr = top - min((r for r, _ in image), default=0)
-            dc = left - min((c for _, c in image), default=0)
-            perm = tuple(bit.get((r + dr, c + dc), 0) for r, c in image)  # 0: off the cross
-            if 0 not in perm and all(_image(perm, mask) == mask for mask in masks):
-                group.add(perm)
+    group = []
+    for image in _grid_images(bit):
+        perm = tuple(bit.get((r + top, c + left), 0) for r, c in image)  # 0: off the cross
+        if 0 not in perm and perm not in group:
+            group.append(perm)
     return group
 
 
@@ -142,11 +160,22 @@ def _transfer(prism: Prism3D):
     A mask holds a layer's present cells, one bit per cross-section cell.
     ``masks`` holds the layers with deleted cells and, as 0, the empty layer
     above the top; a layer absent from it is full. ``moves(free, above)``
-    lists, for a layer's free cells, each orbit under G (``_symmetries``) of
-    the upright sets that also exist in the layer above, as its least
-    member, with the flat counts of its members from the 2D kernel summed. A
-    mask whose two colour classes differ in size has no flat tiling and is
-    counted 0 unbuilt. Moves, flat counts and orbits are cached for the call.
+    lists, for a layer's free cells, each orbit under G of the upright sets
+    that also exist in the layer above, as its least member, with the flat
+    counts of its members summed. G is filtered from the cross-section's
+    isometries H (``_isometries``, built once a call): the members that fix
+    every mask.
+
+    A flat count is unchanged by any translation and any grid isometry, so
+    the 2D kernel counts each shape, a congruence class of masks, once. The
+    first mask met of an orbit under H files the whole orbit's flat count.
+    It looks up its translation-normalised ``Region2D.cells`` in the shapes
+    counted so far, each filed under all 8 of its grid images, and counts a
+    new shape. A mask whose two colour classes differ in size has no flat
+    tiling and is counted 0 unbuilt. Moves, flat counts, shapes and orbits
+    are cached for the call only: at most one flat count per balanced mask
+    (2^15 for the largest cross-section ``budget.layer_dp`` admits) and 8
+    entries per shape.
     """
     budget.layer_dp(prism.layers, len(prism.cross_section), prism.cell_count)
     cross = sorted(prism.cross_section)
@@ -155,14 +184,23 @@ def _transfer(prism: Prism3D):
     masks = {prism.layers: 0}
     for r, c, z in prism.deleted:
         masks[z] = masks.get(z, full) & ~bit[r, c]
-    group = _symmetries(bit, masks.values())
+    isometries = _isometries(bit)
+    group = [perm for perm in isometries if all(_image(perm, m) == m for m in masks.values())]
     black = sum(bit[r, c] for r, c in cross if (r + c) % 2)
+    flats: dict[int, int] = {}  # each balanced mask met, to its flat count
+    shapes: dict[frozenset[Cell], int] = {}  # each shape counted, under its 8 grid images
 
-    @cache
     def flat_count(mask: int) -> int:
         if 2 * (mask & black).bit_count() != mask.bit_count():
             return 0
-        return count_tilings(Region2D(cell for cell in cross if mask & bit[cell]))
+        if mask not in flats:
+            images = [_image(perm, mask) for perm in isometries]
+            region = Region2D(cell for cell in cross if mask & bit[cell])
+            if region.cells not in shapes:
+                flat = count_tilings(region)
+                shapes.update(dict.fromkeys(map(frozenset, _grid_images(region.cells)), flat))
+            flats.update(dict.fromkeys(images, shapes[region.cells]))
+        return flats[mask]
 
     reps: dict[int, int] = {}  # each mask met, to its orbit's representative
 

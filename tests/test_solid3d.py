@@ -5,7 +5,7 @@ import pytest
 from conftest import prism_corpus
 from tilecount import BudgetError, budget, solid3d
 from tilecount.count2d import count_rectangle, count_tilings
-from tilecount.regions2d import rect
+from tilecount.regions2d import Region2D, rect, reflect_h, reflect_v
 from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
     Prism3D,
@@ -75,7 +75,17 @@ def test_long_towers_track_their_sequences():
     assert count_bricks(m_tower(500)) == rec_values(catalog()["M"].recurrence, 500, 500)[0]
 
 
+def _congruence_class(region: Region2D) -> frozenset:
+    """The region's images under the square grid's 8 isometries, each shifted to the origin."""
+    images = set()
+    for image in (region, Region2D((c, r) for r, c in region.cells)):
+        images |= {image.cells, reflect_h(image).cells, reflect_v(image).cells}
+        images.add(reflect_h(reflect_v(image)).cells)
+    return frozenset(images)
+
+
 def test_flat_counts_are_cached(monkeypatch):
+    # one 2D count per flat shape met, up to translation and the grid's 8 isometries
     calls = []
 
     def counting(region):
@@ -83,11 +93,17 @@ def test_flat_counts_are_cached(monkeypatch):
         return count_tilings(region)
 
     monkeypatch.setattr(solid3d, "count_tilings", counting)
-    count_bricks(tower(300))
-    assert len(calls) <= 16  # one per subset of the 2x2 cross-section
-    calls.clear()
-    count_bricks(Prism3D({(r, c) for r in range(3) for c in range(3)}, 40))
-    assert len(calls) <= 512  # one per subset of the 3x3 cross-section
+    for prism, shapes in (
+        (tower(300), 3),  # the empty shape, a domino and the 2 x 2 square
+        (m_tower(9), 3),
+        (box(2, 4, 300), 22),
+        (box(4, 2, 300), 22),
+        (box(3, 3, 40), 21),
+    ):
+        calls.clear()
+        count_bricks(prism)
+        assert len(calls) == shapes
+        assert len({_congruence_class(region) for region in calls}) == shapes
 
 
 def test_flat_counts_see_only_colour_balanced_regions(monkeypatch):
@@ -190,9 +206,6 @@ def test_oracle_equivalence_on_corpus():
 
 def test_flat_only_prism_matches_2d():
     # a single layer is exactly a 2D tiling problem
-    from tilecount.count2d import count_tilings
-    from tilecount.regions2d import Region2D, rect
-
     cross = {(r, c) for r in range(2) for c in range(4)}
     assert count_bricks(Prism3D(cross, 1)) == count_tilings(rect(2, 4))
     lshape = {(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)}
