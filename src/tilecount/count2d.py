@@ -65,16 +65,16 @@ def count_tilings(region: Region2D) -> int:
     ones, and K holds ±1 per edge-adjacent pair, signed so that every tiling
     adds the same sign to the determinant. A vertical edge (r, c)-(r+1, c)
     gets (-1)^c, so each unit square has an odd number of negative edges; a
-    horizontal edge (r, c)-(r, c+1) gets (-1)^(r + b), b the region's cells
-    below it in column c. Up to a flip of every horizontal sign, which leaves
-    |det K| alone, that is a cut from each missing bounding-box cell down to
-    the outer face, which fixes holes of odd size without finding them.
+    horizontal edge (r, c)-(r, c+1) gets (-1)^(r - a), a the region's cells
+    above it in column c, so r - a the missing ones: a cut from each missing
+    bounding-box cell up to the outer face, which fixes holes of odd size.
 
-    Both colour classes are numbered along anti-diagonals, by the key
-    (r + s*c, cell), with s = ±1 whichever gives the smaller sum of squared
-    level sizes; a level is the set of cells that share r + s*c, and s is
-    the same for a region and its transpose. K is then banded level by
-    level, so the cost follows the region, not its bounding box.
+    Cells are keyed by the int r * W + c, W the width plus a spare column
+    that keeps c ± 1 in its row, and numbered by one sort of (r + s*c, r, c):
+    along anti-diagonals, s = ±1 whichever gives the smaller sum of squared
+    level sizes (a level: the cells that share r + s*c; s is the same for a
+    region and its transpose). K is then banded level by level, so the cost
+    follows the region, not its bounding box.
 
     Guards, in order: the empty region counts 1; an odd number of cells or
     unequal colour classes count 0; ``budget.determinant`` refuses a region
@@ -92,24 +92,24 @@ def count_tilings(region: Region2D) -> int:
     )
     budget.determinant(sum(n**3 for n in sizes), len(cells))
 
-    def level(cell: Cell) -> tuple:
-        return along(*cell), cell
-
-    black = sorted(cells.difference(odd), key=level)
-    white = {cell: j for j, cell in enumerate(sorted(odd, key=level))}
-    right_sign: dict[Cell, int] = {}  # (r, c) -> sign of the edge (r, c)-(r, c+1)
-    below: Counter[int] = Counter()  # column -> its cells passed so far, bottom up
-    for r, c in sorted(cells, reverse=True):
-        right_sign[r, c] = -1 if (r + below[c]) % 2 else 1
-        below[c] += 1
+    width = region.width + 1
+    above = [0] * width  # column -> its cells passed so far: a level order runs top down
+    black, white, right_sign = [], {}, {}  # right_sign: key -> sign of the edge to its right
+    for _, r, c in sorted([(along(r, c), r, c) for r, c in cells]):
+        key = r * width + c
+        right_sign[key] = -1 if (r - above[c]) % 2 else 1
+        above[c] += 1
+        if (r + c) % 2:
+            white[key] = len(white)
+        else:
+            black.append((key, -1 if c % 2 else 1))
     rows = []
-    for r, c in black:
-        down_sign = -1 if c % 2 else 1
+    for key, down_sign in black:
         edges = (
-            ((r - 1, c), down_sign),
-            ((r, c - 1), right_sign.get((r, c - 1))),
-            ((r, c + 1), right_sign[r, c]),
-            ((r + 1, c), down_sign),
+            (key - width, down_sign),
+            (key - 1, right_sign.get(key - 1)),
+            (key + 1, right_sign[key]),
+            (key + width, down_sign),
         )
         rows.append({white[cell]: sign for cell, sign in edges if cell in white})
     return _abs_det(rows)
@@ -179,7 +179,8 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
     the band of nonzeros; a row last updated after s steps stands for its
     entries times p_{k-1} / p_{s-1}. Its update at step k,
     (p_k * entry - row[k] * pivot_row[j]) / p_{k-1}, is then the same
-    expression on its stored entries, divided by p_{s-1} instead.
+    expression on its stored entries, divided by p_{s-1} instead. Rows are
+    updated in place, and a scaling by a pivot or base of 1 is skipped.
     """
     n = len(rows)
     holders: list[set[int]] = [set() for _ in range(n)]  # column -> rows with a nonzero there
@@ -204,18 +205,23 @@ def _abs_det(rows: list[dict[int, int]]) -> int:
             holders[j].discard(p)
         for i in column:
             base = pivots[steps_done[i]]
-            lead = rows[i].pop(k)
-            row = rows[i] = {j: v * pivot for j, v in rows[i].items()}
+            row = rows[i]
+            lead = row.pop(k)
+            if pivot != 1:
+                for j in row:
+                    row[j] *= pivot
             for j, v in pivot_row.items():
-                entry = row.get(j, 0) - lead * v
-                if entry:
-                    row[j] = entry
+                if j not in row:  # fill-in
+                    row[j] = -lead * v
                     holders[j].add(i)
-                else:
+                elif entry := row[j] - lead * v:
+                    row[j] = entry
+                else:  # cancellation
                     del row[j]
                     holders[j].discard(i)
-            for j, v in row.items():
-                row[j] = v // base
+            if base != 1:
+                for j in row:
+                    row[j] //= base
             steps_done[i] = k + 1
         column.clear()
         pivots.append(pivot)

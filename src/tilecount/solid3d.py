@@ -170,12 +170,13 @@ def _transfer(prism: Prism3D):
     the 2D kernel counts each shape, a congruence class of masks, once. The
     first mask met of an orbit under H files the whole orbit's flat count.
     It looks up its translation-normalised ``Region2D.cells`` in the shapes
-    counted so far, each filed under all 8 of its grid images, and counts a
-    new shape. A mask whose two colour classes differ in size has no flat
-    tiling and is counted 0 unbuilt. Moves, flat counts, shapes and orbits
-    are cached for the call only: at most one flat count per balanced mask
-    (2^15 for the largest cross-section ``budget.layer_dp`` admits) and 8
-    entries per shape.
+    counted so far, each filed under its 8 grid images, or only the 4 that
+    keep rows as rows when a transposed image could not fit the cross-section's
+    bounding box, and counts a new shape. A mask whose two colour classes
+    differ in size has no flat tiling and is counted 0 unbuilt. Moves, flat
+    counts, shapes and orbits are cached for the call only: at most one flat
+    count per balanced mask (2^15 for the largest cross-section
+    ``budget.layer_dp`` admits) and at most 8 entries per shape.
     """
     budget.layer_dp(prism.layers, len(prism.cross_section), prism.cell_count)
     cross = sorted(prism.cross_section)
@@ -187,8 +188,9 @@ def _transfer(prism: Prism3D):
     isometries = _isometries(bit)
     group = [perm for perm in isometries if all(_image(perm, m) == m for m in masks.values())]
     black = sum(bit[r, c] for r, c in cross if (r + c) % 2)
+    frame = Region2D(cross)  # every mask's shape fits its height x width
     flats: dict[int, int] = {}  # each balanced mask met, to its flat count
-    shapes: dict[frozenset[Cell], int] = {}  # each shape counted, under its 8 grid images
+    shapes: dict[frozenset[Cell], int] = {}  # each shape counted, under its grid images
 
     def flat_count(mask: int) -> int:
         if 2 * (mask & black).bit_count() != mask.bit_count():
@@ -198,7 +200,10 @@ def _transfer(prism: Prism3D):
             region = Region2D(cell for cell in cross if mask & bit[cell])
             if region.cells not in shapes:
                 flat = count_tilings(region)
-                shapes.update(dict.fromkeys(map(frozenset, _grid_images(region.cells)), flat))
+                congruent = _grid_images(region.cells)
+                if region.width > frame.height or region.height > frame.width:
+                    congruent = congruent[:4]  # no mask holds a transposed image
+                shapes.update(dict.fromkeys(map(frozenset, congruent), flat))
             flats.update(dict.fromkeys(images, shapes[region.cells]))
         return flats[mask]
 

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from tilecount import BudgetError, budget, count2d
 from tilecount.cli import main
 from tilecount.count2d import (
     Tiling,
+    _abs_det,
     _ktf_norm,
     count_rectangle,
     count_tilings,
@@ -195,6 +197,38 @@ def test_the_rect_estimate_from_its_size_is_the_determinants(monkeypatch):
         budget.rectangle(rows, cols)
 
 
+def _fraction_det(matrix: list[list[int]]) -> Fraction:
+    """det by Gaussian elimination over the rationals, row swaps counted."""
+    a = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p], det = a[p], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / a[k][k]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def test_the_elimination_is_exact_on_random_sparse_matrices():
+    # Kasteleyn matrices this small seldom reach a pivot or base other than 1,
+    # nor a pivot row last updated steps ago: entries up to 3 in size, zero
+    # leading entries and singular matrices run every branch of the scalings
+    rng = random.Random(20260101)
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        density = rng.choice((0.2, 0.4, 0.7))
+        matrix = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.1:  # a repeated row
+            matrix[rng.randrange(n)] = list(matrix[rng.randrange(n)])
+        rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+        assert _abs_det(rows) == abs(_fraction_det(matrix)), matrix
+
+
 def test_the_norm_is_the_determinant_on_every_small_rectangle():
     for m in range(1, 13):
         for n in range(1, 13):
@@ -324,6 +358,9 @@ def test_oracle_size_guard():
 def test_oracle_equivalence_on_corpus():
     corpus = region_corpus_2d()
     assert len(corpus) >= 250
+    # keyed r * W + c with no spare column, (0, 2) and (1, 0) would get adjacent
+    # keys and opposite colours: a false edge
+    corpus.append(Region2D({(0, 1), (0, 2), (1, 0), (1, 1)}))
     for region in corpus:
         count = count_tilings(region)
         assert count == count_tilings_bruteforce(region), to_fail_msg("determinant", region)
