@@ -41,15 +41,18 @@ _LAYER_BIG_INT_CELLS = 25_000
 _LAYER_MAX_WORK = 3 * 10**7
 
 # a(n) has at most n log10(1 + max |coefficient|) decimal digits (Cauchy's bound on
-# the roots). The forward pass costs 2 units a digit of each term it adds and prints,
-# which bounds the output too. A jump to a term of s digits costs _JUMP order^2
-# (size + _JUMP_FLOOR): in Decimals, whose multiplies are subquadratic, the size is
-# s; in ints, whose multiplies are Karatsuba, it is s^1.585 / _KARATSUBA, at 0.04-0.08
-# ns a unit of order^2 s^1.585. The floor charges the Python work a jump does
-# whatever the term's size. `iter` pays for the forward pass over its range and
-# min(order, count) jumps to its head; `matpow` and `closed` pay one jump a term, each
-# charged the size at the range's mean index. At 2.7 ns a unit in Decimals the budget
-# stops work of over about 4 s, and in ints about 3-4 s.
+# the roots). The forward pass is charged 2 units a digit of each term it adds and
+# prints, which bounds the output too; since it groups its terms by weight (no
+# multiply by -1, one multiply per other weight) that is a larger over-charge than it
+# was, kept, with the edges, until the estimate is refit. A jump to a term of s digits
+# costs _JUMP order^2 (size + _JUMP_FLOOR): in Decimals, whose multiplies are
+# subquadratic, the size is s; in ints, whose multiplies are Karatsuba, it is
+# s^1.585 / _KARATSUBA, at 0.04-0.08 ns a unit of order^2 s^1.585. The floor
+# charges the Python work a jump does whatever the term's size. `iter` pays for the
+# forward pass over its range and min(order, count) jumps to its head; `matpow` and
+# `closed` pay one jump a term, each charged the size at the range's mean index. At
+# 2.7 ns a unit in Decimals the budget stops work of over about 4 s, and in ints about
+# 3-4 s.
 _SEQ_MAX_WORK = 15 * 10**8
 _JUMP = 27
 _JUMP_FLOOR = 50

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from itertools import islice, starmap
+from itertools import islice
 from operator import add, sub
 
 from . import budget
@@ -74,28 +74,30 @@ def count_tilings(region: Region2D) -> int:
     along anti-diagonals, s = ±1 whichever gives the smaller sum of squared
     level sizes (a level: the cells that share r + s*c; s is the same for a
     region and its transpose). K is then banded level by level, so the cost
-    follows the region, not its bounding box.
+    follows the region, not its bounding box. The cells are split into rows
+    and columns once, and the level counts and the sort run on those.
 
     Guards, in order: the empty region counts 1; an odd number of cells or
-    unequal colour classes count 0; ``budget.determinant`` refuses a region
+    unequal colour classes count 0, read from the r + c level counts, as a
+    level's parity is its colour; ``budget.determinant`` refuses a region
     over its work estimate before any sort, matrix or elimination.
     """
     cells = region.cells
     if not cells:
         return 1
-    odd = [cell for cell in cells if sum(cell) % 2]
-    if 2 * len(odd) != len(cells):  # odd, or unequal colours
-        return 0
-    along, sizes = min(  # the level r + s*c of (r, c) is add(r, c) or sub(r, c)
-        ((op, Counter(starmap(op, cells)).values()) for op in (add, sub)),
-        key=lambda pair: sum(n * n for n in pair[1]),
-    )
-    budget.determinant(sum(n**3 for n in sizes), len(cells))
+    rows, cols = zip(*cells)
+    # the level r + s*c of (r, c) is add(r, c) or sub(r, c); level counts by op
+    levels = {add: Counter(map(add, rows, cols))}
+    if 2 * sum(n for level, n in levels[add].items() if level % 2) != len(cells):
+        return 0  # odd, or unequal colours
+    levels[sub] = Counter(map(sub, rows, cols))
+    along = min(levels, key=lambda op: sum(n * n for n in levels[op].values()))
+    budget.determinant(sum(n**3 for n in levels[along].values()), len(cells))
 
-    width = region.width + 1
+    width = max(cols) + 2
     above = [0] * width  # column -> its cells passed so far: a level order runs top down
     black, white, right_sign = [], {}, {}  # right_sign: key -> sign of the edge to its right
-    for _, r, c in sorted([(along(r, c), r, c) for r, c in cells]):
+    for _, r, c in sorted(zip(map(along, rows, cols), rows, cols)):
         key = r * width + c
         right_sign[key] = -1 if (r - above[c]) % 2 else 1
         above[c] += 1
@@ -103,16 +105,17 @@ def count_tilings(region: Region2D) -> int:
             white[key] = len(white)
         else:
             black.append((key, -1 if c % 2 else 1))
-    rows = []
+    matrix = []
     for key, down_sign in black:
-        edges = (
-            (key - width, down_sign),
-            (key - 1, right_sign.get(key - 1)),
-            (key + 1, right_sign[key]),
-            (key + width, down_sign),
-        )
-        rows.append({white[cell]: sign for cell, sign in edges if cell in white})
-    return _abs_det(rows)
+        row = {  # a missing neighbour files its sign under None, dropped below
+            white.get(key - width): down_sign,
+            white.get(key - 1): right_sign.get(key - 1),
+            white.get(key + 1): right_sign[key],
+            white.get(key + width): down_sign,
+        }
+        row.pop(None, None)
+        matrix.append(row)
+    return _abs_det(matrix)
 
 
 def count_rectangle(rows: int, cols: int) -> int:

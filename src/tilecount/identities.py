@@ -7,7 +7,7 @@ and tower families are frozen here; everything else is recomputed.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .count2d import count_tilings
@@ -86,25 +86,28 @@ class Report(Record):
 
         Each line is ``json.dumps`` of the record {check, left, params, pass,
         right} with sorted keys and no spaces, rendered here directly: only
-        the check name can need escaping, so it is encoded once per name, and
-        a passing check's two equal counts are converted once.
+        the check name can need escaping. Two pieces are built once per call
+        and reused: each name's ``{"check":...,"left":"`` head, and each
+        params tuple's ``","params":[...],"pass":`` piece. A passing check's
+        two equal counts are converted once.
         """
         import json  # only --json output needs it, so counting never loads it
 
-        names: dict[str, str] = {}
+        heads: dict[str, str] = {}
+        middles: dict[tuple, str] = {}
         lines = []
         for name, params, left, right in self.checks:
-            check = names.get(name)
-            if check is None:
-                check = names[name] = json.dumps(name)
-            passed = left == right
+            head = heads.get(name)
+            if head is None:
+                head = heads[name] = f'{{"check":{json.dumps(name)},"left":"'
+            middle = middles.get(params)
+            if middle is None:
+                middle = middles[params] = f'","params":[{",".join(map(str, params))}],"pass":'
             left_str = decimal_str(left)
-            right_str = left_str if passed else decimal_str(right)
-            lines.append(
-                f'{{"check":{check},"left":"{left_str}",'
-                f'"params":[{",".join(map(str, params))}],'
-                f'"pass":{"true" if passed else "false"},"right":"{right_str}"}}'
-            )
+            if left == right:
+                lines.append(f'{head}{left_str}{middle}true,"right":"{left_str}"}}')
+            else:
+                lines.append(f'{head}{left_str}{middle}false,"right":"{decimal_str(right)}"}}')
         return "\n".join(lines)
 
     def to_text(self) -> str:
@@ -293,5 +296,19 @@ SUITES = {
 
 
 def verify_all() -> Report:
-    """Every suite at its default bounds, in one report."""
-    return Report(check for suite in SUITES.values() for check in suite().checks)
+    """Every suite at its default bounds, in one report.
+
+    Every check name starts with its suite's name and a dot, so the suites'
+    sorted reports, joined in the order of those prefixes, are already the
+    sorted whole, and so are their failures: nothing is sorted or scanned
+    again. The suites run in ``SUITES`` order.
+    """
+    reports = {f"{name}.": suite() for name, suite in SUITES.items()}
+    ordered = [reports[prefix] for prefix in sorted(reports)]
+    joined = Report.__new__(Report)
+    Record.__init__(
+        joined,
+        tuple(chain.from_iterable(report.checks for report in ordered)),
+        tuple(chain.from_iterable(report.failures for report in ordered)),
+    )
+    return joined

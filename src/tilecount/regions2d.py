@@ -13,16 +13,6 @@ Cell = tuple[int, int]  # (row, col)
 ORIENTATIONS = ("SW", "SE", "NW", "NE")
 
 
-def _normalize(cells: frozenset[Cell]) -> frozenset[Cell]:
-    if not cells:
-        return cells
-    min_r = min(r for r, _ in cells)
-    min_c = min(c for _, c in cells)
-    if min_r == 0 and min_c == 0:
-        return cells
-    return frozenset((r - min_r, c - min_c) for r, c in cells)
-
-
 class Region2D(Record):
     """An immutable, normalized set of grid cells.
 
@@ -33,11 +23,25 @@ class Region2D(Record):
     __slots__ = ("cells",)
 
     def __init__(self, cells=()) -> None:
-        cellset = frozenset((int(r), int(c)) for r, c in cells)
+        """Normalize ``cells`` in passes that run in C: one ``frozenset``, one
+        ``zip`` into rows and columns (strict, so an element that is not a pair
+        raises, a triple among pairs too) and one ``min`` per axis. Coordinates
+        are converted by ``int`` only when one is not an exact int (a bool, an
+        int subclass, a float), and shifted only when a minimum is not 0.
+        """
+        cellset = frozenset(cells)
+        if cellset:
+            rows, cols = zip(*cellset, strict=True)
+            if {*map(type, rows), *map(type, cols)} != {int}:
+                cellset = frozenset((int(r), int(c)) for r, c in cellset)
+                rows, cols = zip(*cellset)
+            top, left = min(rows), min(cols)
+            if top or left:
+                cellset = frozenset((r - top, c - left) for r, c in cellset)
         # set directly, not by Record.__init__, whose generic call costs about 0.5 us
         # more: the layer DP builds a region for each orbit of flat masks it meets
         # (27 for a 2 x 4 box, 22 of them counted)
-        object.__setattr__(self, "cells", _normalize(cellset))
+        object.__setattr__(self, "cells", cellset)
 
     @property
     def width(self) -> int:

@@ -42,9 +42,10 @@ from __future__ import annotations
 import decimal
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import islice, repeat
 from math import isqrt
-from operator import mul
+from operator import add, itemgetter, mul, sub
 
 from . import budget
 from .record import Record
@@ -181,24 +182,42 @@ class LinearRecurrence(Record):
 def rec_terms(rec: LinearRecurrence, lo: int, hi: int) -> Iterator:
     """Yield a(lo), ..., a(hi) from one forward pass: O(hi * order) additions.
 
-    Only the last ``order`` terms are held. The pass adds the numbers of
-    ``rec.initial``, ints or Decimals, with the weights converted to their
-    type once and each sum started at its first product, so no term converts
-    an int. The index check runs at the first step.
+    Only the last ``order`` terms are held, oldest first, in a deque. The step
+    is built once, before any term, from ``map``s that read the deque: each
+    distinct weight outside {0, 1, -1} multiplies the sum of its terms once;
+    then the weight-1 terms are added and the -1 terms subtracted, every sum
+    started at its first term, never at 0: L3's step is 14 a(n-1) - a(n-2),
+    T's 3 (a(n-1) + a(n-2)) - a(n-3), F's a(n-1) + a(n-2). Only with no
+    positive weight does a sum start at the type's 0, from which a subtraction
+    never gives a Decimal -0. ``map(window.append, step)`` makes each term and
+    files it, dropping the oldest, and the pass yields it from the deque: a
+    step runs no Python code but that yield, and no branch on a weight. The
+    numbers are those of ``rec.initial``, ints or Decimals, with the
+    weights converted to their type once. The index check runs at the first
+    step.
     """
     if lo < rec.start:
         raise ValueError(f"index {lo} below starting index {rec.start}")
     if hi < lo:
         return
+    kind = type(rec.initial[0])
+    window = deque(rec.initial, maxlen=rec.order)  # a(n - d), ..., a(n - 1)
+    windows = repeat(window)
+    by_weight: dict[int, list] = {}  # weight -> the streams of its terms
+    for i, weight in enumerate(rec.coeffs, 1):  # coeffs[i - 1] weighs a(n - i), window[-i]
+        if weight:
+            by_weight.setdefault(weight, []).append(map(itemgetter(-i), windows))
+    plus, minus = by_weight.pop(1, []), by_weight.pop(-1, [])
+    add_up = partial(map, add)
+    parts = [map(mul, repeat(kind(w)), reduce(add_up, same)) for w, same in by_weight.items()]
+    positive = reduce(add_up, parts + plus) if parts or plus else repeat(kind())
+    steps = map(window.append, reduce(partial(map, sub), minus, positive))
     yield from rec.initial[lo - rec.start : hi - rec.start + 1]
-    window = deque(rec.initial, maxlen=rec.order)  # oldest term first
-    weights = tuple(map(type(rec.initial[0]), rec.coeffs[::-1]))  # weights[i] * window[i]
-    for n in range(rec.start + rec.order, hi + 1):
-        products = map(mul, weights, window)
-        nxt = sum(products, next(products))
-        window.append(nxt)
-        if n >= lo:
-            yield nxt
+    first = rec.start + rec.order  # the first index a step makes
+    for _ in islice(steps, max(lo - first, 0)):  # the terms below lo
+        pass
+    for _ in islice(steps, max(hi + 1 - max(lo, first), 0)):
+        yield window[-1]
 
 
 def rec_values(rec: LinearRecurrence, lo: int, hi: int) -> list[int]:

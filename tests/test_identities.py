@@ -256,6 +256,33 @@ def test_verify_all_merges_everything():
     assert names == {"table1", "table2", "thm21", "crux", "thm32", "tauraso", "recurrences"}
 
 
+def _sorted_whole() -> Report:
+    return Report(check for suite in SUITES.values() for check in suite().checks)
+
+
+def test_verify_all_joins_the_suites_into_the_sorted_whole(monkeypatch):
+    joined, whole = verify_all(), _sorted_whole()
+    assert joined.checks == whole.checks
+    assert joined.failures == whole.failures == ()
+    # failures planted in two suites whose SUITES order is not their sorted order
+    planted = {
+        "table1": CheckResult("table1.A.dp", (0,), 1, 2),
+        "crux": CheckResult("crux.formula_vs_closed", (0,), 3, 4),
+    }
+    for name, failure in planted.items():
+        suite = SUITES[name]
+
+        def with_failure(suite=suite, failure=failure) -> Report:
+            return Report((*suite().checks, failure))
+
+        monkeypatch.setitem(SUITES, name, with_failure)
+    joined, whole = verify_all(), _sorted_whole()
+    assert joined.checks == whole.checks
+    assert joined.failures == whole.failures == (planted["crux"], planted["table1"])
+    assert joined.to_text() == whole.to_text()
+    assert joined.json_lines() == whole.json_lines()
+
+
 def test_reports_are_deterministic():
     first = verify_thm21(3, 3)
     second = verify_thm21(3, 3)

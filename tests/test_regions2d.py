@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilecount.regions2d import (
     ORIENTATIONS,
@@ -33,6 +35,52 @@ def test_rect_rejects_bad_dimensions(rows, cols):
 def test_region_normalizes_on_construction():
     shifted = Region2D([(5, 7), (5, 8), (6, 7)])
     assert shifted.cells == frozenset({(0, 0), (0, 1), (1, 0)})
+
+
+class _Index(int):
+    """An int subclass, as an enum member or a library's integer scalar is."""
+
+
+_COORDS = st.one_of(st.integers(-3, 6), st.booleans(), st.integers(-3, 6).map(_Index))
+_SHIFTS = st.sampled_from([0, 0, 1, -4, 10**6, -(10**6)])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_COORDS, _COORDS), max_size=25),
+    repeats=st.integers(0, 5),
+    shift=st.tuples(_SHIFTS, _SHIFTS),
+    as_generator=st.booleans(),
+)
+@example(pairs=[(0, True), (1, False)], repeats=0, shift=(0, 0), as_generator=False)
+@example(pairs=[(_Index(1), 0), (2, 1)], repeats=1, shift=(0, 0), as_generator=True)
+def test_region_cells_are_the_shifted_pairs_as_exact_ints(pairs, repeats, shift, as_generator):
+    pairs = pairs + pairs[:repeats]  # duplicates
+    # a shifted axis holds plain ints; an unshifted one keeps the bools and subclasses drawn
+    pairs = [(r + shift[0] if shift[0] else r, c + shift[1] if shift[1] else c) for r, c in pairs]
+    region = Region2D((pair for pair in pairs) if as_generator else pairs)
+    top = min((int(r) for r, _ in pairs), default=0)
+    left = min((int(c) for _, c in pairs), default=0)
+    assert region.cells == frozenset((int(r) - top, int(c) - left) for r, c in pairs)
+    assert all(type(r) is int and type(c) is int for r, c in region.cells)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [(0, 0), (1, 2, 3)],  # a triple among pairs: zip(*cells) alone would truncate it
+        [(1, 2, 3), (0, 0)],
+        [(0, 0, 0), (0, 1, 0)],
+        [(0,), (1,)],
+        [(0, 0), (1,)],
+        [(0, 0), 5],
+        [5],
+    ],
+)
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_region_rejects_elements_that_are_not_pairs(cells, as_generator):
+    with pytest.raises((TypeError, ValueError)):
+        Region2D((cell for cell in cells) if as_generator else cells)
 
 
 def test_empty_region():

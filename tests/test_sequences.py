@@ -149,10 +149,15 @@ _PASS_RECURRENCES = [
     LinearRecurrence((-2,), (7,), start=0),  # order 1, alternating signs
     LinearRecurrence((3, 3, -1), (2, 9, 32), start=1),  # T
     LinearRecurrence((0, 0, 0, 1), (1, -1, 0, 4), start=2),  # zero weights
+    LinearRecurrence((-1, -1), (3, -5), start=0),  # no positive weight
+    # every kind of weight, 2 and -1 twice each
+    LinearRecurrence((2, -1, -3, 2, 1, 0, -1), (1, 0, -2, 5, 3, 0, 7), start=1),
 ]
 
 
-@pytest.mark.parametrize("rec", _PASS_RECURRENCES, ids=["o1", "o1-neg", "T", "o4"])
+@pytest.mark.parametrize(
+    "rec", _PASS_RECURRENCES, ids=["o1", "o1-neg", "T", "o4", "minus-only", "o7"]
+)
 @pytest.mark.parametrize("unit", [1, decimal.Decimal(1)], ids=["int", "Decimal"])
 def test_rec_terms_is_the_jump_inside_and_past_the_initial_terms(rec, unit):
     rec = LinearRecurrence(rec.coeffs, tuple(unit * a for a in rec.initial), rec.start)
@@ -167,6 +172,14 @@ def test_rec_terms_is_the_jump_inside_and_past_the_initial_terms(rec, unit):
             assert terms == expected and len(terms) == hi - lo + 1, (lo, hi)
             assert all(type(t) is type(unit) for t in terms), (lo, hi)
         assert list(rec_terms(rec, head_end + 2, head_end + 1)) == []
+
+
+@pytest.mark.parametrize("coeffs", [(-1,), (-1, -1), (0, -1)])
+def test_rec_terms_subtracts_a_minus_one_weight_so_no_decimal_zero_turns_negative(coeffs):
+    # -1 * Decimal(0) is Decimal("-0"), which would print as -0
+    rec = LinearRecurrence(coeffs, (decimal.Decimal(0),) * len(coeffs))
+    with decimal.localcontext(sequences._EXACT):
+        assert [str(term) for term in rec_terms(rec, 0, 9)] == ["0"] * 10
 
 
 @pytest.mark.parametrize("name", list(catalog()))
