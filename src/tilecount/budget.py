@@ -30,7 +30,7 @@ of work, fitted on CPython 3.11 (Xeon):
 """
 from __future__ import annotations
 
-from decimal import Decimal
+import sys
 from math import log10
 
 MAX_ORACLE_CELLS = 30  # the 2D oracle's and the enumeration's search
@@ -63,13 +63,24 @@ class BudgetError(ValueError):
     """Raised, before any counting, for an input over a work or size budget."""
 
 
+def is_decimal(number) -> bool:
+    """``isinstance(number, decimal.Decimal)``, without importing ``decimal``:
+    no Decimal exists before that module is imported.
+    """
+    decimal = sys.modules.get("decimal")
+    return decimal is not None and isinstance(number, decimal.Decimal)
+
+
 def _check(work, limit: int, estimate: str, *args) -> None:
     """Raise ``BudgetError`` if ``work`` is over ``limit``, with the message
     "<estimate> exceeds the budget of <limit>": ``estimate`` formatted from
-    ``args``, and the work as ``{work}`` through ``Decimal``, which prints
-    past the int -> str digit limit.
+    ``args``, and the work as ``{work}``; the work and each int argument go
+    through ``Decimal``, which prints past the int -> str digit limit.
     """
     if work > limit:
+        from decimal import Decimal  # only a refusal prints, so only it loads decimal
+
+        args = [Decimal(a) if isinstance(a, int) else a for a in args]
         text = estimate.format(*args, work=Decimal(work))
         raise BudgetError(f"{text} exceeds the budget of {limit:,}")
 
@@ -132,7 +143,7 @@ def seq_terms(
     count = top - bottom + 1
     index_sum = (bottom + top) * count / 2
     # a jump's size term: s digits in Decimals, s^1.585 / _KARATSUBA in ints
-    power, scale = (1, 1) if isinstance(unit, Decimal) else (1.585, _KARATSUBA)
+    power, scale = (1, 1) if is_decimal(unit) else (1.585, _KARATSUBA)
     jump = _JUMP * len(coeffs) ** 2
     if method == "iter":
         head = min(len(coeffs), count) * jump * ((digits * bottom) ** power / scale + _JUMP_FLOOR)
@@ -141,4 +152,4 @@ def seq_terms(
         sizes = count ** (1 - power) * (digits * index_sum) ** power / scale
         work = jump * (sizes + _JUMP_FLOOR * count)
     estimate = "estimated work for {}({}..{})"
-    _check(calls * work, _SEQ_MAX_WORK, estimate, name, Decimal(lo), Decimal(hi))
+    _check(calls * work, _SEQ_MAX_WORK, estimate, name, lo, hi)

@@ -8,6 +8,11 @@ refuse a 2D region from its cell count before a cell is built; ``render``
 refuses a prism before its builder runs.
 ``seq`` and ``bfile`` only print: ``Family.terms`` checks each range, refuses
 one over budget and computes its terms, here in exact Decimals.
+A command imports what it runs when it runs. Start-up loads ``budget``,
+``regions2d`` and ``sequences``. ``count`` and ``render`` load ``count2d``, and
+a prism spec ``solid3d``; ``verify`` loads ``identities``; ``seq`` and
+``bfile`` load ``decimal``. The others load ``decimal`` only to print a
+refusal, or to print or read an integer past the int -> str digit limit.
 """
 from __future__ import annotations
 
@@ -15,9 +20,11 @@ import argparse
 import functools
 import os
 import sys
-from decimal import Decimal
 
-from . import budget, count2d, identities, regions2d, sequences, solid3d
+from . import budget, regions2d, sequences
+
+# identities.SUITES's names, so that building the parser loads no suite
+_SUITE_NAMES = ("table1", "table2", "thm21", "crux", "thm32", "tauraso", "recurrences")
 
 
 def _json_line(record: dict) -> str:
@@ -26,20 +33,21 @@ def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-# token -> (module, builder, number of integers, cells, size). The builder is looked
-# up on its module at each call, so a wrapper installed there sees every build.
+# token -> (module, builder, number of integers, cells, size). The module is named,
+# so that only a prism spec loads solid3d, and the builder is looked up on it at each
+# call, so a wrapper installed there sees every build.
 # cells(*integers) is a 2D region's cell count, None for a prism. The size of rect:
 # and a: checks their integers as their builders do and gives count_rectangle's.
 _TOKENS = {
-    "rect": (regions2d, "rect", 2, lambda r, c: r * c, regions2d.rect_size),
-    "a": (regions2d, "a_grid", 1, lambda n: 6 * n, regions2d.a_grid_size),
-    "b": (regions2d, "b_grid", 1, lambda n: 6 * n + 2, None),
-    "c": (regions2d, "c_grid", 1, lambda n: 6 * n + 4, None),
-    "l2": (regions2d, "l2_region", 2, lambda n, k: 2 * n + 2 * k, None),
-    "l3": (regions2d, "l3_region", 2, lambda n, k: 6 * n + 6 * k, None),  # and an orientation
-    "tower": (solid3d, "tower", 1, None, None),
-    "mtower": (solid3d, "m_tower", 1, None, None),
-    "box": (solid3d, "box", 3, None, None),
+    "rect": ("regions2d", "rect", 2, lambda r, c: r * c, regions2d.rect_size),
+    "a": ("regions2d", "a_grid", 1, lambda n: 6 * n, regions2d.a_grid_size),
+    "b": ("regions2d", "b_grid", 1, lambda n: 6 * n + 2, None),
+    "c": ("regions2d", "c_grid", 1, lambda n: 6 * n + 4, None),
+    "l2": ("regions2d", "l2_region", 2, lambda n, k: 2 * n + 2 * k, None),
+    "l3": ("regions2d", "l3_region", 2, lambda n, k: 6 * n + 6 * k, None),  # and an orientation
+    "tower": ("solid3d", "tower", 1, None, None),
+    "mtower": ("solid3d", "m_tower", 1, None, None),
+    "box": ("solid3d", "box", 3, None, None),
 }
 
 
@@ -56,6 +64,8 @@ def _integer(text: str) -> int:
         text = text.strip()
         if not (text[1:] if text[:1] in ("+", "-") else text).isdecimal():
             raise
+        from decimal import Decimal
+
         return int(Decimal(text))
 
 
@@ -84,6 +94,7 @@ def _parse_spec(spec: str) -> tuple:
         integers = [_integer(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer argument in spec {spec!r}") from None
+    module = getattr(__import__(__package__, fromlist=[module]), module)  # imported on first use
     build = functools.partial(getattr(module, builder), *integers, *orientation)
     rectangle = size and size(*integers)
     if cells is None:
@@ -92,10 +103,14 @@ def _parse_spec(spec: str) -> tuple:
 
 
 def cmd_count(args) -> int:
+    from . import count2d
+
     build, cells, rectangle = _parse_spec(args.spec)
     if rectangle:  # counted, and refused, from its size alone: no cell is built
         count = count2d.count_rectangle(*rectangle)
     elif cells is None:
+        from . import solid3d
+
         prism = build()
         count, cells = solid3d.count_bricks(prism), prism.cell_count
     else:  # the determinant's estimate is at least this bound on its cells
@@ -120,6 +135,8 @@ def _family(name: str) -> sequences.Family:
 
 
 def cmd_seq(args) -> int:
+    from decimal import Decimal
+
     family = _family(args.family)
     values = family.terms(args.start, args.end, args.method, Decimal(1))
     write = sys.stdout.write
@@ -132,6 +149,8 @@ def cmd_seq(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     bounds = {k: v for k, v in (("max_n", args.max_n), ("max_k", args.max_k)) if v is not None}
     if args.suite == "all":
         if bounds:
@@ -154,6 +173,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import count2d
+
     build, cells, _ = _parse_spec(args.spec)
     if cells is None:  # a prism, refused before its builder runs
         raise ValueError("render supports 2D regions only")
@@ -166,6 +187,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_bfile(args) -> int:
+    from decimal import Decimal
+
     family = _family(args.family)
     if args.to < family.start:
         raise ValueError(f"family {family.name} starts at index {family.start}")
@@ -207,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.set_defaults(func=cmd_seq)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=tuple(identities.SUITES) + ("all",))
+    p_verify.add_argument("suite", choices=_SUITE_NAMES + ("all",))
     p_verify.add_argument(
         "--max", "--max-n", type=int, dest="max_n", help="largest n (the n arm for thm21, tauraso)"
     )

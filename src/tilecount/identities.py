@@ -7,6 +7,7 @@ and tower families are frozen here; everything else is recomputed.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -64,6 +65,11 @@ class CheckResult(namedtuple("CheckResult", ("name", "params", "left", "right"))
     @property
     def passed(self) -> bool:
         return self.left == self.right
+
+
+# A CheckResult from one (name, params, left, right) tuple, by tuple's own constructor:
+# the suites build thousands, and namedtuple's generated __new__ is Python code.
+_check_result = partial(tuple.__new__, CheckResult)
 
 
 class Report(Record):
@@ -169,11 +175,11 @@ def _table(suite: str, rows, max_n: int) -> Report:
         recurrence, closed = fam.terms(1, max_n), fam.terms(1, max_n, "closed")
         for n, by_rec, by_closed in zip(range(1, max_n + 1), recurrence, closed):
             expected = column[n - 1]
-            checks.append(CheckResult(f"{suite}.{name}.recurrence", (n,), by_rec, expected))
-            checks.append(CheckResult(f"{suite}.{name}.closed", (n,), by_closed, expected))
+            checks.append(_check_result((f"{suite}.{name}.recurrence", (n,), by_rec, expected)))
+            checks.append(_check_result((f"{suite}.{name}.closed", (n,), by_closed, expected)))
         counts = geometric(min(max_n, last_counted))
         for n, count in enumerate(counts, start=1):
-            checks.append(CheckResult(f"{suite}.{name}.dp", (n,), count, column[n - 1]))
+            checks.append(_check_result((f"{suite}.{name}.dp", (n,), count, column[n - 1])))
     return Report(checks)
 
 
@@ -204,7 +210,7 @@ def verify_thm21(max_n: int = 5, max_k: int = 5) -> Report:
         name = "thm21.n1_extension" if n == 1 else "thm21.region_vs_formula"
         for k in range(1, max_k + 1):
             formula = l3_formula(a, b, c, n, k)
-            checks.append(CheckResult(name, (n, k), count_tilings(l3_region(n, k)), formula))
+            checks.append(_check_result((name, (n, k), count_tilings(l3_region(n, k)), formula)))
     return Report(checks)
 
 
@@ -218,8 +224,8 @@ def verify_crux(max_n: int = 200) -> Report:
     checks = []
     for n in range(1, max_n + 1):
         diagonal = l3_formula(a.__getitem__, b.__getitem__, c.__getitem__, n, n)
-        checks.append(CheckResult("crux.formula_vs_recurrence", (n,), diagonal, a[2 * n]))
-        checks.append(CheckResult("crux.formula_vs_closed", (n,), diagonal, closed[2 * n]))
+        checks.append(_check_result(("crux.formula_vs_recurrence", (n,), diagonal, a[2 * n])))
+        checks.append(_check_result(("crux.formula_vs_closed", (n,), diagonal, closed[2 * n])))
     return Report(checks)
 
 
@@ -236,11 +242,11 @@ def verify_thm32(max_n: int = 200) -> Report:
     b = _family_values("B", 0, max_n)
     checks = []
     for n in range(1, max_n + 1):
-        checks.append(CheckResult("thm32.even", (n,), t[2 * n], a[n] ** 2))
-        checks.append(CheckResult("thm32.odd", (n,), t[2 * n + 1], 2 * b[n] ** 2))
+        checks.append(_check_result(("thm32.even", (n,), t[2 * n], a[n] ** 2)))
+        checks.append(_check_result(("thm32.odd", (n,), t[2 * n + 1], 2 * b[n] ** 2)))
     tower_dp = layer_counts(tower(min(THM32_DP_MAX, 2 * max_n + 1)))
     for m, count in enumerate(tower_dp, start=1):
-        checks.append(CheckResult("thm32.tower_dp", (m,), count, t[m]))
+        checks.append(_check_result(("thm32.tower_dp", (m,), count, t[m])))
     return Report(checks)
 
 
@@ -253,11 +259,11 @@ def verify_tauraso(max_n: int = 8, max_k: int = 8) -> Report:
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
             count, formula = count_tilings(l2_region(n, k)), l2_formula(f, n, k)
-            checks.append(CheckResult("tauraso.region_vs_formula", (n, k), count, formula))
+            checks.append(_check_result(("tauraso.region_vs_formula", (n, k), count, formula)))
     closed = catalog()["L2D"].terms(1, 200, "closed")
     for n, value in enumerate(closed, start=1):
         formula = l2_formula(f, n, n - 1)
-        checks.append(CheckResult("tauraso.diagonal_closed", (n,), value, formula))
+        checks.append(_check_result(("tauraso.diagonal_closed", (n,), value, formula)))
     return Report(checks)
 
 
@@ -271,16 +277,16 @@ def verify_coupled_recurrences(max_n: int = 500) -> Report:
     m = _family_values("M", 1, max_n)
     checks = []
     for n in range(2, max_n + 1):
-        checks.append(CheckResult("recurrences.A", (n,), a[n], a[n - 1] + 2 * b[n - 1]))
+        checks.append(_check_result(("recurrences.A", (n,), a[n], a[n - 1] + 2 * b[n - 1])))
     for n in range(1, max_n + 1):
-        checks.append(CheckResult("recurrences.B", (n,), b[n], a[n] + b[n - 1]))
-        checks.append(CheckResult("recurrences.C", (n,), c[n], a[n] + b[n]))
+        checks.append(_check_result(("recurrences.B", (n,), b[n], a[n] + b[n - 1])))
+        checks.append(_check_result(("recurrences.C", (n,), c[n], a[n] + b[n])))
     for n in range(3, max_n + 1):
         checks.append(
-            CheckResult("recurrences.T", (n,), t[n], 2 * t[n - 1] + t[n - 2] + 4 * m[n - 1])
+            _check_result(("recurrences.T", (n,), t[n], 2 * t[n - 1] + t[n - 2] + 4 * m[n - 1]))
         )
     for n in range(2, max_n + 1):
-        checks.append(CheckResult("recurrences.M", (n,), m[n], t[n - 1] + m[n - 1]))
+        checks.append(_check_result(("recurrences.M", (n,), m[n], t[n - 1] + m[n - 1])))
     return Report(checks)
 
 

@@ -39,7 +39,6 @@ package reaches the scalar kernels only through it.
 """
 from __future__ import annotations
 
-import decimal
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache, partial, reduce
@@ -59,9 +58,11 @@ def decimal_str(number) -> str:
     try:
         return str(number)
     except ValueError:  # an int has a numerator and a denominator of 1, as a Fraction has
-        text = str(decimal.Decimal(number.numerator))
+        from decimal import Decimal  # only a number past the limit loads decimal
+
+        text = str(Decimal(number.numerator))
         den = number.denominator
-        return text if den == 1 else f"{text}/{decimal.Decimal(den)}"
+        return text if den == 1 else f"{text}/{Decimal(den)}"
 
 
 def _ratio_str(num, den: int) -> str:
@@ -480,27 +481,45 @@ def certified_recurrence(vectors: Iterable[Mapping[int, int]]) -> LinearRecurren
     return None
 
 
-# The context of every Decimal term: any rounding or overflow raises.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[
-        decimal.InvalidOperation,
-        decimal.DivisionByZero,
-        decimal.Overflow,
-        decimal.Inexact,
-        decimal.Rounded,
-    ],
-)
+def _exact_context():
+    """``_EXACT``, the context of every Decimal term: any rounding or overflow raises.
+
+    It is built on first use, so that only Decimal terms load ``decimal``, and
+    kept in the module's globals: every later read, as ``sequences._EXACT`` too,
+    gives the same object.
+    """
+    context = globals().get("_EXACT")
+    if context is None:
+        import decimal
+
+        context = globals()["_EXACT"] = decimal.Context(
+            prec=decimal.MAX_PREC,
+            Emax=decimal.MAX_EMAX,
+            Emin=decimal.MIN_EMIN,
+            traps=[
+                decimal.InvalidOperation,
+                decimal.DivisionByZero,
+                decimal.Overflow,
+                decimal.Inexact,
+                decimal.Rounded,
+            ],
+        )
+    return context
+
+
+def __getattr__(name: str):
+    if name == "_EXACT":
+        return _exact_context()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _exact(terms: Iterator) -> Iterator:
     """Yield from ``terms``, each step run in a private context holding ``_EXACT``, no copy."""
     from contextvars import copy_context  # only Decimal terms load it
+    from decimal import setcontext
 
     private = copy_context()
-    private.run(decimal.setcontext, _EXACT)
+    private.run(setcontext, _exact_context())
     while True:
         try:
             term = private.run(next, terms)
@@ -548,7 +567,7 @@ class Family(Record):
             raise ValueError("empty range")
         budget.seq_terms(self.name, self.recurrence.coeffs, lo, hi, method, unit)
         terms = self._computed(lo, hi, method, unit)
-        return _exact(terms) if isinstance(unit, decimal.Decimal) else terms
+        return _exact(terms) if budget.is_decimal(unit) else terms
 
     def _computed(self, lo: int, hi: int, method: str, unit) -> Iterator:
         if method == "closed":  # reads no recurrence, so builds none

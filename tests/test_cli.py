@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import dumped_records
-from tilecount import BudgetError, cli, count2d, identities, sequences
+from tilecount import BudgetError, cli, count2d, identities, sequences, solid3d
 from tilecount.cli import main
 from tilecount.identities import BOUNDS, CheckResult, Report
 from tilecount.regions2d import Region2D, l2_region, l3_region, rect
@@ -59,6 +59,7 @@ from tilecount import cli, sequences
 sequences.catalog()
 cli.build_parser()
 heavy = ("dataclasses", "inspect", "fractions", "json", "typing", "pathlib")
+heavy += ("decimal", "_decimal", "tilecount.identities", "tilecount.solid3d", "tilecount.count2d")
 print(" ".join(m for m in heavy if m in sys.modules))
 """
     src = str(Path(cli.__file__).parents[1])
@@ -67,6 +68,72 @@ print(" ".join(m for m in heavy if m in sys.modules))
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "\n", f"start-up loaded {proc.stdout.strip()}"
+
+
+def _fresh_main(*argv):
+    """``main(argv)`` in a bare interpreter: (exit code, stdout, stderr), with the
+    modules it loaded, named on stdout's last line."""
+    script = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from tilecount.cli import main
+code = main(sys.argv[2:])
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, src, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    out, _, loaded = proc.stdout.rstrip("\n").rpartition("\n")
+    return proc.returncode, out + "\n" if out else "", proc.stderr, set(loaded.split())
+
+
+@pytest.mark.parametrize(
+    "argv, out, unloaded",
+    [
+        (("count", "rect:4,4"), "36\n", ("decimal", "tilecount.identities", "tilecount.solid3d")),
+        (
+            ("seq", "A", "1", "5"),
+            "1\t3\n2\t11\n3\t41\n4\t153\n5\t571\n",
+            ("tilecount.count2d", "tilecount.solid3d", "tilecount.identities"),
+        ),
+    ],
+    ids=["count", "seq"],
+)
+def test_a_command_loads_only_what_it_runs(argv, out, unloaded):
+    code, stdout, stderr, loaded = _fresh_main(*argv)
+    assert (code, stdout, stderr) == (0, out, "")
+    assert not loaded.intersection(unloaded), f"{' '.join(argv)} loaded {loaded & set(unloaded)}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("count", "a:" + "9" * 4000),
+            r"estimated elimination work 1,944(,\d{3}){3998} exceeds the budget of 100,000,000",
+        ),
+        (
+            ("seq", "A", "1", "10000000"),
+            re.escape("estimated work for A(1..10000000) exceeds the budget of 1,500,000,000"),
+        ),
+    ],
+    ids=["count a:4000 nines", "seq A 1 10000000"],
+)
+def test_a_refusal_as_the_first_thing_a_process_does(capsys, argv, message):
+    # a bare process loads decimal, which prints the refusal, on the error path itself
+    code, stdout, stderr, loaded = _fresh_main(*argv)
+    assert re.fullmatch(f"error: {message}\n", stderr), stderr[:80]
+    assert (code, stdout, stderr) == (2, "", run(capsys, *argv)[2])
+    assert "decimal" in loaded
+
+
+def test_verify_offers_every_suite_without_loading_them():
+    assert cli._SUITE_NAMES == tuple(identities.SUITES)
 
 
 def test_parse_region_spec_from_file(tmp_path):
@@ -827,7 +894,7 @@ def test_render_rejects_prisms_and_large_regions(capsys, monkeypatch):
 
     # every prism spec, over budget, malformed or small, before its builder runs
     for name in ("box", "tower", "m_tower"):
-        monkeypatch.setattr(cli.solid3d, name, no_build)
+        monkeypatch.setattr(solid3d, name, no_build)
     message = "error: render supports 2D regions only\n"
     for spec in ("box:4,4,1", "box:0,1,1", "box:2,2,2", "tower:0", "tower:2", "mtower:3"):
         assert run(capsys, "render", spec) == (2, "", message), spec

@@ -254,6 +254,8 @@ def test_verify_all_merges_everything():
     assert report.all_passed
     names = {c.name.split(".")[0] for c in report.checks}
     assert names == {"table1", "table2", "thm21", "crux", "thm32", "tauraso", "recurrences"}
+    # the suites build their checks by tuple.__new__: each is still a whole CheckResult
+    assert all(type(c) is CheckResult and len(c) == 4 for c in report.checks)
 
 
 def _sorted_whole() -> Report:
