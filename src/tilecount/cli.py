@@ -94,7 +94,7 @@ def _parse_spec(spec: str) -> tuple:
         integers = [_integer(a) for a in args]
     except ValueError:
         raise ValueError(f"non-integer argument in spec {spec!r}") from None
-    module = getattr(__import__(__package__, fromlist=[module]), module)  # imported on first use
+    module = getattr(__import__(f"{__package__}.{module}"), module)  # by full name, as in cmd_count
     build = functools.partial(getattr(module, builder), *integers, *orientation)
     rectangle = size and size(*integers)
     if cells is None:
@@ -103,13 +103,15 @@ def _parse_spec(spec: str) -> tuple:
 
 
 def cmd_count(args) -> int:
-    from . import count2d
+    # Importing a loaded module by its full name runs no Python code; a relative
+    # import runs some of importlib's on every call, a few us a count.
+    import tilecount.count2d as count2d
 
     build, cells, rectangle = _parse_spec(args.spec)
     if rectangle:  # counted, and refused, from its size alone: no cell is built
         count = count2d.count_rectangle(*rectangle)
     elif cells is None:
-        from . import solid3d
+        import tilecount.solid3d as solid3d
 
         prism = build()
         count, cells = solid3d.count_bricks(prism), prism.cell_count
@@ -149,7 +151,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import identities
+    import tilecount.identities as identities
 
     bounds = {k: v for k, v in (("max_n", args.max_n), ("max_k", args.max_k)) if v is not None}
     if args.suite == "all":
@@ -173,7 +175,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from . import count2d
+    import tilecount.count2d as count2d
 
     build, cells, _ = _parse_spec(args.spec)
     if cells is None:  # a prism, refused before its builder runs
