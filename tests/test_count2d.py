@@ -104,10 +104,80 @@ def test_island_inside_a_hole():
     assert count_tilings(region) == count_bricks(strip_prism(region)) == 2
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", [*range(1, 17), 20, 30, 40])
 def test_aztec_diamond_counts_a_power_of_two(n):
-    # order 16 is 32 cells across both ways; the determinant has no width cap
+    # order 16 is 32 cells across both ways; the determinant has no width cap;
+    # order 40 (3,280 cells) is counted as one half, squared
     assert count_tilings(aztec_diamond(n)) == 2 ** (n * (n + 1) // 2)
+
+
+def diagonal_halves(region: Region2D) -> tuple[Region2D, Region2D]:
+    """G- and G+ of a region that the transpose maps onto itself: the cells below
+    the diagonal with the even-numbered diagonal cells, and the cells above it
+    with the odd-numbered ones, numbered from the top left."""
+    axis = sorted(r for r, c in region.cells if r == c)
+    below = [(r, c) for r, c in region.cells if r > c]
+    above = [(r, c) for r, c in region.cells if r < c]
+    return (
+        Region2D(below + [(i, i) for i in axis[::2]]),
+        Region2D(above + [(i, i) for i in axis[1::2]]),
+    )
+
+
+def _spied_determinants(monkeypatch) -> list[int]:
+    """The cell count of each region ``count2d._kasteleyn_det`` is called on, from now on."""
+    sizes = []
+    kernel = count2d._kasteleyn_det
+
+    def spy(rows, cols, along, width):
+        sizes.append(len(rows))
+        return kernel(rows, cols, along, width)
+
+    monkeypatch.setattr(count2d, "_kasteleyn_det", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_square_half_counts_pachters_s_n(n):
+    # R(2n x 2n) = 2^n s_n^2 (Pachter 1997): the half by the determinant, the
+    # square by the Kasteleyn-Temperley-Fisher norm, two routes
+    s_n = [1, 3, 29, 901, 89_893, 28_793_575][n - 1]
+    lower, upper = diagonal_halves(rect(2 * n, 2 * n))
+    assert count_tilings(lower) == count_tilings(upper) == s_n
+    assert 2**n * s_n**2 == count_rectangle(2 * n, 2 * n) == count_tilings(rect(2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_both_halves_of_an_aztec_diamond_count_a_power_of_two(n):
+    lower, upper = diagonal_halves(aztec_diamond(n))
+    assert count_tilings(lower) == count_tilings(upper) == 2 ** (n * n // 4)
+
+
+def test_the_split_labels_its_axis_alternately_and_keeps_its_power_of_two(monkeypatch):
+    # Labelling the axis's first half a, the rest b, gives 4, 8 and 256; dropping
+    # the factor 2^(w/2) gives 9, 841 and 256. Swapping a and b cannot fail, here
+    # or anywhere, and a mutant that swaps them passes every test: by the
+    # reflection, G- with the b's is the transpose of G+ with the a's, so the
+    # two halves trade places and the product stays the same.
+    monkeypatch.setattr(count2d, "MIN_SPLIT_AXIS", 0)
+    sizes = _spied_determinants(monkeypatch)
+    assert count_tilings(rect(4, 4)) == 36
+    assert count_tilings(rect(6, 6)) == 6728
+    assert count_tilings(aztec_diamond(4)) == 1024
+    assert sizes == [8, 18, 20]  # one half of each, squared by the half-turn
+
+
+def test_the_split_starts_at_its_crossover(monkeypatch):
+    # an axis of 2 cells is dearer split, so l2:n,n and the 2 x 2 square are
+    # counted whole; the order-9 diamond (w = 10) is one half, squared
+    sizes = _spied_determinants(monkeypatch)
+    regions = [l2_region(n, n) for n in range(1, 30)] + [rect(2, 2)]
+    for region in regions:
+        count_tilings(region)
+    assert sizes == [region.cell_count for region in regions]
+    sizes.clear()
+    assert count_tilings(aztec_diamond(9)) == 2**45
+    assert sizes == [(180 - 10) // 2 + 5]
 
 
 def test_count_rect_24_by_24_matches_the_product_formula(capsys):

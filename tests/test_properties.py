@@ -9,12 +9,14 @@ from collections import Counter
 from contextlib import redirect_stdout
 from itertools import combinations
 from math import isqrt
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import strip_prism
+from tilecount import count2d
 from tilecount.cli import main
 from tilecount.budget import MAX_BRUTEFORCE_CELLS, MAX_ORACLE_CELLS
 from tilecount.count2d import (
@@ -124,6 +126,50 @@ def test_regions_split_by_an_empty_row_count_as_a_product(top, bottom):
     union = Region2D(top.cells | {(r + gap, c) for r, c in bottom.cells})
     assert union.cell_count == top.cell_count + bottom.cell_count
     assert count_tilings(union) == count_tilings(top) * count_tilings(bottom)
+
+
+@st.composite
+def mirror_symmetric_regions(draw, max_side: int = 8) -> Region2D:
+    """A square of 2..max_side cells a side with holes in mirror pairs, so the
+    transpose maps it onto itself. When drawn so, it keeps only the cells whose
+    half-turn image it holds, so the half-turn maps it onto itself too. Then
+    diagonal cells, which share one colour, are removed or put back in
+    half-turn pairs until the colours balance, when they can.
+    """
+    n = draw(st.integers(2, max_side))
+    off_axis = [(r, c) for r in range(n) for c in range(r + 1, n)]
+    holes = draw(st.sets(st.sampled_from(off_axis), min_size=1, max_size=4))
+    cells = {(r, c) for r in range(n) for c in range(n)} - holes - {(c, r) for r, c in holes}
+    if draw(st.booleans()):
+        cells = {(r, c) for r, c in cells if (n - 1 - r, n - 1 - c) in cells}
+    excess = sum(1 if (r + c) % 2 == 0 else -1 for r, c in cells)  # even cells over odd ones
+    for i in draw(st.permutations(range((n + 1) // 2))):
+        pair = {(i, i), (n - 1 - i, n - 1 - i)}
+        if excess > 0 and pair <= cells:
+            cells -= pair
+            excess -= len(pair)
+        elif excess < 0 and not pair & cells:
+            cells |= pair
+            excess += len(pair)
+    return Region2D(cells)
+
+
+@PROPERTY
+@given(mirror_symmetric_regions())
+def test_a_mirror_symmetric_region_counts_as_its_halves(region):
+    # the split from an axis of any length, on the diagonal and, with the
+    # columns mirrored, on the anti-diagonal, against the whole region's
+    # determinant, the layer DP and, up to its budget, the oracle
+    count = count_bricks(strip_prism(region))
+    if region.cell_count <= MAX_ORACLE_CELLS:
+        assert count == count_tilings_bruteforce(region)
+    for image in (region, reflect_h(region)):
+        cells = image.cells
+        if cells and 2 * sum((r + c) % 2 for r, c in cells) == len(cells):
+            assert count2d._kasteleyn_det(*zip(*cells), add, image.width + 1) == count
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(count2d, "MIN_SPLIT_AXIS", 0)
+            assert count_tilings(image) == count
 
 
 @st.composite
