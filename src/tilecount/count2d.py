@@ -94,7 +94,8 @@ def count_tilings(region: Region2D) -> int:
     on the axis, and 2^(w/2) M(G-)^2 when the half-turn maps it onto itself
     too (``_count_halves``). It splits only when the axis holds at least
     ``MIN_SPLIT_AXIS`` cells, read from the level counts; below that the
-    whole region is cheaper, and nothing more is read.
+    whole region is cheaper, and nothing more is read. The halves take the
+    whole region's level order, swapped by the mirror of an anti-diagonal.
 
     Guards, in order: the empty region counts 1; an odd number of cells or
     unequal colour classes count 0, read from the r + c level counts, as a
@@ -111,48 +112,42 @@ def count_tilings(region: Region2D) -> int:
     if 2 * sum(n for level, n in levels[add].items() if level % 2) != len(cells):
         return 0  # odd, or unequal colours
     levels[sub] = Counter(map(sub, rows, cols))
-    squares = {op: sum(n * n for n in counts.values()) for op, counts in levels.items()}
-    along = min(squares, key=squares.get)
+    along = min(levels, key=lambda op: sum(n * n for n in levels[op].values()))
     budget.determinant(sum(n**3 for n in levels[along].values()), len(cells))
 
     side = max(cols)  # a square bounding box's diagonals are r - c = 0 and r + c = side
     if max(levels[sub].get(0, 0), levels[add].get(side, 0)) >= MIN_SPLIT_AXIS and max(rows) == side:
-        count = _count_halves(cells, rows, cols, side, levels, squares)
+        count = _count_halves(cells, rows, cols, side, levels, along)
         if count is not None:
             return count
     return _kasteleyn_det(rows, cols, along, side + 2)
 
 
-def _count_halves(cells, rows, cols, side, levels, squares) -> int | None:
+def _count_halves(cells, rows, cols, side, levels, along) -> int | None:
     """The count of a region in a side + 1 square that a diagonal reflection
     maps onto itself, by Ciucu's factorization; None for any other region.
 
-    The main diagonal is tried first, each axis only when it holds at least
-    ``MIN_SPLIT_AXIS`` cells. For the anti-diagonal the columns are mirrored,
-    c -> side - c, which takes it onto the main one. The w axis cells, in
-    order along it, are a, b, a, b, ...; G- is the cells below the axis with
-    the a's, and G+ the transpose of the cells above it with the b's, which
-    is the cells below with the b's. The count is 2^(w/2) M(G-) M(G+), and
-    M(G-)^2 when the region is its own half-turn, which maps G- onto G+.
-
-    A half is numbered along the levels that cross the axis, unless those
-    along it are less than half as dear, estimated from the whole region's
-    level counts: below the axis the levels along it are the whole's, plus
-    w/2 a's on it, and each level across it holds about half its cells.
+    The main diagonal is taken if its axis holds ``MIN_SPLIT_AXIS`` cells and
+    the region is its own transpose; else the mirror c -> side - c takes the
+    anti-diagonal onto the main one. The halves take the whole region's level
+    order, swapped by the mirror. The w axis cells, in order along it, are a,
+    b, a, b, ...; G- is the cells below the axis with the a's, and G+ the
+    transpose of the cells above it with the b's, which is the cells below
+    with the b's. The count is 2^(w/2) M(G-) M(G+), and M(G-)^2 when the
+    region is its own half-turn, which maps G- onto G+.
     """
     flip = partial(sub, side)  # c -> side - c
-    if levels[sub].get(0, 0) >= MIN_SPLIT_AXIS and cells == frozenset(zip(cols, rows)):
-        on_axis, across = squares[sub], squares[add]
-        axis = [i for i in range(side + 1) if (i, i) in cells]
-        below = [(r, c) for r, c in cells if r > c]
-    elif levels[add].get(side, 0) >= MIN_SPLIT_AXIS and cells == frozenset(zip(map(flip, cols), map(flip, rows))):
-        on_axis, across = squares[add], squares[sub]
-        axis = [i for i in range(side + 1) if (i, side - i) in cells]
-        below = [(r, side - c) for r, c in cells if r + c > side]
-    else:
-        return None
+    if levels[sub].get(0, 0) < MIN_SPLIT_AXIS or cells != frozenset(zip(cols, rows)):
+        if levels[add].get(side, 0) < MIN_SPLIT_AXIS:
+            return None
+        cols = [*map(flip, cols)]
+        cells = frozenset(zip(rows, cols))
+        if cells != frozenset(zip(cols, rows)):
+            return None
+        along = sub if along is add else add  # the mirror turns r + c levels into r - c ones
+    axis = [i for i in range(side + 1) if (i, i) in cells]
+    below = [(r, c) for r, c in cells if r > c]
     w = len(axis)  # even: the axis cells share one colour, the others pair up by the reflection
-    along = sub if 2 * on_axis - w * w < across else add
     count = _kasteleyn_det(*zip(*below, *((i, i) for i in axis[::2])), along, side + 2)
     if cells == frozenset(zip(map(flip, rows), map(flip, cols))):
         count *= count

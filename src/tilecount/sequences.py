@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from functools import lru_cache, partial, reduce
+from functools import cache, lru_cache, partial, reduce
 from itertools import islice, repeat
 from math import isqrt
 from operator import add, itemgetter, mul, sub
@@ -481,40 +481,31 @@ def certified_recurrence(vectors: Iterable[Mapping[int, int]]) -> LinearRecurren
     return None
 
 
+@cache
 def _exact_context():
-    """``_EXACT``, the context of every Decimal term: any rounding or overflow raises.
+    """The context of every Decimal term: any rounding or overflow raises.
 
     It is built on first use, so that only Decimal terms load ``decimal``, and
-    kept in the module's globals: every later read, as ``sequences._EXACT`` too,
-    gives the same object.
+    every later call returns the same object.
     """
-    context = globals().get("_EXACT")
-    if context is None:
-        import decimal
+    import decimal
 
-        context = globals()["_EXACT"] = decimal.Context(
-            prec=decimal.MAX_PREC,
-            Emax=decimal.MAX_EMAX,
-            Emin=decimal.MIN_EMIN,
-            traps=[
-                decimal.InvalidOperation,
-                decimal.DivisionByZero,
-                decimal.Overflow,
-                decimal.Inexact,
-                decimal.Rounded,
-            ],
-        )
-    return context
-
-
-def __getattr__(name: str):
-    if name == "_EXACT":
-        return _exact_context()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[
+            decimal.InvalidOperation,
+            decimal.DivisionByZero,
+            decimal.Overflow,
+            decimal.Inexact,
+            decimal.Rounded,
+        ],
+    )
 
 
 def _exact(terms: Iterator) -> Iterator:
-    """Yield from ``terms``, each step run in a private context holding ``_EXACT``, no copy."""
+    """Yield from ``terms``, each step run in a private context holding the exact one, no copy."""
     from contextvars import copy_context  # only Decimal terms load it
     from decimal import setcontext
 

@@ -170,13 +170,12 @@ def _transfer(prism: Prism3D):
     the 2D kernel counts each shape, a congruence class of masks, once. The
     first mask met of an orbit under H files the whole orbit's flat count.
     It looks up its translation-normalised ``Region2D.cells`` in the shapes
-    counted so far, each filed under its 8 grid images, or only the 4 that
-    keep rows as rows when a transposed image could not fit the cross-section's
-    bounding box, and counts a new shape. A mask whose two colour classes
-    differ in size has no flat tiling and is counted 0 unbuilt. Moves, flat
-    counts, shapes and orbits are cached for the call only: at most one flat
-    count per balanced mask (2^15 for the largest cross-section
-    ``budget.layer_dp`` admits) and at most 8 entries per shape.
+    counted so far, each filed under its 8 grid images, and counts a new
+    shape. A mask whose two colour classes differ in size has no flat tiling
+    and is counted 0 unbuilt. Moves, flat counts, shapes and orbits are
+    cached for the call only: at most one flat count per balanced mask (2^15
+    for the largest cross-section ``budget.layer_dp`` admits) and at most 8
+    entries per shape.
     """
     budget.layer_dp(prism.layers, len(prism.cross_section), prism.cell_count)
     cross = sorted(prism.cross_section)
@@ -188,7 +187,6 @@ def _transfer(prism: Prism3D):
     isometries = _isometries(bit)
     group = [perm for perm in isometries if all(_image(perm, m) == m for m in masks.values())]
     black = sum(bit[r, c] for r, c in cross if (r + c) % 2)
-    frame = Region2D(cross)  # every mask's shape fits its height x width
     flats: dict[int, int] = {}  # each balanced mask met, to its flat count
     shapes: dict[frozenset[Cell], int] = {}  # each shape counted, under its grid images
 
@@ -199,11 +197,8 @@ def _transfer(prism: Prism3D):
             images = [_image(perm, mask) for perm in isometries]
             region = Region2D(cell for cell in cross if mask & bit[cell])
             if region.cells not in shapes:
-                flat = count_tilings(region)
-                congruent = _grid_images(region.cells)
-                if region.width > frame.height or region.height > frame.width:
-                    congruent = congruent[:4]  # no mask holds a transposed image
-                shapes.update(dict.fromkeys(map(frozenset, congruent), flat))
+                congruent = map(frozenset, _grid_images(region.cells))
+                shapes.update(dict.fromkeys(congruent, count_tilings(region)))
             flats.update(dict.fromkeys(images, shapes[region.cells]))
         return flats[mask]
 

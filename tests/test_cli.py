@@ -483,7 +483,7 @@ def test_seq_budget_edges(name, method, single, last):
 
 def test_the_decimal_pass_raises_instead_of_rounding(capsys, monkeypatch):
     # With 50 digits of precision, L3's terms outgrow the context from n = 44.
-    monkeypatch.setattr(sequences._EXACT, "prec", 50)
+    monkeypatch.setattr(sequences._exact_context(), "prec", 50)
     with pytest.raises((decimal.Inexact, decimal.Rounded)):
         main(["bfile", "L3", "--to", "200"])
     out = capsys.readouterr().out
@@ -495,7 +495,7 @@ def test_the_decimal_pass_raises_instead_of_rounding(capsys, monkeypatch):
 @pytest.mark.parametrize("method", ["matpow", "closed"])
 def test_the_decimal_jump_raises_instead_of_rounding(capsys, monkeypatch, method):
     # L3(200) has 115 digits, more than a 50-digit context holds.
-    monkeypatch.setattr(sequences._EXACT, "prec", 50)
+    monkeypatch.setattr(sequences._exact_context(), "prec", 50)
     with pytest.raises((decimal.Inexact, decimal.Rounded)):
         main(["seq", "L3", "200", "200", "--method", method])
     assert capsys.readouterr().out == ""

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -124,17 +125,18 @@ def diagonal_halves(region: Region2D) -> tuple[Region2D, Region2D]:
     )
 
 
-def _spied_determinants(monkeypatch) -> list[int]:
-    """The cell count of each region ``count2d._kasteleyn_det`` is called on, from now on."""
-    sizes = []
+def _spied_determinants(monkeypatch) -> list[tuple]:
+    """The cell count and level order (``add`` or ``sub``) of each region
+    ``count2d._kasteleyn_det`` is called on, from now on."""
+    calls = []
     kernel = count2d._kasteleyn_det
 
     def spy(rows, cols, along, width):
-        sizes.append(len(rows))
+        calls.append((len(rows), along))
         return kernel(rows, cols, along, width)
 
     monkeypatch.setattr(count2d, "_kasteleyn_det", spy)
-    return sizes
+    return calls
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -160,24 +162,53 @@ def test_the_split_labels_its_axis_alternately_and_keeps_its_power_of_two(monkey
     # reflection, G- with the b's is the transpose of G+ with the a's, so the
     # two halves trade places and the product stays the same.
     monkeypatch.setattr(count2d, "MIN_SPLIT_AXIS", 0)
-    sizes = _spied_determinants(monkeypatch)
+    calls = _spied_determinants(monkeypatch)
     assert count_tilings(rect(4, 4)) == 36
     assert count_tilings(rect(6, 6)) == 6728
     assert count_tilings(aztec_diamond(4)) == 1024
-    assert sizes == [8, 18, 20]  # one half of each, squared by the half-turn
+    assert calls == [(8, add), (18, add), (20, add)]  # one half of each, squared by the half-turn
 
 
 def test_the_split_starts_at_its_crossover(monkeypatch):
     # an axis of 2 cells is dearer split, so l2:n,n and the 2 x 2 square are
     # counted whole; the order-9 diamond (w = 10) is one half, squared
-    sizes = _spied_determinants(monkeypatch)
+    calls = _spied_determinants(monkeypatch)
     regions = [l2_region(n, n) for n in range(1, 30)] + [rect(2, 2)]
     for region in regions:
         count_tilings(region)
-    assert sizes == [region.cell_count for region in regions]
-    sizes.clear()
+    assert [size for size, _ in calls] == [region.cell_count for region in regions]
+    calls.clear()
     assert count_tilings(aztec_diamond(9)) == 2**45
-    assert sizes == [(180 - 10) // 2 + 5]
+    assert calls == [((180 - 10) // 2 + 5, add)]
+
+
+def test_the_split_runs_one_path_in_the_whole_regions_level_order(monkeypatch):
+    # The 12 x 12 square without (0,1), (10,11), (0,2), (9,11) maps onto itself
+    # by the reflection about its anti-diagonal only. Its r - c levels are the
+    # cheaper, so once its columns are mirrored both halves are numbered along
+    # r + c; the mirrored picture is split about its main diagonal in the same
+    # order, unmirrored. The band is its own transpose and splits unmirrored
+    # along its cheaper r - c levels; its whole count is the same kernel's.
+    anti = Region2D(
+        (r, c) for r in range(12) for c in range(12) if (r, c) not in {(0, 1), (10, 11), (0, 2), (9, 11)}
+    )
+    mirrored = Region2D((r, 11 - c) for r, c in anti.cells)
+    band = Region2D((r, c) for r in range(40) for c in range(40) if 31 <= r + c <= 46)
+    whole_band = count2d._kasteleyn_det(*zip(*band.cells), sub, 42)
+    assert count_bricks(strip_prism(anti)) == 2024715899187200
+    calls = _spied_determinants(monkeypatch)
+    expected = [
+        (aztec_diamond(9), 2**45, [(90, add)]),
+        (aztec_diamond(10), 2**55, [(110, add)]),
+        (rect(16, 16), count_rectangle(16, 16), [(128, add)]),
+        (anti, 2024715899187200, [(70, add), (70, add)]),
+        (mirrored, 2024715899187200, [(70, add), (70, add)]),
+        (band, whole_band, [(288, sub), (288, sub)]),
+    ]
+    for region, count, kernel_calls in expected:
+        calls.clear()
+        assert count_tilings(region) == count
+        assert calls == kernel_calls
 
 
 def test_count_rect_24_by_24_matches_the_product_formula(capsys):

@@ -165,7 +165,7 @@ def test_rec_terms_is_the_jump_inside_and_past_the_initial_terms(rec, unit):
     ranges = [(lo, hi) for lo in range(rec.start, head_end + 1) for hi in range(lo, head_end + 1)]
     ranges += [(lo, hi) for lo in range(rec.start, head_end + 3) for hi in (head_end + 1, 40)]
     ranges += [(head_end + 5, head_end + 5), (30, 40)]
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         for lo, hi in ranges:
             terms = list(rec_terms(rec, lo, hi))
             expected = [rec_eval_matpow(rec, n) for n in range(lo, hi + 1)]
@@ -178,7 +178,7 @@ def test_rec_terms_is_the_jump_inside_and_past_the_initial_terms(rec, unit):
 def test_rec_terms_subtracts_a_minus_one_weight_so_no_decimal_zero_turns_negative(coeffs):
     # -1 * Decimal(0) is Decimal("-0"), which would print as -0
     rec = LinearRecurrence(coeffs, (decimal.Decimal(0),) * len(coeffs))
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         assert [str(term) for term in rec_terms(rec, 0, 9)] == ["0"] * 10
 
 
@@ -188,7 +188,7 @@ def test_rec_values_holds_only_a_window_below_lo(name, unit):
     # the forward pass makes no jump, so it is the far term's witness for the jump
     rec = catalog()[name].recurrence
     rec = LinearRecurrence(rec.coeffs, tuple(unit * a for a in rec.initial), rec.start)
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         tracemalloc.start()
         try:
             (value,) = rec_values(rec, 20_000, 20_000)
@@ -311,7 +311,7 @@ def test_certified_recurrence_of_zeros_and_of_a_nilpotent_transfer():
 
 
 def test_the_jump_kernel_runs_in_the_unit_type():
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         rem = sequences._x_power((3, 3, -1), 1000, decimal.Decimal(1))
     assert all(isinstance(r, decimal.Decimal) for r in rem)
     assert [int(r) for r in rem] == sequences._x_power((3, 3, -1), 1000)
@@ -328,7 +328,7 @@ def _shifted(coeffs, n, unit=1):
 def _assert_jump_is_shifts(coeffs, n):
     expected = _shifted(coeffs, n)
     assert sequences._x_power(coeffs, n) == expected
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         decimals = sequences._x_power(coeffs, n, decimal.Decimal(1))
     assert decimals == expected
     assert all(type(r) is decimal.Decimal for r in decimals if r)
@@ -402,7 +402,7 @@ def test_the_jump_powers_what_is_left_after_the_simple_roots_one_and_minus_one(m
     assert powered == []
     # only integer coefficients are split and doubled; any other ring is powered as it is
     coeffs = (decimal.Decimal(3), decimal.Decimal(3), decimal.Decimal(-1))
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         assert sequences._x_power(coeffs, 1000) == sequences._x_power((3, 3, -1), 1000)
     assert powered[-2:] == [("_binary_power", coeffs), ("_lucas_power", (4, -1))]
 
@@ -430,7 +430,7 @@ def _miscounting(base, at):
 def test_a_corrupted_squaring_raises_not_a_wrong_remainder(base):
     # x^1000 modulo x^2 - 4x + 1 doubles nine times: it squares U_1 = 1 (U_0 = 0 is
     # an int), then two numbers a doubling, 17 squarings in all
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         expected = sequences._x_power((4, -1), 1000)
         assert sequences._x_power((4, -1), 1000, _miscounting(base, 18)(1)) == expected
         for at in range(1, 18):
@@ -447,7 +447,7 @@ def test_a_corrupted_quotient_raises_not_a_wrong_count(monkeypatch, unit):
         return value, slope, (first + 1, *rest)
 
     monkeypatch.setattr(sequences, "_divide_by_root", corrupted)
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         with pytest.raises(ArithmeticError, match=r"^x\^1000 modulo a factor x - \(-1\) left"):
             sequences._x_power((3, 3, -1), 1000, unit)
         with pytest.raises(ArithmeticError, match="left a remainder"):
@@ -473,7 +473,7 @@ def test_closed_agrees_with_recurrence(name):
 
 def _pass_from(rec, lo, hi, unit):
     """rec_values over lo..hi in the unit's type, from the recurrence jumped to lo."""
-    with decimal.localcontext(sequences._EXACT):
+    with decimal.localcontext(sequences._exact_context()):
         typed = LinearRecurrence(rec.coeffs, tuple(unit * a for a in rec.initial), rec.start)
         head = tuple(rec_eval_matpow(typed, n) for n in range(lo, lo + rec.order))
         return rec_values(LinearRecurrence(rec.coeffs, head, lo), lo, hi)
@@ -615,7 +615,7 @@ def test_only_a_decimal_generator_holds_the_exact_context(monkeypatch):
     for method in ("iter", "matpow"):
         decimals = fam.terms(1, 40, method, decimal.Decimal(1))
         assert next(decimals) == 2 and decimal.getcontext() is caller  # suspended
-        assert seen[-1] is sequences._EXACT
+        assert seen[-1] is sequences._exact_context()
         assert list(decimals) == rec_values(fam.recurrence, 2, 40)
         assert decimal.getcontext() is caller
     assert list(ints) == rec_values(fam.recurrence, 2, 40) and decimal.getcontext() is caller
