@@ -13,13 +13,18 @@ A command imports what it runs when it runs. Start-up loads ``budget``,
 a prism spec ``solid3d``; ``verify`` loads ``identities``; ``seq`` and
 ``bfile`` load ``decimal``. The others load ``decimal`` only to print a
 refusal, or to print or read an integer past the int -> str digit limit.
+One table, ``_COMMANDS``, holds the grammar. A matcher reads a well-formed
+argv by it, so a command's start-up loads no ``argparse``. Every other argv
+(help, a usage error, an abbreviated, repeated or ``--opt=value`` option,
+``--``, a signed or non-ASCII integer) goes to the ``argparse`` parser built
+from the same table, whose help, usage and error texts are its own.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+import types
 
 from . import budget, regions2d, sequences
 
@@ -201,56 +206,161 @@ def cmd_bfile(args) -> int:
     return 0
 
 
+# The CLI's grammar, read by the matcher and by argparse alike: command -> (function,
+# help, arguments), each argument its add_argument names and keywords. An option
+# names its dest; a flag is store_true with the default False.
+_JSON = (("--json",), {"dest": "json", "action": "store_true", "default": False})
+_COMMANDS = {
+    "count": (
+        cmd_count,
+        "count tilings of a region or prism",
+        [
+            (("spec",), {"help": "region spec, e.g. rect:3,4 a:2 l3:2,2 tower:5 box:2,3,10 @file"}),
+            _JSON,
+        ],
+    ),
+    "seq": (
+        cmd_seq,
+        "print a sequence family over an index range",
+        [
+            (("family",), {"help": "family token: F A B C T M L3 L2D"}),
+            (("start",), {"type": int}),
+            (("end",), {"type": int}),
+            (
+                ("--method",),
+                {
+                    "dest": "method",
+                    "choices": ("iter", "matpow", "closed"),
+                    "default": "iter",
+                    "help": "iter (default): jump to the first terms of the range, then one "
+                    "forward pass; matpow: Fiduccia's jump to each term; closed: the closed "
+                    "form at each term",
+                },
+            ),
+            _JSON,
+        ],
+    ),
+    "verify": (
+        cmd_verify,
+        "run a verification suite",
+        [
+            (("suite",), {"choices": _SUITE_NAMES + ("all",)}),
+            (
+                ("--max", "--max-n"),
+                {"dest": "max_n", "type": int, "help": "largest n (the n arm for thm21, tauraso)"},
+            ),
+            (
+                ("--max-k",),
+                {"dest": "max_k", "type": int, "help": "largest k arm (thm21, tauraso)"},
+            ),
+            _JSON,
+        ],
+    ),
+    "render": (
+        cmd_render,
+        "draw tilings of a small 2D region",
+        [(("spec",), {}), (("--limit",), {"dest": "limit", "type": int, "default": 10})],
+    ),
+    "bfile": (
+        cmd_bfile,
+        "emit OEIS-style 'n a(n)' lines",
+        [(("family",), {}), (("--to",), {"dest": "to", "type": int, "required": True})],
+    ),
+}
+
+
+def _value(token, keywords):
+    """``token`` read as its argument's type; None if it is missing or starts with
+    ``-``, if an int is not plain ASCII digits or is past the int -> str digit
+    limit, or if it is not one of the argument's choices."""
+    if token is None or token.startswith("-"):
+        return None
+    if keywords.get("type") is int:
+        if not (token.isascii() and token.isdigit()):
+            return None
+        try:
+            token = int(token)
+        except ValueError:  # past the digit limit: argparse's own error
+            return None
+    choices = keywords.get("choices")
+    return None if choices is not None and token not in choices else token
+
+
+def _match(argv):
+    """The namespace argparse makes of a well-formed ``argv`` in its plainest form:
+    a command, its positionals in any order among its options, each option at
+    most once and spelled in full, with its value as the next token. Anything
+    else is None, for argparse to parse: help, ``--``, a prefix, ``--opt=value``,
+    a repeat, a sign, a bad value or a usage error."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, arguments = command
+    options = {name: kw for names, kw in arguments for name in names if name.startswith("-")}
+    values = {"command": argv[0], "func": func}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None or keywords["dest"] in values:
+            return None
+        flag = keywords.get("action") == "store_true"
+        value = values[keywords["dest"]] = True if flag else _value(next(tokens, None), keywords)
+        if value is None:
+            return None
+    positionals = [(names[0], kw) for names, kw in arguments if "dest" not in kw]
+    if len(words) != len(positionals):
+        return None
+    for word, (name, keywords) in zip(words, positionals):
+        value = values[name] = _value(word, keywords)
+        if value is None:
+            return None
+    for keywords in options.values():
+        if keywords["dest"] not in values:
+            if keywords.get("required"):
+                return None
+            values[keywords["dest"]] = keywords.get("default")
+    return types.SimpleNamespace(**values)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; ``main`` reuses it."""
+def _argparse_parser():
+    """The argparse parser of ``_COMMANDS``, built on the first argv the matcher
+    leaves to it, so that every help, usage and error text is argparse's own."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tilecount",
         description="Exact domino and brick tiling counts for grid regions and prisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="count tilings of a region or prism")
-    p_count.add_argument(
-        "spec", help="region spec, e.g. rect:3,4 a:2 l3:2,2 tower:5 box:2,3,10 @file"
-    )
-    p_count.add_argument("--json", action="store_true")
-    p_count.set_defaults(func=cmd_count)
-
-    p_seq = sub.add_parser("seq", help="print a sequence family over an index range")
-    p_seq.add_argument("family", help="family token: F A B C T M L3 L2D")
-    p_seq.add_argument("start", type=int)
-    p_seq.add_argument("end", type=int)
-    p_seq.add_argument(
-        "--method",
-        choices=("iter", "matpow", "closed"),
-        default="iter",
-        help="iter (default): jump to the first terms of the range, then one forward pass; "
-        "matpow: Fiduccia's jump to each term; closed: the closed form at each term",
-    )
-    p_seq.add_argument("--json", action="store_true")
-    p_seq.set_defaults(func=cmd_seq)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=_SUITE_NAMES + ("all",))
-    p_verify.add_argument(
-        "--max", "--max-n", type=int, dest="max_n", help="largest n (the n arm for thm21, tauraso)"
-    )
-    p_verify.add_argument("--max-k", type=int, dest="max_k", help="largest k arm (thm21, tauraso)")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_render = sub.add_parser("render", help="draw tilings of a small 2D region")
-    p_render.add_argument("spec")
-    p_render.add_argument("--limit", type=int, default=10)
-    p_render.set_defaults(func=cmd_render)
-
-    p_bfile = sub.add_parser("bfile", help="emit OEIS-style 'n a(n)' lines")
-    p_bfile.add_argument("family")
-    p_bfile.add_argument("--to", type=int, required=True)
-    p_bfile.set_defaults(func=cmd_bfile)
-
+    for name, (func, text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for names, keywords in arguments:
+            command.add_argument(*names, **keywords)
+        command.set_defaults(func=func)
     return parser
+
+
+class _Parser:
+    """``main``'s parser: the matcher's namespace for a well-formed argv, else
+    argparse's parse of it."""
+
+    def parse_args(self, argv=None):
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _match(argv)
+        return _argparse_parser().parse_args(argv) if args is None else args
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; ``main`` reuses it. Building it
+    and parsing a well-formed argv load no ``argparse``."""
+    return _Parser()
 
 
 def main(argv=None) -> int:

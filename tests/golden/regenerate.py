@@ -144,6 +144,28 @@ INVOCATIONS = [
     ["bfile", "T", "--to", "0"],
     ["bfile", "Z", "--to", "5"],
     ["bfile", "L3", "--to", "1000000"],
+    # argparse at the edge of what the CLI reads without it: reordered, abbreviated,
+    # repeated and `=` options, `--`, signed and non-ASCII integers, an integer past the
+    # int -> str digit limit, a stray positional, a bad choice, help after a command and
+    # an option before it
+    ["seq", "--json", "F", "1", "3"],
+    ["seq", "F", "--json", "1", "3"],
+    ["seq", "F", "1", "3", "--method=closed"],
+    ["seq", "F", "1", "3", "--meth", "closed"],
+    ["count", "rect:2,2", "--js"],
+    ["count", "rect:2,2", "--json", "--json"],
+    ["verify", "table1", "--max", "2", "--max-n", "3"],
+    ["count", "--", "rect:2,2"],
+    ["seq", "F", "-1", "3"],
+    ["seq", "F", "١", "3"],
+    ["seq", "F", "1_0", "12"],
+    ["seq", "F", "+1", "3"],
+    ["seq", "A", "1", "9" * 4400],
+    ["bfile", "F", "--to=4"],
+    ["render", "l2:1,1", "--limit", "1", "extra"],
+    ["verify", "ALL"],
+    ["count", "rect:2,2", "-h"],
+    ["--json", "count", "rect:2,2"],
 ]
 
 

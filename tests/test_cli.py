@@ -9,6 +9,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dumped_records
 from tilecount import BudgetError, cli, count2d, identities, sequences, solid3d
@@ -60,6 +62,7 @@ sequences.catalog()
 cli.build_parser()
 heavy = ("dataclasses", "inspect", "fractions", "json", "typing", "pathlib")
 heavy += ("decimal", "_decimal", "tilecount.identities", "tilecount.solid3d", "tilecount.count2d")
+heavy += ("argparse", "gettext")
 print(" ".join(m for m in heavy if m in sys.modules))
 """
     src = str(Path(cli.__file__).parents[1])
@@ -77,7 +80,10 @@ def _fresh_main(*argv):
 import sys
 sys.path.insert(0, sys.argv[1])
 from tilecount.cli import main
-code = main(sys.argv[2:])
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:  # argparse's help texts and usage errors
+    code = exc.code
 print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
@@ -93,21 +99,36 @@ sys.exit(code)
 
 
 @pytest.mark.parametrize(
-    "argv, out, unloaded",
+    "argv, unloaded",
     [
-        (("count", "rect:4,4"), "36\n", ("decimal", "tilecount.identities", "tilecount.solid3d")),
+        (("count", "rect:4,4"), ("decimal", "tilecount.identities", "tilecount.solid3d")),
         (
             ("seq", "A", "1", "5"),
-            "1\t3\n2\t11\n3\t41\n4\t153\n5\t571\n",
             ("tilecount.count2d", "tilecount.solid3d", "tilecount.identities"),
         ),
+        (("verify", "table1", "--max", "2"), ("decimal", "json")),
+        (("bfile", "F", "--to", "3"), ("tilecount.count2d", "tilecount.identities")),
+        (("render", "l2:1,1", "--limit", "1"), ("decimal", "tilecount.solid3d")),
     ],
-    ids=["count", "seq"],
+    ids=["count", "seq", "verify", "bfile", "render"],
 )
-def test_a_command_loads_only_what_it_runs(argv, out, unloaded):
+def test_a_command_loads_only_what_it_runs(capsys, argv, unloaded):
+    # a well-formed command is read by the matcher: argparse is not loaded either
     code, stdout, stderr, loaded = _fresh_main(*argv)
-    assert (code, stdout, stderr) == (0, out, "")
+    assert (code, stderr) == (0, "") and stdout
+    assert (code, stdout, stderr) == run(capsys, *argv)
+    unloaded += ("argparse", "gettext")
     assert not loaded.intersection(unloaded), f"{' '.join(argv)} loaded {loaded & set(unloaded)}"
+
+
+def test_a_usage_error_as_the_first_thing_a_process_does(capsys):
+    # argparse is imported and its parser built on the error path itself
+    code, stdout, stderr, loaded = _fresh_main("count")
+    with pytest.raises(SystemExit) as exc:
+        main(["count"])
+    assert exc.value.code == 2
+    assert (code, stdout, stderr) == (2, "", capsys.readouterr().err)
+    assert stderr.startswith("usage: tilecount count") and "argparse" in loaded
 
 
 @pytest.mark.parametrize(
@@ -291,6 +312,103 @@ def test_main_builds_its_parser_once(capsys):
     misses = cli.build_parser.cache_info().misses
     assert run(capsys, "count", "a:2") == (0, "11\n", "")
     assert cli.build_parser() is parser and cli.build_parser.cache_info().misses == misses
+
+
+# the corpus's argparse lines and its LEFT_TO_ARGPARSE list (tests/test_golden.py) hold
+# the other argv the matcher must leave to argparse
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["Count", "rect:2,2"],
+        ["verify", "table1", "--max"],
+        ["render", "l2:1,1", "--limit", "--json"],
+        ["count", "rect:2,2", "--json=1"],
+        ["seq", "F", "1"],
+    ],
+    ids=" ".join,
+)
+def test_the_matcher_leaves_all_but_the_plainest_argv_to_argparse(argv):
+    assert cli._match(argv) is None
+
+
+# an argv mutates by these tokens too: help, `--`, a lone dash, prefixes and `=` forms,
+# signs, non-ASCII and underscored digits, spaces, integers at and past the int -> str
+# digit limit, bad choices and stray words
+_ODD = ["-h", "--help", "--", "-", "-1", "+1", "١", "²", "1_0", " 2", "007", "", "x", "ALL"]
+_ODD += ["9" * 4300, "9" * 4301, "--js", "--meth", "--max-", "--li", "--t", "--method=closed"]
+_ODD += ["--to=4", "--max=3", "--json=1", *cli._COMMANDS]
+_ODD += [
+    name for _, _, arguments in cli._COMMANDS.values() for names, _ in arguments for name in names
+]
+
+
+def _values(keywords):
+    if "choices" in keywords:
+        return list(keywords["choices"])
+    if keywords.get("type") is int:
+        return ["0", "1", "3", "12"]
+    return ["F", "L3", "rect:2,2", "a:2", "table1"]
+
+
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.integers(0, 8),
+        st.sampled_from(["replace", "insert", "repeat", "delete"]),
+        st.sampled_from(_ODD),
+    ),
+    max_size=3,
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command's positionals and some of its options in any order, then mutated:
+    tokens replaced, inserted, repeated and deleted."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    units = []
+    for names, keywords in cli._COMMANDS[name][2]:
+        if "dest" not in keywords:  # a positional
+            units.append([draw(st.sampled_from(_values(keywords)))])
+        elif draw(st.booleans()):
+            unit = [draw(st.sampled_from(names))]
+            if keywords.get("action") != "store_true":
+                unit.append(draw(st.sampled_from(_values(keywords))))
+            units.append(unit)
+    argv = [name] + [token for unit in draw(st.permutations(units)) for token in unit]
+    for at, mutation, token in draw(_MUTATIONS):
+        at %= len(argv) + 1
+        if mutation == "insert" or at == len(argv):
+            argv.insert(at, token)
+        elif mutation == "replace":
+            argv[at] = token
+        elif mutation == "repeat":
+            argv[at:at] = argv[at : at + 2]
+        else:
+            del argv[at]
+    return argv
+
+
+@given(_argvs())
+@settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+def test_the_matcher_reads_an_argv_as_argparse_does(argv):
+    # one grammar: whatever the matcher reads, argparse reads alike, without exiting
+    args = cli._match(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._argparse_parser().parse_args(argv))
+
+
+def test_the_parser_reads_sys_argv_and_leaves_help_to_argparse(capsys):
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["count", "rect:2,2", "-h"])
+    assert capsys.readouterr().out.startswith("usage: tilecount count [-h] [--json] spec\n")
+    old = sys.argv
+    try:
+        sys.argv = ["tilecount", "seq", "F", "1", "3", "--json"]
+        assert vars(parser.parse_args()) == vars(cli._argparse_parser().parse_args(sys.argv[1:]))
+    finally:
+        sys.argv = old
 
 
 def test_count_prints_past_the_int_str_digit_limit_and_leaves_it_alone():

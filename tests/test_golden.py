@@ -1,5 +1,6 @@
 """Replay the CLI's golden corpus: every line of ``tests/golden/cli.jsonl`` through
-``cli.main``, its exit code, stdout hash and length, and stderr byte for byte.
+``cli.main``, its exit code, stdout hash and length, and stderr byte for byte; the
+lines argparse wrote, and a few well-formed ones, in a fresh process too.
 
 ``tests/golden/regenerate.py`` writes the corpus; a change that alters an output
 on purpose regenerates it and names the changed lines.
@@ -8,13 +9,18 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from tilecount import cli
 from tilecount.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(cli.__file__).parents[1])
 _spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
@@ -38,3 +44,65 @@ def test_the_cli_replays_its_golden_corpus(line, capsys, monkeypatch):
     expected = {key: value for key, value in line.items() if key != "python"}
     assert regenerate.record(line["argv"], code, out, err) == expected
 
+
+# the argvs argparse reads that the matcher leaves to it by rule: an abbreviated, an
+# `=`, a repeated option, `--`, and an integer with a sign, an underscore or a
+# non-ASCII digit
+LEFT_TO_ARGPARSE = [
+    ["seq", "F", "1", "3", "--method=closed"],
+    ["seq", "F", "1", "3", "--meth", "closed"],
+    ["count", "rect:2,2", "--js"],
+    ["count", "rect:2,2", "--json", "--json"],
+    ["verify", "table1", "--max", "2", "--max-n", "3"],
+    ["count", "--", "rect:2,2"],
+    ["seq", "F", "-1", "3"],
+    ["seq", "F", "١", "3"],
+    ["seq", "F", "1_0", "12"],
+    ["seq", "F", "+1", "3"],
+    ["bfile", "F", "--to=4"],
+]
+
+
+def test_the_matcher_reads_every_corpus_argv_spelled_in_full():
+    # so that the path without argparse cannot go dark unseen
+    for line in LINES:
+        argv = regenerate.argv_of(line["argv"])
+        args = cli._match(argv)
+        if "python" in line or line["argv"] in LEFT_TO_ARGPARSE:
+            assert args is None, argv[:4]
+        else:
+            assert args is not None, argv[:4]
+            assert vars(args) == vars(cli._argparse_parser().parse_args(argv))
+    argvs = [line["argv"] for line in LINES]
+    assert all(argv in argvs for argv in LEFT_TO_ARGPARSE)
+
+
+# besides every line argparse wrote, a well-formed line of each kind of output
+WELL_FORMED = (
+    ["count", "rect:8,8"],
+    ["seq", "L3", "1", "50", "--json"],
+    ["verify", "crux", "--max", "3"],
+    ["bfile", "F", "--to", "100"],
+)
+FRESH = [line for line in LINES if "python" in line or line["argv"] in WELL_FORMED]
+
+
+@pytest.mark.parametrize(
+    "line", FRESH, ids=[" ".join(line["argv"])[:50] or "empty" for line in FRESH]
+)
+def test_a_corpus_line_replays_as_the_first_thing_a_process_does(line):
+    # a bare interpreter: argparse, where it runs, is loaded and built on its first argv
+    python = line.get("python")
+    if python and python != regenerate.python_version():
+        pytest.skip(f"argparse's text was recorded on Python {python}")
+    script = "import sys; sys.path.insert(0, sys.argv[1]); from tilecount.cli import main; "
+    script += "sys.exit(main(sys.argv[2:]))"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, SRC, *regenerate.argv_of(line["argv"])],
+        capture_output=True,
+        encoding="utf-8",
+        env={**os.environ, "COLUMNS": "80"},
+        timeout=60,
+    )
+    expected = {key: value for key, value in line.items() if key != "python"}
+    assert regenerate.record(line["argv"], proc.returncode, proc.stdout, proc.stderr) == expected
