@@ -42,9 +42,8 @@ _LAYER_MAX_WORK = 3 * 10**7
 
 # a(n) has at most n log10(1 + max |coefficient|) decimal digits (Cauchy's bound on
 # the roots). The forward pass is charged 2 units a digit of each term it adds and
-# prints, which bounds the output too; since it groups its terms by weight (no
-# multiply by -1, one multiply per other weight) that is a larger over-charge than it
-# was, kept, with the edges, until the estimate is refit. A jump to a term of s digits
+# prints, which bounds the output too, and over-charges it: it groups its terms by
+# weight (no multiply by -1, one multiply per other weight). A jump to a term of s digits
 # costs _JUMP order^2 (size + _JUMP_FLOOR): in Decimals, whose multiplies are
 # subquadratic, the size is s; in ints, whose multiplies are Karatsuba, it is
 # s^1.585 / _KARATSUBA, at 0.04-0.08 ns a unit of order^2 s^1.585. The floor
@@ -112,12 +111,10 @@ def layer_dp(layers: int, cross_cells: int, cells: int) -> None:
     """The layer DP of a prism of ``layers`` layers over a cross-section of
     ``cross_cells`` cells, with ``cells`` cells in all.
 
-    It charges 3^k splits a layer, k the cross-section's cells. The DP steps
-    one state per orbit of the cross-section's symmetries and counts only
-    colour-balanced flat masks, so on a symmetric cross-section it does less
-    than that, and the charge is a larger over-charge than it was: a 2 x 4
-    layer steps 27 states where it stepped 70. The edges are kept until the
-    estimate is refit.
+    It charges 3^k splits a layer, k the cross-section's cells, and so
+    over-charges the DP: it steps one state per orbit of the cross-section's
+    symmetries (27 for a 2 x 4 layer, against 70 upright sets) and counts only
+    colour-balanced flat masks.
     """
     splits = 3 ** min(cross_cells, 64)  # over at one layer from 3^16
     work = layers * splits * (_LAYER_BIG_INT_CELLS + cells) // _LAYER_BIG_INT_CELLS

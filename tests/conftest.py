@@ -1,10 +1,16 @@
-"""Shared corpus builders for oracle-equivalence and property tests, and the
-reference rendering of verify records."""
+"""Shared corpus builders for oracle-equivalence and property tests, the
+reference rendering of verify records, a region's grid images, and a runner
+for scripts in a fresh interpreter."""
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import tilecount
 from tilecount.regions2d import (
     Region2D,
     a_grid,
@@ -13,6 +19,8 @@ from tilecount.regions2d import (
     l2_region,
     l3_region,
     rect,
+    reflect_h,
+    reflect_v,
 )
 from tilecount.sequences import decimal_str
 from tilecount.solid3d import Prism3D, m_tower, tower
@@ -31,6 +39,32 @@ def dumped_records(report) -> list[str]:
         for c in report.checks
     )
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` with ``args`` as ``sys.argv[1:]`` in a bare interpreter
+    (``python -I -S``: no environment, no site), after ``import sys`` and with
+    the package's source first on ``sys.path``, utf-8 streams and an 80-column
+    terminal."""
+    src = str(Path(tilecount.__file__).parents[1])
+    script = f"import sys; sys.path.insert(0, {src!r})\n{script}"
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script, *args],
+        capture_output=True,
+        encoding="utf-8",
+        env={**os.environ, "COLUMNS": "80"},
+        timeout=120,
+    )
+
+
+def grid_images(region: Region2D) -> list[Region2D]:
+    """The region's images under the square grid's 8 isometries: the region and
+    its transpose, each as it is, mirrored by ``reflect_h``, by ``reflect_v``,
+    and by both."""
+    images = []
+    for image in (region, Region2D((c, r) for r, c in region.cells)):
+        images += [image, reflect_h(image), reflect_v(image), reflect_h(reflect_v(image))]
+    return images
 
 
 def random_connected_region(rng: random.Random, n_cells: int) -> Region2D:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dumped_records
+from conftest import dumped_records, run_fresh
 from tilecount import BudgetError, cli, count2d, identities, sequences, solid3d
 from tilecount.cli import main
 from tilecount.identities import BOUNDS, CheckResult, Report
@@ -54,8 +54,6 @@ def test_start_up_loads_only_what_counting_needs():
     # a bare interpreter (-I -S: no site, which may load typing and pathlib itself)
     # importing the package as a count does; dataclasses would bring inspect and ast
     script = """\
-import sys
-sys.path.insert(0, sys.argv[1])
 import tilecount
 from tilecount import cli, sequences
 sequences.catalog()
@@ -65,10 +63,7 @@ heavy += ("decimal", "_decimal", "tilecount.identities", "tilecount.solid3d", "t
 heavy += ("argparse", "gettext")
 print(" ".join(m for m in heavy if m in sys.modules))
 """
-    src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, src], capture_output=True, text=True, timeout=60
-    )
+    proc = run_fresh(script)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "\n", f"start-up loaded {proc.stdout.strip()}"
 
@@ -77,23 +72,15 @@ def _fresh_main(*argv):
     """``main(argv)`` in a bare interpreter: (exit code, stdout, stderr), with the
     modules it loaded, named on stdout's last line."""
     script = """\
-import sys
-sys.path.insert(0, sys.argv[1])
 from tilecount.cli import main
 try:
-    code = main(sys.argv[2:])
+    code = main(sys.argv[1:])
 except SystemExit as exc:  # argparse's help texts and usage errors
     code = exc.code
 print(" ".join(sorted(sys.modules)))
 sys.exit(code)
 """
-    src = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, src, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_fresh(script, *argv)
     out, _, loaded = proc.stdout.rstrip("\n").rpartition("\n")
     return proc.returncode, out + "\n" if out else "", proc.stderr, set(loaded.split())
 
@@ -434,11 +421,7 @@ code, out, err = run("count", "tower:" + "9" * 5000)
 assert (code, out) == (2, "") and err.startswith("error: "), err
 assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr
 
 

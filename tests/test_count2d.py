@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_region, region_corpus_2d, strip_prism
+from conftest import grid_images, random_connected_region, region_corpus_2d, strip_prism
 from tilecount import BudgetError, budget, count2d
 from tilecount.cli import main
 from tilecount.count2d import (
@@ -30,7 +30,6 @@ from tilecount.regions2d import (
     l3_region,
     rect,
     reflect_h,
-    reflect_v,
 )
 from tilecount.sequences import catalog, l2, l3
 from tilecount.solid3d import count_bricks, layer_counts
@@ -125,15 +124,19 @@ def diagonal_halves(region: Region2D) -> tuple[Region2D, Region2D]:
     )
 
 
-def _spied_determinants(monkeypatch) -> list[tuple]:
+def _spied_determinants(monkeypatch, counts: list | None = None) -> list[tuple]:
     """The cell count and level order (``add`` or ``sub``) of each region
-    ``count2d._kasteleyn_det`` is called on, from now on."""
+    ``count2d._kasteleyn_det`` is called on, from now on; each call's result is
+    appended to ``counts`` too, if given."""
     calls = []
     kernel = count2d._kasteleyn_det
 
     def spy(rows, cols, along, width):
         calls.append((len(rows), along))
-        return kernel(rows, cols, along, width)
+        count = kernel(rows, cols, along, width)
+        if counts is not None:
+            counts.append(count)
+        return count
 
     monkeypatch.setattr(count2d, "_kasteleyn_det", spy)
     return calls
@@ -209,6 +212,24 @@ def test_the_split_runs_one_path_in_the_whole_regions_level_order(monkeypatch):
         calls.clear()
         assert count_tilings(region) == count
         assert calls == kernel_calls
+
+
+def test_l2_n_n_is_twice_a_product_of_consecutive_fibonacci_numbers(monkeypatch):
+    # l2:n,n maps onto itself by the reflection about its main diagonal, whose axis
+    # holds 2 cells: split at any axis, its halves count Fib(n) and Fib(n + 1), with
+    # Fib(1) = Fib(2) = 1, and at n = 1 (the 2 x 2 square) the one half is squared
+    fib = [0, 1]
+    while len(fib) < 42:
+        fib.append(fib[-2] + fib[-1])
+    for n in range(1, 41):
+        assert count_tilings(l2_region(n, n)) == l2(n, n) == 2 * fib[n] * fib[n + 1], n
+    monkeypatch.setattr(count2d, "MIN_SPLIT_AXIS", 0)
+    halves = []
+    _spied_determinants(monkeypatch, halves)
+    for n in range(1, 41):
+        halves.clear()
+        assert count_tilings(l2_region(n, n)) == 2 * fib[n] * fib[n + 1], n
+        assert sorted(halves) == ([1] if n == 1 else [fib[n], fib[n + 1]]), n
 
 
 def test_count_rect_24_by_24_matches_the_product_formula(capsys):
@@ -487,11 +508,7 @@ def test_symmetry_invariance(seed):
     rng = random.Random(seed)
     for _ in range(20):
         region = random_connected_region(rng, rng.randint(4, 20))
-        n = count_tilings(region)
-        assert count_tilings(reflect_h(region)) == n
-        assert count_tilings(reflect_v(region)) == n
-        quarter_turn = Region2D((c, -r) for r, c in region.cells)
-        assert count_tilings(quarter_turn) == n
+        assert {count_tilings(image) for image in grid_images(region)} == {count_tilings(region)}
 
 
 def test_enumerate_single_domino():

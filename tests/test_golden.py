@@ -9,18 +9,15 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
 from tilecount import cli
 from tilecount.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = str(Path(cli.__file__).parents[1])
 _spec = importlib.util.spec_from_file_location("regenerate", GOLDEN / "regenerate.py")
 regenerate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regenerate)
@@ -43,6 +40,13 @@ def test_the_cli_replays_its_golden_corpus(line, capsys, monkeypatch):
     out, err = capsys.readouterr()
     expected = {key: value for key, value in line.items() if key != "python"}
     assert regenerate.record(line["argv"], code, out, err) == expected
+
+
+def test_the_pictures_are_their_generators_own():
+    # CI counts these files, so they cannot drift from the code that made them
+    assert {path.name for path in GOLDEN.glob("*.txt")} == set(regenerate.PICTURES)
+    for name, text in regenerate.PICTURES.items():
+        assert (GOLDEN / name).read_bytes() == text.encode(), name
 
 
 # the argvs argparse reads that the matcher leaves to it by rule: an abbreviated, an
@@ -95,14 +99,7 @@ def test_a_corpus_line_replays_as_the_first_thing_a_process_does(line):
     python = line.get("python")
     if python and python != regenerate.python_version():
         pytest.skip(f"argparse's text was recorded on Python {python}")
-    script = "import sys; sys.path.insert(0, sys.argv[1]); from tilecount.cli import main; "
-    script += "sys.exit(main(sys.argv[2:]))"
-    proc = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", script, SRC, *regenerate.argv_of(line["argv"])],
-        capture_output=True,
-        encoding="utf-8",
-        env={**os.environ, "COLUMNS": "80"},
-        timeout=60,
-    )
+    script = "from tilecount.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = run_fresh(script, *regenerate.argv_of(line["argv"]))
     expected = {key: value for key, value in line.items() if key != "python"}
     assert regenerate.record(line["argv"], proc.returncode, proc.stdout, proc.stderr) == expected

@@ -1,14 +1,9 @@
 import inspect
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import dumped_records
-import tilecount
+from conftest import dumped_records, run_fresh
 from tilecount import identities, sequences
 from tilecount.count2d import count_tilings
 from tilecount.identities import (
@@ -107,11 +102,7 @@ assert report.json_lines() == json.dumps(record, sort_keys=True, separators=(","
 assert f"left={left} right={right}" in report.to_text()
 assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 """
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-    env["PYTHONPATH"] = str(Path(tilecount.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr
 
 

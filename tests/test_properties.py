@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import strip_prism
+from conftest import grid_images, strip_prism
 from tilecount import count2d
 from tilecount.cli import main
 from tilecount.budget import MAX_BRUTEFORCE_CELLS, MAX_ORACLE_CELLS
@@ -24,7 +24,7 @@ from tilecount.count2d import (
     count_tilings_bruteforce,
     enumerate_tilings,
 )
-from tilecount.regions2d import Region2D, rect, reflect_h, reflect_v
+from tilecount.regions2d import Region2D, rect, reflect_h
 from tilecount.sequences import ClosedForm, catalog, closed_eval, rec_eval_matpow, rec_values
 from tilecount.solid3d import (
     Prism3D,
@@ -85,15 +85,6 @@ def punched_rectangles(draw, max_side: int = 8) -> Region2D:
     return Region2D((r, c) for r in range(rows) for c in range(cols) if (r, c) not in removed)
 
 
-def square_symmetries(region: Region2D) -> list[Region2D]:
-    """The region's images under the 8 symmetries of the square: the region and
-    its transpose, each as it is, mirrored either way and turned a half turn."""
-    images = []
-    for image in (region, Region2D((c, r) for r, c in region.cells)):
-        images += [image, reflect_h(image), reflect_v(image), reflect_h(reflect_v(image))]
-    return images
-
-
 @PROPERTY
 @given(REGIONS)
 def test_dp_equals_oracle_equals_enumeration(region):
@@ -115,7 +106,7 @@ def test_determinant_equals_dp_around_holes(region):
 @PROPERTY
 @given(REGIONS)
 def test_count_is_invariant_under_square_symmetries(region):
-    counts = {count_tilings(image) for image in square_symmetries(region)}
+    counts = {count_tilings(image) for image in grid_images(region)}
     assert counts == {count_tilings(region)}
 
 

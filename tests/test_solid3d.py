@@ -2,10 +2,10 @@ import time
 
 import pytest
 
-from conftest import prism_corpus
+from conftest import grid_images, prism_corpus
 from tilecount import BudgetError, budget, solid3d
 from tilecount.count2d import count_rectangle, count_tilings
-from tilecount.regions2d import Region2D, rect, reflect_h, reflect_v
+from tilecount.regions2d import Region2D, rect
 from tilecount.sequences import catalog, rec_values
 from tilecount.solid3d import (
     Prism3D,
@@ -75,15 +75,6 @@ def test_long_towers_track_their_sequences():
     assert count_bricks(m_tower(500)) == rec_values(catalog()["M"].recurrence, 500, 500)[0]
 
 
-def _congruence_class(region: Region2D) -> frozenset:
-    """The region's images under the square grid's 8 isometries, each shifted to the origin."""
-    images = set()
-    for image in (region, Region2D((c, r) for r, c in region.cells)):
-        images |= {image.cells, reflect_h(image).cells, reflect_v(image).cells}
-        images.add(reflect_h(reflect_v(image)).cells)
-    return frozenset(images)
-
-
 def test_flat_counts_are_cached(monkeypatch):
     # one 2D count per flat shape met, up to translation and the grid's 8 isometries
     calls = []
@@ -103,7 +94,7 @@ def test_flat_counts_are_cached(monkeypatch):
         calls.clear()
         count_bricks(prism)
         assert len(calls) == shapes
-        assert len({_congruence_class(region) for region in calls}) == shapes
+        assert len({frozenset(i.cells for i in grid_images(region)) for region in calls}) == shapes
 
 
 def test_flat_counts_see_only_colour_balanced_regions(monkeypatch):
